@@ -50,7 +50,6 @@ from .dynamics import (
     evolve_factorized,
     sample_grid,
     scalar_series,
-    split_network_generator,
 )
 from .correlations import (
     CorrelationReport,

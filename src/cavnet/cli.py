@@ -50,15 +50,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merged_settings(args) -> tuple[NetworkConfig, IntegratorConfig, dict]:
+    """Resolve settings with precedence scenario defaults < config file < flags.
+
+    A scenario sweep sets the network's gamma at every point, so the network
+    gamma and its units, from the config or the flags, become the sweep's
+    unless the config's [scenario] section lists its own.
+    """
     file_cfg = load_config(args.config) if args.config else {"network": {}, "integrator": {}, "scenario": {}}
     network_kwargs = dict(file_cfg["network"])
     scenario_kwargs = dict(file_cfg["scenario"])
-    if args.gamma is not None:
-        network_kwargs["gamma"] = args.gamma
-        scenario_kwargs["gamma"] = (args.gamma,)
-    if args.gamma_units is not None:
-        network_kwargs["gamma_units"] = args.gamma_units
-        scenario_kwargs["gamma_units"] = args.gamma_units
+    for key in ("gamma", "gamma_units"):
+        flag = getattr(args, key)
+        if flag is not None:
+            network_kwargs[key] = flag
+        if key in network_kwargs and (flag is not None or key not in scenario_kwargs):
+            scenario_kwargs[key] = network_kwargs[key]
+    if isinstance(network_kwargs.get("gamma"), tuple) and args.command != "simulate":
+        raise ValueError(
+            "per-site [network] gamma rates are honoured only by simulate: a scenario sweep sets one gamma for all sites"
+        )
     if args.kappa is not None:
         network_kwargs["kappa"] = args.kappa
     if args.theta:

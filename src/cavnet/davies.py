@@ -83,8 +83,8 @@ class GeneratorSpec:
     """Right-hand-side data for the master equation.
 
     ``lambda_scale`` records the effective hopping rate in rad/ns so that
-    integrator step limits and reported times can be expressed in the
-    dimensionless lambda*t convention.
+    reported times can be expressed in the dimensionless lambda*t
+    convention.
     """
 
     hamiltonian: Operator

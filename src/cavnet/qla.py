@@ -129,7 +129,7 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator.
 
     ``tolerance`` is extra validation slack added to the base thresholds;
-    trajectory samples carry the integrator's trace guard here.
+    trajectory samples carry the propagation's trace guard here.
     """
 
     op: Operator

@@ -166,7 +166,7 @@ def network_trajectory(
     """Evolve one initial condition over a uniform lambda*t grid.
 
     Two-chain states take the factorized fast path; single-chain states are
-    integrated directly.
+    propagated directly.
     """
     lam = effective_coupling(cfg)
     times = dynamics.sample_grid(t_max_lambda, samples, lam)
@@ -490,9 +490,13 @@ def load_config(path) -> dict:
             out["network"]["gamma_units"] = sec["gamma_units"].strip()
     if parser.has_section("integrator"):
         sec = parser["integrator"]
-        for key in ("rel_tol", "abs_tol", "max_step", "trace_guard"):
+        for key in ("rel_tol", "abs_tol", "max_step"):
             if key in sec:
-                out["integrator"][key] = sec.getfloat(key)
+                raise ValueError(
+                    f"[integrator] {key} is not supported: propagation is exact, only trace_guard applies"
+                )
+        if "trace_guard" in sec:
+            out["integrator"]["trace_guard"] = sec.getfloat("trace_guard")
     if parser.has_section("scenario"):
         sec = parser["scenario"]
         if "name" in sec:

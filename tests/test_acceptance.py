@@ -8,7 +8,7 @@ cases each; trajectory-based properties are checked at every sample of the
 
 One check is expected to fail and is kept failing deliberately: the tangle
 maxima of the double-excitation family order as pi/4 > pi/8 > pi/3 (verified
-against an exact spectral-evolution oracle, independent of the integrator),
+against an exact spectral-evolution oracle, independent of the propagator),
 not as the required pi/4 > pi/3 > pi/8; see that test's docstring.
 """
 

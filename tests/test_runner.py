@@ -177,8 +177,7 @@ class TestConfigAndCli:
                     "gamma_units = abs",
                     "kappa = 1.0",
                     "[integrator]",
-                    "rel_tol = 1e-8",
-                    "max_step = 0.02",
+                    "trace_guard = 1e-8",
                     "[scenario]",
                     "name = fig3",
                     "theta = 0.785398163",
@@ -190,9 +189,12 @@ class TestConfigAndCli:
         parsed = runner.load_config(path)
         assert parsed["network"]["gamma"] == 0.02
         assert parsed["network"]["kappa"] == 1.0
-        assert parsed["integrator"]["rel_tol"] == 1e-8
+        assert parsed["integrator"]["trace_guard"] == 1e-8
         assert parsed["scenario"]["name"] == "fig3"
         assert parsed["scenario"]["samples"] == 24
+        path.write_text("[integrator]\nrel_tol = 1e-8\n")
+        with pytest.raises(ValueError, match="rel_tol.*exact"):
+            runner.load_config(path)
 
     def test_missing_config_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -231,6 +233,19 @@ class TestConfigAndCli:
         )
         assert rc == 0
         assert len(out.read_text().splitlines()) == 12
+
+    def test_cli_config_network_gamma_feeds_scenario(self, capsys, tmp_path):
+        path = tmp_path / "g.ini"
+        path.write_text("[network]\ngamma = 0.5\ngamma_units = lambda\n")
+        run = ["scenario", "--scenario", "transmission", "--initial", "psi_a", "--theta", "0.785398", "--samples", "81"]
+        assert cli.main(run + ["--config", str(path)]) == 0
+        via_config = capsys.readouterr().out
+        assert cli.main(run + ["--gamma", "0.5", "--gamma-units", "lambda"]) == 0
+        assert via_config == capsys.readouterr().out
+        assert ",0.5,11',33'," in via_config
+        path.write_text("[network]\ngamma = 0.01 0.02 0.03\n")
+        with pytest.raises(ValueError, match="per-site"):
+            cli.main(run + ["--config", str(path)])
 
     def test_cli_simulate_stdout(self, capsys, tmp_path):
         rc = cli.main(
