@@ -49,15 +49,12 @@ from .dynamics import (
     evolve,
     evolve_factorized,
     sample_grid,
-    scalar_series,
 )
 from .correlations import (
-    CorrelationReport,
     MeasurementBasis,
     PairSelector,
     classical_correlation,
     concurrence,
-    correlation_report,
     delta_fanchini,
     entanglement_sum,
     eof_from_concurrence,
@@ -75,9 +72,7 @@ from .runner import (
     Table,
     peak_sequence,
     run_scenario,
-    simulate_table,
     transmission_details,
-    transmission_ratio,
 )
 
 __version__ = "0.1.0"

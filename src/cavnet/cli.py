@@ -1,19 +1,19 @@
 """Command-line interface.
 
-Subcommands: ``simulate`` (raw trajectory plus measures), ``scenario``
-(named figure reproduction), ``transmission`` (ratio table).  Every flag has
-a config-file equivalent; explicit flags override the config.
+Subcommands: ``simulate`` (raw trajectory plus measures, the ``custom``
+scenario), ``scenario`` (named figure reproduction), ``transmission`` (ratio
+table).  Every flag has a config-file equivalent; explicit flags override
+the config.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .dynamics import IntegratorConfig
-from .model import InitialStateSpec, NetworkConfig
-from .runner import SCENARIO_NAMES, ScenarioSpec, Table, load_config, run_scenario, simulate_table
+from .model import NetworkConfig
+from .runner import SCENARIO_NAMES, ScenarioSpec, Table, load_config, run_scenario
 
 _INITIAL_CHOICES = ("psi_a", "psi_b", "rho_eq20", "psi1_chain", "psi2_chain")
 
@@ -65,10 +65,8 @@ def _merged_settings(args) -> tuple[NetworkConfig, IntegratorConfig, dict]:
             network_kwargs[key] = flag
         if key in network_kwargs and (flag is not None or key not in scenario_kwargs):
             scenario_kwargs[key] = network_kwargs[key]
-    if isinstance(network_kwargs.get("gamma"), tuple) and args.command != "simulate":
-        raise ValueError(
-            "per-site [network] gamma rates are honoured only by simulate: a scenario sweep sets one gamma for all sites"
-        )
+    if isinstance(network_kwargs.get("gamma"), tuple):
+        raise ValueError("per-site [network] gamma rates are not supported: a sweep sets one gamma for all sites")
     if args.kappa is not None:
         network_kwargs["kappa"] = args.kappa
     if args.theta:
@@ -101,28 +99,13 @@ def main(argv=None) -> int:
     cfg, icfg, scenario_kwargs = _merged_settings(args)
     out_fmt_keys = {"out", "format", "name"}
     spec_kwargs = {k: v for k, v in scenario_kwargs.items() if k not in out_fmt_keys}
-    if args.command == "simulate":
-        kinds = spec_kwargs.pop("initial", ("psi_a",))
-        thetas = spec_kwargs.pop("theta_list", (math.pi / 4,))
-        spec_kwargs.pop("gamma", None)
-        spec_kwargs.pop("gamma_units", None)
-        t_max = spec_kwargs.pop("t_max_lambda", 12.0)
-        samples = spec_kwargs.pop("samples", 800)
-        tables = [
-            simulate_table(InitialStateSpec(kind, theta), cfg, t_max, samples, icfg)
-            for kind in kinds
-            for theta in thetas
-        ]
-        table = Table(tables[0].columns, tuple(r for t in tables for r in t.rows))
-    elif args.command == "scenario":
+    if args.command == "scenario":
         name = getattr(args, "scenario", None) or scenario_kwargs.get("name")
         if not name:
             raise SystemExit("scenario name required (--scenario or config [scenario] name)")
-        spec = ScenarioSpec.named(name, **spec_kwargs)
-        table = run_scenario(spec, cfg, icfg)
     else:
-        spec = ScenarioSpec.named("transmission", **spec_kwargs)
-        table = run_scenario(spec, cfg, icfg)
+        name = "custom" if args.command == "simulate" else "transmission"
+    table = run_scenario(ScenarioSpec.named(name, **spec_kwargs), cfg, icfg)
     _emit(table, args, scenario_kwargs)
     return 0
 

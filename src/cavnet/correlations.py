@@ -25,7 +25,6 @@ from .qla import DensityMatrix, Operator, PureState
 __all__ = [
     "PairSelector",
     "MeasurementBasis",
-    "CorrelationReport",
     "TangleBounds",
     "DeltaResult",
     "concurrence",
@@ -40,7 +39,6 @@ __all__ = [
     "entanglement_sum",
     "delta_fanchini",
     "pair_state",
-    "correlation_report",
 ]
 
 _SYSY = np.kron(qla.SIGMA_Y, qla.SIGMA_Y)
@@ -136,10 +134,12 @@ def pair_state(rho: DensityMatrix, pair: PairSelector) -> DensityMatrix:
     if max(pair.first, pair.second) >= len(rho.dims):
         raise ValueError(f"pair {pair} out of range for dims {rho.dims}")
     reduced = qla.partial_trace(rho, [pair.first, pair.second])
-    if pair.first < pair.second:
-        return reduced
-    m = reduced.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    return DensityMatrix(Operator(m, (2, 2)), tolerance=reduced.tolerance)
+    return reduced if pair.first < pair.second else _swap_qubits(reduced)
+
+
+def _swap_qubits(rho_ab: DensityMatrix) -> DensityMatrix:
+    m = rho_ab.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    return DensityMatrix(Operator(m, (2, 2)), tolerance=rho_ab.tolerance)
 
 
 def concurrence(rho_ab: DensityMatrix) -> float:
@@ -183,11 +183,6 @@ def mutual_information(rho_ab: DensityMatrix) -> float:
     s_b = qla.von_neumann_entropy(qla.partial_trace(rho_ab, [1]))
     s_ab = qla.von_neumann_entropy(rho_ab)
     return s_a + s_b - s_ab
-
-
-def _swap_pair(rho_ab: DensityMatrix) -> DensityMatrix:
-    m = rho_ab.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    return DensityMatrix(Operator(m, (2, 2)), tolerance=rho_ab.tolerance)
 
 
 def _conditional_entropy_batch(r: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -260,19 +255,27 @@ def classical_correlation(
     _require_two_qubits(rho_ab)
     if measured not in ("A", "B"):
         raise ValueError("measured side must be 'A' or 'B'")
-    work = rho_ab if measured == "B" else _swap_pair(rho_ab)
+    work = rho_ab if measured == "B" else _swap_qubits(rho_ab)
     s_unmeasured = qla.von_neumann_entropy(qla.partial_trace(work, [0]))
     cond, basis = _minimize_conditional_entropy(work)
     return s_unmeasured - cond, basis
 
 
-def quantum_discord(rho_ab: DensityMatrix, measured: str = "B") -> float:
-    """Mutual information minus classical correlation."""
+def _classical_and_discord(rho_ab: DensityMatrix, measured: str) -> tuple[float, float]:
+    """Classical correlation J and discord Q = I - J from one optimization.
+
+    A Q below the floor means the optimizer overshot the true minimum.
+    """
     cc, _ = classical_correlation(rho_ab, measured)
     q = mutual_information(rho_ab) - cc
     if q < _DISCORD_FLOOR:
         raise RuntimeError(f"discord optimizer failure: Q = {q:.3e} < {_DISCORD_FLOOR}")
-    return max(q, 0.0)
+    return cc, max(q, 0.0)
+
+
+def quantum_discord(rho_ab: DensityMatrix, measured: str = "B") -> float:
+    """Mutual information minus classical correlation."""
+    return _classical_and_discord(rho_ab, measured)[1]
 
 
 def one_tangle(rho: DensityMatrix, site: int, mode: str = "det") -> float:
@@ -310,15 +313,9 @@ def _require_pure(rho: DensityMatrix, what: str) -> DensityMatrix:
 def tangle_pure(state: PureState | DensityMatrix, ref_site: int) -> float:
     """Residual multipartite correlation of a pure state.
 
-    One-tangle of the reference site minus all squared pairwise
-    concurrences with its partners; clipped to zero within 1e-9.
+    The monogamy residual of the reference site, clipped at zero.
     """
-    rho = _require_pure(_as_density(state), "tangle")
-    partners = [k for k in range(len(rho.dims)) if k != ref_site]
-    raw = one_tangle(rho, ref_site, "det") - _pairwise_csq(rho, ref_site, partners)
-    if raw < -_TANGLE_FLOOR:
-        raise ValueError(f"monogamy violated by {raw:.3e}; inconsistent state")
-    return max(raw, 0.0)
+    return max(monogamy_residual(state, ref_site), 0.0)
 
 
 def tangle_bounds(rho: DensityMatrix, ref_site: int) -> TangleBounds:
@@ -342,7 +339,11 @@ def tangle_bounds(rho: DensityMatrix, ref_site: int) -> TangleBounds:
 
 
 def monogamy_residual(state: PureState | DensityMatrix, ref_site: int) -> float:
-    """Slack of the squared-concurrence sharing inequality; must be >= 0."""
+    """Slack of the squared-concurrence sharing inequality; must be >= 0.
+
+    One-tangle of the reference site minus all squared pairwise concurrences
+    with its partners; a deficit beyond 1e-9 is an error.
+    """
     rho = _require_pure(_as_density(state), "monogamy residual")
     partners = [k for k in range(len(rho.dims)) if k != ref_site]
     residual = one_tangle(rho, ref_site, "det") - _pairwise_csq(rho, ref_site, partners)
@@ -381,75 +382,3 @@ def delta_fanchini(rho_123: DensityMatrix, measured: str = "partner") -> DeltaRe
     s_12 = qla.von_neumann_entropy(qla.partial_trace(rho_123, [0, 1]))
     s_13 = qla.von_neumann_entropy(qla.partial_trace(rho_123, [0, 2]))
     return DeltaResult(delta, s_12 + s_13 - s_2 - s_3 - delta)
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """All requested measures evaluated on one state."""
-
-    pairs: tuple[str, ...]
-    concurrence: dict[str, float]
-    eof: dict[str, float]
-    mutual_info: dict[str, float]
-    classical_corr: dict[str, float]
-    discord: dict[str, float]
-    one_tangles: tuple[float, ...]
-    tangle: float | None
-    tangle_bounds: TangleBounds
-    monogamy_residual: float | None
-    delta: float | None
-
-    def __post_init__(self):
-        for label in self.pairs:
-            gap = self.discord[label] - (self.mutual_info[label] - self.classical_corr[label])
-            if abs(gap) > 1e-9:
-                raise ValueError("discord must equal mutual information minus classical correlation")
-
-
-def correlation_report(
-    rho: DensityMatrix,
-    pairs,
-    ref_site: int = 0,
-    measured: str = "B",
-    include_delta: bool | None = None,
-) -> CorrelationReport:
-    """Evaluate the full measure set on one state.
-
-    ``pairs`` may hold labels like "33'" or :class:`PairSelector` objects.
-    The tangle is reported only when the state is pure; the bounds always.
-    """
-    selectors: dict[str, PairSelector] = {}
-    n_chain = len(rho.dims) // 2 if len(rho.dims) % 2 == 0 else len(rho.dims)
-    for p in pairs:
-        if isinstance(p, PairSelector):
-            selectors[f"{p.first},{p.second}"] = p
-        else:
-            selectors[str(p)] = PairSelector.from_label(str(p), n_chain)
-    conc, eof, mi, cc, disc = {}, {}, {}, {}, {}
-    for label, sel in selectors.items():
-        sub = pair_state(rho, sel)
-        conc[label] = concurrence(sub)
-        eof[label] = eof_from_concurrence(conc[label])
-        mi[label] = mutual_information(sub)
-        cc[label], _ = classical_correlation(sub, measured)
-        disc[label] = mi[label] - cc[label]
-    tangles = tuple(one_tangle(rho, s, "det") for s in range(len(rho.dims)))
-    pure = qla.purity(rho) >= 1.0 - _PURITY_GATE
-    tangle = tangle_pure(rho, ref_site) if pure else None
-    residual = monogamy_residual(rho, ref_site) if pure else None
-    if include_delta is None:
-        include_delta = rho.dims == (2, 2, 2)
-    delta = delta_fanchini(rho).delta if include_delta else None
-    return CorrelationReport(
-        pairs=tuple(selectors),
-        concurrence=conc,
-        eof=eof,
-        mutual_info=mi,
-        classical_corr=cc,
-        discord=disc,
-        one_tangles=tangles,
-        tangle=tangle,
-        tangle_bounds=tangle_bounds(rho, ref_site),
-        monogamy_residual=residual,
-        delta=delta,
-    )

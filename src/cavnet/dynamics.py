@@ -36,7 +36,6 @@ __all__ = [
     "TraceDriftError",
     "evolve",
     "evolve_factorized",
-    "scalar_series",
     "sample_grid",
 ]
 
@@ -213,8 +212,3 @@ def evolve_factorized(
             m = s @ m @ s.T
             states.append(sample(m, k))
     return Trajectory(t, t * chain_spec.lambda_scale, tuple(states), metadata or {})
-
-
-def scalar_series(traj: Trajectory, f) -> np.ndarray:
-    """Evaluate a state functional at every sample."""
-    return np.array([f(state) for state in traj.states], dtype=float)

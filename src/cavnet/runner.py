@@ -1,8 +1,12 @@
 """Scenario definitions, transmission ratios, peak extraction, tabular output.
 
 Each named scenario reproduces one figure-style data set as a deterministic
-table: identical inputs give byte-identical CSV output.  Times are reported
-dimensionless as lambda*t.
+table: identical inputs give byte-identical CSV output.  Every scenario
+sweeps (gamma, initial state, theta) through one pipeline: the trajectory
+scenarios evaluate per-sample measures listed in one table, ``fig4``
+reduces its concurrence series to peaks and ``transmission`` each point to
+ratios.  ``custom`` takes its measures from the register size.  Times are
+reported dimensionless as lambda*t.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ __all__ = [
     "TransmissionResult",
     "SCENARIO_NAMES",
     "run_scenario",
-    "simulate_table",
-    "transmission_ratio",
     "transmission_details",
     "peak_sequence",
     "network_trajectory",
@@ -65,7 +67,6 @@ class ScenarioSpec:
     gamma_units: str = "abs"
     t_max_lambda: float = 12.0
     samples: int = 800
-    columns: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
@@ -80,6 +81,8 @@ class ScenarioSpec:
         if np.isscalar(g):
             g = (float(g),)
         object.__setattr__(self, "gamma", tuple(float(x) for x in g))
+        if not (self.initial and self.theta_list and self.gamma):
+            raise ValueError("a sweep needs at least one initial state, theta and gamma")
 
     @classmethod
     def named(cls, name: str, **overrides) -> "ScenarioSpec":
@@ -152,10 +155,6 @@ class Table:
         return [row[idx] for row in self.rows]
 
 
-def _scenario_config(cfg: NetworkConfig, gamma: float, gamma_units: str) -> NetworkConfig:
-    return replace(cfg, gamma=gamma, gamma_units=gamma_units)
-
-
 def network_trajectory(
     cfg: NetworkConfig,
     init: InitialStateSpec,
@@ -184,9 +183,8 @@ def _pair(label: str) -> corr.PairSelector:
     return corr.PairSelector.from_label(label)
 
 
-def _concurrence_series(traj: Trajectory, label: str) -> np.ndarray:
-    sel = _pair(label)
-    return np.array([corr.concurrence(corr.pair_state(s, sel)) for s in traj.states])
+def _concurrence(state, sel: corr.PairSelector) -> float:
+    return corr.concurrence(corr.pair_state(state, sel))
 
 
 def _quadratic_peak(times: np.ndarray, values: np.ndarray, i: int) -> tuple[float, float]:
@@ -244,228 +242,131 @@ def transmission_details(
     samples: int = 801,
     icfg: IntegratorConfig | None = None,
 ) -> TransmissionResult:
-    """Peak concurrence of ``dst`` relative to the initial concurrence of ``src``."""
+    """Peak concurrence of ``dst`` relative to the initial concurrence of ``src``.
+
+    ``ratio`` is max_t C_dst(t) / C_src(0), the peak located by quadratic
+    interpolation; ``ratio_at_transfer`` samples C_dst at lambda*t = 2*pi/3.
+    """
     traj = network_trajectory(cfg, initial, t_max_lambda, samples, icfg)
-    c0 = corr.concurrence(corr.pair_state(traj.states[0], src))
+    c0 = _concurrence(traj.states[0], src)
     if c0 <= 1e-12:
         raise ValueError("initial concurrence of the source pair vanishes")
-    series = np.array([corr.concurrence(corr.pair_state(s, dst)) for s in traj.states])
+    series = np.array([_concurrence(s, dst) for s in traj.states])
     i = int(np.argmax(series))
     t_peak, v_peak = _quadratic_peak(traj.times_lambda, series, i)
     at_transfer = float(np.interp(TRANSFER_TIME_LAMBDA, traj.times_lambda, series))
     return TransmissionResult(v_peak / c0, t_peak, at_transfer / c0, c0)
 
 
-def transmission_ratio(
-    initial: InitialStateSpec,
-    cfg: NetworkConfig,
-    src: corr.PairSelector,
-    dst: corr.PairSelector,
-    t_max_lambda: float = 4.0,
-    samples: int = 801,
-    icfg: IntegratorConfig | None = None,
-) -> float:
-    """max_t C_dst(t) / C_src(0), the peak located by quadratic interpolation."""
-    return transmission_details(initial, cfg, src, dst, t_max_lambda, samples, icfg).ratio
+def _eof_discord(state, sel: corr.PairSelector) -> tuple[float, float]:
+    sub = corr.pair_state(state, sel)
+    return corr.eof_from_concurrence(corr.concurrence(sub)), corr.quantum_discord(sub)
 
 
-def _base_columns() -> tuple[str, ...]:
-    return ("initial", "theta", "gamma", "lambda_t")
+def _classical_discord_eof(state, sel: corr.PairSelector) -> tuple[float, float, float]:
+    sub = corr.pair_state(state, sel)
+    cc, q = corr._classical_and_discord(sub, "B")
+    return cc, q, corr.eof_from_concurrence(corr.concurrence(sub))
 
 
-def simulate_table(
-    init: InitialStateSpec,
-    cfg: NetworkConfig,
-    t_max_lambda: float,
-    samples: int,
-    icfg: IntegratorConfig | None = None,
-) -> Table:
-    """Raw trajectory with the standard measure set for one initial state."""
-    traj = network_trajectory(cfg, init, t_max_lambda, samples, icfg)
-    gamma = cfg.gamma[0]
-    nq = len(traj.states[0].dims)
+_SWEEP_COLUMNS = ("initial", "theta", "gamma")
+_P11, _P21, _P33 = _pair("11'"), _pair("21'"), _pair("33'")
+_PEAK_PAIRS = ("11'", "22'", "33'")
+_PEAK_SELECTORS = tuple(_pair(label) for label in _PEAK_PAIRS)
+
+# Per-sample measures of the trajectory scenarios: the columns each fills
+# and a function of one state returning their values.  Measures of one pair
+# share its pair_state and at most one discord optimization.
+_MEASURES = {
+    "fig2": (("conc_33p",), lambda s: (_concurrence(s, _P33),)),
+    "fig3": (("det_1", "det_2", "det_3"), lambda s: tuple(corr.one_tangle(s, k, "det") for k in range(3))),
+    "fig4": (_PEAK_PAIRS, lambda s: tuple(_concurrence(s, sel) for sel in _PEAK_SELECTORS)),
+    "fig5": (("eof_33p", "discord_33p"), lambda s: _eof_discord(s, _P33)),
+    "fig6": (("cc_21p", "discord_21p", "eof_21p"), lambda s: _classical_discord_eof(s, _P21)),
+    "fig7": (("tangle",), lambda s: (corr.tangle_pure(s, 0),)),
+    "fig8": (
+        ("tangle_lower_raw", "tangle_upper_raw", "tangle_lower", "tangle_upper", "purity"),
+        lambda s: (*corr.tangle_bounds(s, 0), qla.purity(s)),
+    ),
+    "fig9": (("delta", "ssa_slack"), lambda s: tuple(corr.delta_fanchini(s))),
+}
+
+# Columns of the scenarios that reduce each sweep point to other records.
+_REDUCED_COLUMNS = {
+    "fig4": ("pair", "lambda_t", "value", "simultaneous_group"),
+    "transmission": ("src", "dst", "ratio_max", "peak_lambda_t", "ratio_at_transfer"),
+}
+
+
+def _register_measures(nq: int):
+    """``custom``: purity, pair concurrences and one-tangles of an nq-qubit register.
+
+    The six-qubit network is labelled by cavity and keeps the three
+    cross-chain pairs 11', 22', 33'; other registers number their qubits
+    from 1 and keep every pair.
+    """
     if nq == 6:
-        pairs = {lbl: _pair(lbl) for lbl in ("11'", "22'", "33'")}
-        site_labels = ("1", "1p", "2", "2p", "3", "3p")
+        labels = _PEAK_PAIRS
+        pairs = _PEAK_SELECTORS
+        sites = ("1", "1p", "2", "2p", "3", "3p")
         site_order = (0, 3, 1, 4, 2, 5)
     else:
-        pairs = {
-            f"{a + 1}{b + 1}": corr.PairSelector(a, b)
-            for a in range(nq)
-            for b in range(a + 1, nq)
-        }
-        site_labels = tuple(str(k + 1) for k in range(nq))
+        pairs = tuple(corr.PairSelector(a, b) for a in range(nq) for b in range(a + 1, nq))
+        labels = tuple(f"{p.first + 1}{p.second + 1}" for p in pairs)
+        sites = tuple(str(k + 1) for k in range(nq))
         site_order = tuple(range(nq))
-    conc_cols = tuple(f"conc_{lbl.replace(chr(39), 'p')}" for lbl in pairs)
-    det_cols = tuple(f"det_{lbl}" for lbl in site_labels)
-    columns = _base_columns() + ("purity",) + conc_cols + det_cols
-    rows = []
-    for k, lt in enumerate(traj.times_lambda):
-        state = traj.states[k]
-        row = [init.kind, init.theta, gamma, float(lt), qla.purity(state)]
-        for sel in pairs.values():
-            row.append(corr.concurrence(corr.pair_state(state, sel)))
-        for site in site_order:
-            row.append(corr.one_tangle(state, site, "det"))
-        rows.append(tuple(row))
-    return Table(columns, tuple(rows))
+    columns = (
+        ("purity",)
+        + tuple(f"conc_{label.replace(chr(39), 'p')}" for label in labels)
+        + tuple(f"det_{site}" for site in sites)
+    )
 
+    def measure(state):
+        return (
+            qla.purity(state),
+            *(_concurrence(state, sel) for sel in pairs),
+            *(corr.one_tangle(state, site, "det") for site in site_order),
+        )
 
-def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig, icfg: IntegratorConfig | None = None) -> Table:
-    """Produce the tabular records of one named scenario."""
-    handlers = {
-        "fig2": _scenario_fig2,
-        "fig3": _scenario_fig3,
-        "fig4": _scenario_fig4,
-        "fig5": _scenario_fig5,
-        "fig6": _scenario_fig6,
-        "fig7": _scenario_fig7,
-        "fig8": _scenario_fig8,
-        "fig9": _scenario_fig9,
-        "transmission": _scenario_transmission,
-        "custom": _scenario_custom,
-    }
-    return handlers[spec.name](spec, cfg, icfg)
+    return columns, measure
 
 
 def _sweep(spec: ScenarioSpec, cfg: NetworkConfig):
     for gamma in spec.gamma:
-        scenario_cfg = _scenario_config(cfg, gamma, spec.gamma_units)
+        scenario_cfg = replace(cfg, gamma=gamma, gamma_units=spec.gamma_units)
         for kind in spec.initial:
             for theta in spec.theta_list:
                 yield gamma, scenario_cfg, InitialStateSpec(kind, theta)
 
 
-def _scenario_fig2(spec, cfg, icfg) -> Table:
-    columns = _base_columns() + ("conc_33p",)
-    rows = []
+def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig, icfg: IntegratorConfig | None = None) -> Table:
+    """Produce the tabular records of one named scenario.
+
+    ``transmission`` reduces each sweep point to its 11' -> 33' ratios.
+    The other scenarios evolve one trajectory per point and evaluate their
+    measures on every sample; ``fig4`` then reduces its concurrence series
+    to peak events.
+    """
+    columns, rows = None, []
     for gamma, c, init in _sweep(spec, cfg):
+        point = (init.kind, init.theta, gamma)
+        if spec.name == "transmission":
+            res = transmission_details(init, c, _P11, _P33, spec.t_max_lambda, spec.samples, icfg)
+            rows.append(point + ("11'", "33'", res.ratio, res.peak_time_lambda, res.ratio_at_transfer))
+            continue
         traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples, icfg)
-        series = _concurrence_series(traj, "33'")
-        for lt, v in zip(traj.times_lambda, series):
-            rows.append((init.kind, init.theta, gamma, float(lt), float(v)))
-    return Table(columns, tuple(rows))
-
-
-def _scenario_fig3(spec, cfg, icfg) -> Table:
-    columns = _base_columns() + ("det_1", "det_2", "det_3")
-    rows = []
-    for gamma, c, init in _sweep(spec, cfg):
-        traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples, icfg)
-        for k, lt in enumerate(traj.times_lambda):
-            state = traj.states[k]
-            rows.append(
-                (
-                    init.kind,
-                    init.theta,
-                    gamma,
-                    float(lt),
-                    corr.one_tangle(state, 0, "det"),
-                    corr.one_tangle(state, 1, "det"),
-                    corr.one_tangle(state, 2, "det"),
-                )
-            )
-    return Table(columns, tuple(rows))
-
-
-def _scenario_fig4(spec, cfg, icfg) -> Table:
-    columns = ("initial", "theta", "gamma", "pair", "lambda_t", "value", "simultaneous_group")
-    rows = []
-    for gamma, c, init in _sweep(spec, cfg):
-        traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples, icfg)
-        series = {lbl: _concurrence_series(traj, lbl) for lbl in ("11'", "22'", "33'")}
-        for ev in peak_sequence(series, traj.times_lambda):
-            rows.append((init.kind, init.theta, gamma, ev.pair, ev.time_lambda, ev.value, ev.simultaneous_group))
-    return Table(columns, tuple(rows))
-
-
-def _scenario_fig5(spec, cfg, icfg) -> Table:
-    columns = _base_columns() + ("eof_33p", "discord_33p")
-    sel = _pair("33'")
-    rows = []
-    for gamma, c, init in _sweep(spec, cfg):
-        traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples, icfg)
-        for k, lt in enumerate(traj.times_lambda):
-            sub = corr.pair_state(traj.states[k], sel)
-            e = corr.eof_from_concurrence(corr.concurrence(sub))
-            q = corr.quantum_discord(sub)
-            rows.append((init.kind, init.theta, gamma, float(lt), e, q))
-    return Table(columns, tuple(rows))
-
-
-def _scenario_fig6(spec, cfg, icfg) -> Table:
-    columns = _base_columns() + ("cc_21p", "discord_21p", "eof_21p")
-    sel = _pair("21'")
-    rows = []
-    for gamma, c, init in _sweep(spec, cfg):
-        traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples, icfg)
-        for k, lt in enumerate(traj.times_lambda):
-            sub = corr.pair_state(traj.states[k], sel)
-            cc, _ = corr.classical_correlation(sub, "B")
-            q = corr.mutual_information(sub) - cc
-            e = corr.eof_from_concurrence(corr.concurrence(sub))
-            rows.append((init.kind, init.theta, gamma, float(lt), cc, max(q, 0.0), e))
-    return Table(columns, tuple(rows))
-
-
-def _scenario_fig7(spec, cfg, icfg) -> Table:
-    columns = _base_columns() + ("tangle",)
-    rows = []
-    for gamma, c, init in _sweep(spec, cfg):
-        traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples, icfg)
-        for k, lt in enumerate(traj.times_lambda):
-            rows.append((init.kind, init.theta, gamma, float(lt), corr.tangle_pure(traj.states[k], 0)))
-    return Table(columns, tuple(rows))
-
-
-def _scenario_fig8(spec, cfg, icfg) -> Table:
-    columns = _base_columns() + ("tangle_lower_raw", "tangle_upper_raw", "tangle_lower", "tangle_upper", "purity")
-    rows = []
-    for gamma, c, init in _sweep(spec, cfg):
-        traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples, icfg)
-        for k, lt in enumerate(traj.times_lambda):
-            state = traj.states[k]
-            b = corr.tangle_bounds(state, 0)
-            rows.append(
-                (init.kind, init.theta, gamma, float(lt), b.lower_raw, b.upper_raw, b.lower, b.upper, qla.purity(state))
-            )
-    return Table(columns, tuple(rows))
-
-
-def _scenario_fig9(spec, cfg, icfg) -> Table:
-    columns = _base_columns() + ("delta", "ssa_slack")
-    rows = []
-    for gamma, c, init in _sweep(spec, cfg):
-        traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples, icfg)
-        for k, lt in enumerate(traj.times_lambda):
-            d = corr.delta_fanchini(traj.states[k])
-            rows.append((init.kind, init.theta, gamma, float(lt), d.delta, d.ssa_slack))
-    return Table(columns, tuple(rows))
-
-
-def _scenario_transmission(spec, cfg, icfg) -> Table:
-    columns = ("initial", "theta", "gamma", "src", "dst", "ratio_max", "peak_lambda_t", "ratio_at_transfer")
-    src, dst = _pair("11'"), _pair("33'")
-    rows = []
-    for gamma, c, init in _sweep(spec, cfg):
-        res = transmission_details(init, c, src, dst, spec.t_max_lambda, spec.samples, icfg)
-        rows.append(
-            (init.kind, init.theta, gamma, "11'", "33'", res.ratio, res.peak_time_lambda, res.ratio_at_transfer)
-        )
-    return Table(columns, tuple(rows))
-
-
-def _scenario_custom(spec, cfg, icfg) -> Table:
-    tables = []
-    for gamma, c, init in _sweep(spec, cfg):
-        tables.append(simulate_table(init, c, spec.t_max_lambda, spec.samples, icfg))
-    columns = tables[0].columns
-    rows = []
-    for t in tables:
-        if t.columns != columns:
+        nq = len(traj.states[0].dims)
+        names, measure = _register_measures(nq) if spec.name == "custom" else _MEASURES[spec.name]
+        if columns not in (None, names):
             raise ValueError("custom sweep mixes incompatible registers")
-        rows.extend(t.rows)
-    return Table(columns, tuple(rows))
+        columns = names
+        values = [measure(state) for state in traj.states]
+        if spec.name == "fig4":
+            events = peak_sequence(dict(zip(names, zip(*values))), traj.times_lambda)
+            rows.extend(point + (ev.pair, ev.time_lambda, ev.value, ev.simultaneous_group) for ev in events)
+        else:
+            rows.extend(point + (float(lt),) + v for lt, v in zip(traj.times_lambda, values))
+    return Table(_SWEEP_COLUMNS + (_REDUCED_COLUMNS.get(spec.name) or ("lambda_t",) + columns), tuple(rows))
 
 
 def load_config(path) -> dict:

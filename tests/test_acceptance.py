@@ -124,15 +124,15 @@ class TestCriterion2LosslessTransmission:
 class TestCriterion3LossyTransmission:
     def test_reference_ratios_absolute_gamma(self, cfg_lossy):
         # The absolute-rate convention (gamma in 1/ns) hits all three bands.
-        r_a = runner.transmission_ratio(
+        r_a = runner.transmission_details(
             model.InitialStateSpec("psi_a", math.pi / 4), cfg_lossy, SRC, DST
-        )
-        r_b3 = runner.transmission_ratio(
+        ).ratio
+        r_b3 = runner.transmission_details(
             model.InitialStateSpec("psi_b", math.pi / 3), cfg_lossy, SRC, DST
-        )
-        r_b8 = runner.transmission_ratio(
+        ).ratio
+        r_b8 = runner.transmission_details(
             model.InitialStateSpec("psi_b", math.pi / 8), cfg_lossy, SRC, DST
-        )
+        ).ratio
         ok = abs(r_a - 0.742) <= 0.010 and abs(r_b3 - 0.63) <= 0.03 and abs(r_b8 - 0.28) <= 0.03
         report(
             "3",

@@ -301,23 +301,3 @@ class TestPairSelector:
             for j in range(2):
                 swap[j * 2 + i, i * 2 + j] = 1.0
         assert np.max(np.abs(rev - swap @ fwd @ swap.T)) < 1e-12
-
-
-class TestReport:
-    def test_report_consistency(self, default_cfg):
-        rho = model.build_initial_state(model.InitialStateSpec("psi_b", math.pi / 3), default_cfg)
-        report = corr.correlation_report(rho, ["11'", "33'"])
-        assert report.pairs == ("11'", "33'")
-        assert report.concurrence["11'"] == pytest.approx(math.sin(2 * math.pi / 3), abs=1e-9)
-        assert report.discord["11'"] == pytest.approx(
-            report.mutual_info["11'"] - report.classical_corr["11'"], abs=1e-12
-        )
-        assert report.tangle == pytest.approx(0.0, abs=1e-9)
-        assert len(report.one_tangles) == 6
-        assert report.delta is None
-        assert report.tangle_bounds.lower <= report.tangle_bounds.upper
-
-    def test_report_on_chain_state_includes_delta(self, default_cfg):
-        rho = model.build_initial_state(model.InitialStateSpec("psi1_chain"), default_cfg)
-        report = corr.correlation_report(rho, [corr.PairSelector(0, 1)])
-        assert report.delta == pytest.approx(0.0, abs=1e-5)

@@ -149,7 +149,7 @@ class TestScalarSeries:
         gen = davies.chain_generator(default_cfg)
         rho0 = qla.ket("EEG").density()
         traj = dynamics.evolve(rho0, gen, chain_times(default_cfg, 2.0, 9))
-        traces = dynamics.scalar_series(traj, lambda s: float(np.trace(s.matrix).real))
+        traces = np.array([np.trace(s.matrix).real for s in traj.states])
         assert np.max(np.abs(traces - 1.0)) < 1e-7
 
     def test_purity_constant_without_losses(self, lossless_cfg):
@@ -158,7 +158,7 @@ class TestScalarSeries:
             model.InitialStateSpec("psi_a", math.pi / 3), lossless_cfg
         )
         traj = dynamics.evolve_factorized(rho0, gen, chain_times(lossless_cfg, 4.0, 9))
-        purities = dynamics.scalar_series(traj, qla.purity)
+        purities = np.array([qla.purity(s) for s in traj.states])
         assert np.max(np.abs(purities - 1.0)) < 1e-8
 
 

@@ -28,6 +28,10 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             runner.ScenarioSpec.named("fig2", samples=1)
 
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            runner.ScenarioSpec.named("custom", initial=())
+
     def test_named_defaults(self):
         spec = runner.ScenarioSpec.named("fig5")
         assert spec.initial == ("psi_b",)
@@ -57,6 +61,16 @@ class TestFig3:
         t_min, v_min = runner._quadratic_peak(lts, -det2, int(i))
         assert -v_min < 1e-6
         assert t_min == pytest.approx(2 * math.pi / 3, abs=0.02)
+
+
+class TestFig6:
+    def test_discord_floor_applies(self, default_cfg, monkeypatch):
+        # An optimizer that overshoots the minimal conditional entropy makes
+        # Q = I - J negative; the figure must fail, not clip it to zero.
+        basis = corr.MeasurementBasis(0.0, 0.0)
+        monkeypatch.setattr(corr, "_minimize_conditional_entropy", lambda rho_ab: (-1.0, basis))
+        with pytest.raises(RuntimeError, match="discord optimizer failure"):
+            runner.run_scenario(small("fig6", t_max_lambda=1.0, samples=3), default_cfg)
 
 
 class TestPeaks:
@@ -111,27 +125,27 @@ class TestTransmission:
 
     def test_theta_independence_for_single_excitation(self, lossless_cfg):
         ratios = [
-            runner.transmission_ratio(
+            runner.transmission_details(
                 model.InitialStateSpec("psi_a", th), lossless_cfg, SRC, DST, samples=601
-            )
+            ).ratio
             for th in (math.pi / 8, math.pi / 3)
         ]
         assert abs(ratios[0] - ratios[1]) < 0.005
 
     def test_double_excitation_ratios_ordered_in_theta(self, default_cfg):
         values = {
-            th: runner.transmission_ratio(
+            th: runner.transmission_details(
                 model.InitialStateSpec("psi_b", th), default_cfg, SRC, DST, samples=601
-            )
+            ).ratio
             for th in (math.pi / 3, math.pi / 4, math.pi / 8)
         }
         assert values[math.pi / 3] > values[math.pi / 4] > values[math.pi / 8]
 
     def test_zero_initial_concurrence_rejected(self, default_cfg):
         with pytest.raises(ValueError):
-            runner.transmission_ratio(
+            runner.transmission_details(
                 model.InitialStateSpec("psi_a", 0.0), default_cfg, SRC, DST, samples=11
-            )
+            ).ratio
 
 
 class TestTables:
@@ -156,13 +170,13 @@ class TestTables:
         assert tuple(first) == table.columns
 
     def test_simulate_table_columns(self, default_cfg):
-        init = model.InitialStateSpec("psi_a", math.pi / 4)
-        table = runner.simulate_table(init, default_cfg, 2.0, 24)
+        spec = runner.ScenarioSpec.named("custom", theta_list=(math.pi / 4,), t_max_lambda=2.0, samples=24)
+        table = runner.run_scenario(spec, default_cfg)
         assert table.columns[:5] == ("initial", "theta", "gamma", "lambda_t", "purity")
         assert "conc_33p" in table.columns
         assert "det_2p" in table.columns
-        init8 = model.InitialStateSpec("psi2_chain")
-        table8 = runner.simulate_table(init8, default_cfg, 2.0, 12)
+        spec8 = runner.ScenarioSpec.named("custom", initial=("psi2_chain",), t_max_lambda=2.0, samples=12)
+        table8 = runner.run_scenario(spec8, default_cfg)
         assert "conc_13" in table8.columns
 
 
@@ -246,6 +260,8 @@ class TestConfigAndCli:
         path.write_text("[network]\ngamma = 0.01 0.02 0.03\n")
         with pytest.raises(ValueError, match="per-site"):
             cli.main(run + ["--config", str(path)])
+        with pytest.raises(ValueError, match="per-site"):
+            cli.main(["simulate", "--samples", "3", "--tmax-lambda", "1.0", "--config", str(path)])
 
     def test_cli_simulate_stdout(self, capsys, tmp_path):
         rc = cli.main(
@@ -254,6 +270,22 @@ class TestConfigAndCli:
         assert rc == 0
         captured = capsys.readouterr().out
         assert captured.splitlines()[0].startswith("initial,theta,gamma,lambda_t,purity")
+
+    def test_cli_simulate_config_gamma_feeds_sweep(self, capsys, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("[scenario]\ngamma = 0.5\ngamma_units = lambda\n")
+        run = ["simulate", "--initial", "psi2_chain", "--samples", "6", "--tmax-lambda", "1.0"]
+        assert cli.main(run + ["--config", str(path)]) == 0
+        via_config = capsys.readouterr().out
+        assert cli.main(run + ["--gamma", "0.5", "--gamma-units", "lambda"]) == 0
+        assert via_config == capsys.readouterr().out
+        assert via_config.splitlines()[1].startswith("psi2_chain,0.785398163397,0.5,0,")
+
+    def test_cli_simulate_rejects_mixed_registers(self, tmp_path):
+        path = tmp_path / "mix.ini"
+        path.write_text("[scenario]\ninitial = psi_a psi2_chain\n")
+        with pytest.raises(ValueError, match="incompatible registers"):
+            cli.main(["simulate", "--config", str(path), "--samples", "3", "--tmax-lambda", "1"])
 
     def test_cli_transmission(self, tmp_path):
         out = tmp_path / "ratios.csv"
