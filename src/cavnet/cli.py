@@ -65,8 +65,6 @@ def _merged_settings(args) -> tuple[NetworkConfig, IntegratorConfig, dict]:
             network_kwargs[key] = flag
         if key in network_kwargs and (flag is not None or key not in scenario_kwargs):
             scenario_kwargs[key] = network_kwargs[key]
-    if isinstance(network_kwargs.get("gamma"), tuple):
-        raise ValueError("per-site [network] gamma rates are not supported: a sweep sets one gamma for all sites")
     if args.kappa is not None:
         network_kwargs["kappa"] = args.kappa
     if args.theta:
@@ -105,6 +103,11 @@ def main(argv=None) -> int:
             raise SystemExit("scenario name required (--scenario or config [scenario] name)")
     else:
         name = "custom" if args.command == "simulate" else "transmission"
+        if scenario_kwargs.get("name", name) != name:
+            raise ValueError(
+                f"config [scenario] name = {scenario_kwargs['name']} does not fit "
+                f"'{args.command}', which runs {name}; use 'cavnet scenario' for it"
+            )
     table = run_scenario(ScenarioSpec.named(name, **spec_kwargs), cfg, icfg)
     _emit(table, args, scenario_kwargs)
     return 0

@@ -386,7 +386,12 @@ def load_config(path) -> dict:
                 out["network"]["J" if key == "j" else key] = sec.getfloat(key)
         if "gamma" in sec:
             parts = [float(x) for x in sec["gamma"].replace(",", " ").split()]
-            out["network"]["gamma"] = parts[0] if len(parts) == 1 else tuple(parts)
+            if len(parts) != 1:
+                raise ValueError(
+                    f"[network] gamma takes one rate, got {len(parts)}: per-site rates are not "
+                    "supported, since a sweep sets one gamma for all sites"
+                )
+            out["network"]["gamma"] = parts[0]
         if "gamma_units" in sec:
             out["network"]["gamma_units"] = sec["gamma_units"].strip()
     if parser.has_section("integrator"):

@@ -35,6 +35,33 @@ def werner_discord_oracle(p):
     return (2.0 - s_ab) - cc
 
 
+def x_state(diagonal, rho_03, rho_12):
+    """Two-qubit X state from its diagonal and its two upper coherences."""
+    m = np.diag(np.asarray(diagonal, dtype=complex))
+    m[0, 3], m[3, 0] = rho_03, np.conj(rho_03)
+    m[1, 2], m[2, 1] = rho_12, np.conj(rho_12)
+    return qla.density(m, (2, 2))
+
+
+def random_x_state(rng):
+    """X state with complex coherences at a random fraction of their bound.
+
+    A Dirichlet diagonal of random concentration reaches near-pure corners,
+    where the best measurement can lie strictly between pole and equator.
+    """
+    d = rng.dirichlet(np.full(4, rng.choice([0.3, 1.0, 3.0])))
+    coherences = [
+        math.sqrt(d[i] * d[j]) * rng.uniform() * np.exp(2j * math.pi * rng.uniform())
+        for i, j in ((0, 3), (1, 2))
+    ]
+    return x_state(d, *coherences)
+
+
+def attained_entropy(rho, basis):
+    """Conditional entropy of A after measuring B in ``basis``."""
+    return float(corr._conditional_entropy_batch(rho.matrix.reshape(2, 2, 2, 2), basis.ket()[None])[0])
+
+
 def ghz_state():
     v = (qla.ket("GGG").amplitudes + qla.ket("EEE").amplitudes) / math.sqrt(2)
     return qla.PureState(v, (2, 2, 2)).density()
@@ -161,6 +188,56 @@ class TestClassicalCorrelationAndDiscord:
         q = corr.quantum_discord(rho)
         assert q >= 0.0
         assert q == pytest.approx(mi - cc, abs=1e-9)
+
+
+class TestXStateSearch:
+    """The X-state polar search against the general optimizer as oracle."""
+
+    @given(seed=seeds)
+    def test_matches_general_optimizer(self, seed):
+        rho = random_x_state(np.random.default_rng(seed))
+        value, basis = corr._minimize_conditional_entropy(rho)
+        general, _ = corr._general_conditional_entropy(rho)
+        assert value == pytest.approx(general, abs=1e-9)
+        assert attained_entropy(rho, basis) == pytest.approx(value, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            # Minimum near polar 0.42, 1.5e-3 below the better endpoint.
+            x_state((0.016, 0.0001, 0.011, 0.9729), 0.112 * np.exp(-2.1j), 0.001 * np.exp(1.3j)),
+            # Polar 0 is a local maximum; the minimum near 0.02 lies inside
+            # the first grid cell, 2.6e-6 below it.
+            x_state((1.4e-5, 1.98e-3, 1.9e-5, 0.997987), 0.00314 * np.exp(0.4j), 4.2e-5 * np.exp(-2.9j)),
+        ],
+        ids=["mid-cell", "endpoint-dip"],
+    )
+    def test_interior_optimum_beats_both_endpoints(self, rho):
+        value, basis = corr._minimize_conditional_entropy(rho)
+        general, _ = corr._general_conditional_entropy(rho)
+        assert 1e-3 < basis.polar < math.pi / 2 - 1e-3
+        for polar in (0.0, math.pi / 2):
+            endpoint = attained_entropy(rho, corr.MeasurementBasis(polar, basis.azimuth))
+            assert endpoint - value > 1e-6
+        assert value == pytest.approx(general, abs=1e-9)
+        assert attained_entropy(rho, basis) == pytest.approx(value, abs=1e-10)
+
+    def test_path_follows_state_form(self, monkeypatch):
+        calls = []
+        general = corr._general_conditional_entropy
+
+        def spy(rho_ab):
+            calls.append(rho_ab)
+            return general(rho_ab)
+
+        monkeypatch.setattr(corr, "_general_conditional_entropy", spy)
+        rng = np.random.default_rng(11)
+        corr.quantum_discord(random_x_state(rng))
+        corr.quantum_discord(random_x_state(rng), measured="A")
+        assert calls == []
+        non_x = random_density(rng, (2, 2))
+        corr.quantum_discord(non_x)
+        assert len(calls) == 1 and calls[0] is non_x
 
 
 class TestOneTangle:

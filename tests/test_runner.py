@@ -73,6 +73,21 @@ class TestFig6:
             runner.run_scenario(small("fig6", t_max_lambda=1.0, samples=3), default_cfg)
 
 
+class TestDiscordPath:
+    @pytest.mark.parametrize("name", ["fig5", "fig6", "fig9"])
+    def test_production_pairs_take_x_path(self, name, default_cfg, monkeypatch):
+        # The dynamics conserves excitation parity, so every pair state is an
+        # X state; one that reached the general optimizer would cost about
+        # twenty times more per discord.
+        def general(rho_ab):
+            raise AssertionError(f"{name} pair state is not X-form:\n{rho_ab.matrix}")
+
+        monkeypatch.setattr(corr, "_general_conditional_entropy", general)
+        spec = small(name, theta_list=(math.pi / 4, 0.4), samples=6)
+        table = runner.run_scenario(spec, default_cfg)
+        assert len(table.rows) == 6 * len(spec.gamma) * len(spec.initial) * len(spec.theta_list)
+
+
 class TestPeaks:
     def test_constant_series_has_no_peaks(self):
         times = np.linspace(0, 5, 100)
@@ -210,6 +225,12 @@ class TestConfigAndCli:
         with pytest.raises(ValueError, match="rel_tol.*exact"):
             runner.load_config(path)
 
+    def test_config_rejects_per_site_network_gamma(self, tmp_path):
+        path = tmp_path / "sites.ini"
+        path.write_text("[network]\ngamma = 0.01, 0.02, 0.03\n")
+        with pytest.raises(ValueError, match=r"\[network\] gamma.*per-site"):
+            runner.load_config(path)
+
     def test_missing_config_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             runner.load_config(tmp_path / "absent.ini")
@@ -286,6 +307,17 @@ class TestConfigAndCli:
         path.write_text("[scenario]\ninitial = psi_a psi2_chain\n")
         with pytest.raises(ValueError, match="incompatible registers"):
             cli.main(["simulate", "--config", str(path), "--samples", "3", "--tmax-lambda", "1"])
+
+    @pytest.mark.parametrize("command, own", [("simulate", "custom"), ("transmission", "transmission")])
+    def test_cli_rejects_config_scenario_of_other_command(self, command, own, capsys, tmp_path):
+        path = tmp_path / "n.ini"
+        run = [command, "--initial", "psi_a", "--samples", "3", "--tmax-lambda", "1.0", "--config", str(path)]
+        path.write_text("[scenario]\nname = fig5\n")
+        with pytest.raises(ValueError, match="name = fig5"):
+            cli.main(run)
+        assert capsys.readouterr().out == ""
+        path.write_text(f"[scenario]\nname = {own}\n")
+        assert cli.main(run) == 0
 
     def test_cli_transmission(self, tmp_path):
         out = tmp_path / "ratios.csv"
