@@ -44,7 +44,6 @@ from .davies import (
     site_lowering_operator,
 )
 from .dynamics import (
-    IntegratorConfig,
     Trajectory,
     evolve,
     evolve_factorized,

@@ -3,7 +3,9 @@
 Subcommands: ``simulate`` (raw trajectory plus measures, the ``custom``
 scenario), ``scenario`` (named figure reproduction), ``transmission`` (ratio
 table).  Every flag has a config-file equivalent; explicit flags override
-the config.
+the config.  A config file holds [network] and [scenario] sections; an
+unknown section or key is an error.  Every scenario runs on the network of
+two three-cavity chains.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dynamics import IntegratorConfig
 from .model import NetworkConfig
 from .runner import SCENARIO_NAMES, ScenarioSpec, Table, load_config, run_scenario
 
@@ -19,7 +20,7 @@ _INITIAL_CHOICES = ("psi_a", "psi_b", "rho_eq20", "psi1_chain", "psi2_chain")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="INI config with [network], [integrator], [scenario]")
+    parser.add_argument("--config", help="INI config with [network] and [scenario] sections")
     parser.add_argument("--theta", type=float, action="append", help="initial-state angle in radians, repeatable")
     parser.add_argument("--gamma", type=float, help="cavity decay rate")
     parser.add_argument("--gamma-units", choices=("abs", "lambda"), dest="gamma_units", help="decay-rate units: 1/ns or multiples of the effective coupling")
@@ -49,14 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_settings(args) -> tuple[NetworkConfig, IntegratorConfig, dict]:
+def _merged_settings(args) -> tuple[NetworkConfig, dict]:
     """Resolve settings with precedence scenario defaults < config file < flags.
 
     A scenario sweep sets the network's gamma at every point, so the network
     gamma and its units, from the config or the flags, become the sweep's
     unless the config's [scenario] section lists its own.
     """
-    file_cfg = load_config(args.config) if args.config else {"network": {}, "integrator": {}, "scenario": {}}
+    file_cfg = load_config(args.config) if args.config else {"network": {}, "scenario": {}}
     network_kwargs = dict(file_cfg["network"])
     scenario_kwargs = dict(file_cfg["scenario"])
     for key in ("gamma", "gamma_units"):
@@ -76,9 +77,7 @@ def _merged_settings(args) -> tuple[NetworkConfig, IntegratorConfig, dict]:
     initial = getattr(args, "initial", None)
     if initial:
         scenario_kwargs["initial"] = (initial,) if isinstance(initial, str) else tuple(initial)
-    cfg = NetworkConfig(**network_kwargs)
-    icfg = IntegratorConfig(**file_cfg["integrator"])
-    return cfg, icfg, scenario_kwargs
+    return NetworkConfig(**network_kwargs), scenario_kwargs
 
 
 def _emit(table: Table, args, scenario_kwargs) -> None:
@@ -94,7 +93,7 @@ def _emit(table: Table, args, scenario_kwargs) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg, icfg, scenario_kwargs = _merged_settings(args)
+    cfg, scenario_kwargs = _merged_settings(args)
     out_fmt_keys = {"out", "format", "name"}
     spec_kwargs = {k: v for k, v in scenario_kwargs.items() if k not in out_fmt_keys}
     if args.command == "scenario":
@@ -108,7 +107,7 @@ def main(argv=None) -> int:
                 f"config [scenario] name = {scenario_kwargs['name']} does not fit "
                 f"'{args.command}', which runs {name}; use 'cavnet scenario' for it"
             )
-    table = run_scenario(ScenarioSpec.named(name, **spec_kwargs), cfg, icfg)
+    table = run_scenario(ScenarioSpec.named(name, **spec_kwargs), cfg)
     _emit(table, args, scenario_kwargs)
     return 0
 

@@ -149,7 +149,7 @@ def pair_state(rho: DensityMatrix, pair: PairSelector) -> DensityMatrix:
 
 def _swap_qubits(rho_ab: DensityMatrix) -> DensityMatrix:
     m = rho_ab.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    return DensityMatrix(Operator(m, (2, 2)), tolerance=rho_ab.tolerance)
+    return DensityMatrix(Operator(m, (2, 2)))
 
 
 def concurrence(rho_ab: DensityMatrix) -> float:

@@ -109,21 +109,21 @@ class GeneratorSpec:
         return self.hamiltonian.dim
 
 
-def _grouping_atol(eigenvalues: np.ndarray, rtol: float) -> float:
+def _grouping_atol(eigenvalues: np.ndarray) -> float:
     span = float(eigenvalues[-1] - eigenvalues[0]) if eigenvalues.size else 0.0
-    return rtol * span
+    return qla.DEGENERACY_RTOL * span
 
 
-def bohr_frequencies(spectrum: Spectrum, tol: float = qla.DEGENERACY_RTOL) -> np.ndarray:
+def bohr_frequencies(spectrum: Spectrum) -> np.ndarray:
     """Distinct positive eigenvalue differences, ascending.
 
-    Differences are clustered with tolerance ``tol`` relative to the spectral
-    span; zero (within tolerance) is excluded, since at zero temperature only
-    strictly downward transitions carry weight.
+    Differences are clustered with tolerance ``qla.DEGENERACY_RTOL`` relative
+    to the spectral span; zero (within tolerance) is excluded, since at zero
+    temperature only strictly downward transitions carry weight.
     """
     w = spectrum.eigenvalues
-    atol = _grouping_atol(w, tol)
-    clusters = qla.eigenvalue_clusters(w, tol)
+    atol = _grouping_atol(w)
+    clusters = qla.eigenvalue_clusters(w)
     values = [float(np.mean(w[a:b])) for a, b in clusters]
     out: list[float] = []
     for i, lo in enumerate(values):
@@ -136,9 +136,7 @@ def bohr_frequencies(spectrum: Spectrum, tol: float = qla.DEGENERACY_RTOL) -> np
     return np.array(sorted(out))
 
 
-def eigenoperator_parts(
-    spectrum: Spectrum, op: np.ndarray, tol: float = qla.DEGENERACY_RTOL
-) -> list[tuple[float, np.ndarray]]:
+def eigenoperator_parts(spectrum: Spectrum, op: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Resolve ``op`` into eigenbasis blocks P_a op P_b, grouped by frequency.
 
     Returns (omega, block) pairs over every ordered cluster pair, with
@@ -148,8 +146,8 @@ def eigenoperator_parts(
     """
     w = spectrum.eigenvalues
     v = spectrum.eigenvectors
-    atol = _grouping_atol(w, tol)
-    clusters = qla.eigenvalue_clusters(w, tol)
+    atol = _grouping_atol(w)
+    clusters = qla.eigenvalue_clusters(w)
     projectors = []
     for a, b in clusters:
         block = v[:, a:b]
@@ -187,7 +185,7 @@ def _site_rates(cfg: NetworkConfig, nsites: int) -> tuple[float, ...]:
     raise ValueError(f"no per-site rates defined for a {nsites}-site register")
 
 
-def build_davies_channels(h: Operator, cfg: NetworkConfig, tol: float = qla.DEGENERACY_RTOL) -> list[DaviesChannel]:
+def build_davies_channels(h: Operator, cfg: NetworkConfig) -> list[DaviesChannel]:
     """Downward jump channels of ``h`` for every site and Bohr frequency.
 
     For site n and frequency omega > 0 the jump is the sum of eigenprojector
@@ -201,13 +199,13 @@ def build_davies_channels(h: Operator, cfg: NetworkConfig, tol: float = qla.DEGE
     nsites = len(h.dims)
     rates = _site_rates(cfg, nsites)
     spectrum = qla.hermitian_eigendecomposition(h)
-    atol = _grouping_atol(spectrum.eigenvalues, tol)
+    atol = _grouping_atol(spectrum.eigenvalues)
     channels: list[DaviesChannel] = []
     for site in range(nsites):
         if rates[site] == 0.0:
             continue
         lowering = site_lowering_operator(cfg, site, nsites).matrix
-        for omega, block in eigenoperator_parts(spectrum, lowering, tol):
+        for omega, block in eigenoperator_parts(spectrum, lowering):
             if omega <= atol:
                 continue
             if float(np.max(np.abs(block))) <= ZERO_JUMP_ATOL:

@@ -65,7 +65,7 @@ class NetworkConfig:
     nu: float = 2 * math.pi * 50.0
     omega_f: float = 2 * math.pi * 650.0
     J: float = 2 * math.pi * 30.0
-    gamma: tuple[float, ...] | float = 0.01
+    gamma: float = 0.01
     gamma_units: str = "abs"
     kappa: float = 1.0 / math.sqrt(2.0)
     temperature: float = 0.0
@@ -85,18 +85,11 @@ class NetworkConfig:
         if units is None:
             raise ValueError(f"unknown gamma_units {self.gamma_units!r}")
         object.__setattr__(self, "gamma_units", units)
-        g = self.gamma
-        if np.isscalar(g):
-            g = (float(g),) * self.sites_per_chain
-        else:
-            g = tuple(float(x) for x in g)
-        if len(g) != self.sites_per_chain:
-            raise ValueError(
-                f"gamma needs one rate per site ({self.sites_per_chain}), got {len(g)}"
-            )
-        if any(x < 0 for x in g):
+        if not np.isscalar(self.gamma):
+            raise ValueError("gamma takes one rate for all sites: per-site rates are not supported")
+        object.__setattr__(self, "gamma", float(self.gamma))
+        if self.gamma < 0:
             raise ValueError("decay rates must be nonnegative")
-        object.__setattr__(self, "gamma", g)
         if self.kappa <= 0:
             raise ValueError("polariton projection factor kappa must be positive")
         delta = self.delta
@@ -135,10 +128,8 @@ class NetworkConfig:
 
     def gamma_rates(self) -> tuple[float, ...]:
         """Per-site decay rates in absolute 1/ns, units flag applied."""
-        if self.gamma_units == "lambda":
-            lam = effective_coupling(self)
-            return tuple(g * lam for g in self.gamma)
-        return self.gamma
+        scale = effective_coupling(self) if self.gamma_units == "lambda" else 1.0
+        return (self.gamma * scale,) * self.sites_per_chain
 
 
 @dataclass(frozen=True)
@@ -392,9 +383,7 @@ def build_initial_state(spec: InitialStateSpec, cfg: NetworkConfig) -> DensityMa
     if spec.kind == "psi2_chain":
         return qla.ket("E" + "G" * (n - 1)).density()
     if spec.kind == "custom":
-        payload = spec.custom
-        DensityMatrix(payload.op, tolerance=payload.tolerance)  # revalidate
-        return payload
+        return spec.custom
     raise ValueError(f"unknown initial state kind {spec.kind!r}")
 
 

@@ -3,7 +3,9 @@
 Plain numpy on small dense matrices; the largest register used anywhere in
 the package is 64-dimensional, so nothing here is sparse or clever.  All
 container types are immutable once constructed and every function is pure,
-which makes values safe to share across threads.
+which makes values safe to share across threads.  Every ``DensityMatrix``,
+whether built by hand, reduced or propagated, is validated against the same
+``HERMITICITY_ATOL``, ``TRACE_ATOL`` and ``PSD_ATOL`` thresholds.
 
 Conventions
 -----------
@@ -92,9 +94,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.dims)
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -119,34 +118,27 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def density(self, tolerance: float = 0.0) -> "DensityMatrix":
+    def density(self) -> "DensityMatrix":
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(Operator(rho, self.dims), tolerance=tolerance)
+        return DensityMatrix(Operator(rho, self.dims))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator.
-
-    ``tolerance`` is extra validation slack added to the base thresholds;
-    trajectory samples carry the propagation's trace guard here.
-    """
+    """Hermitian, unit-trace, positive-semidefinite operator."""
 
     op: Operator
-    tolerance: float = 0.0
 
     def __post_init__(self):
-        if self.tolerance < 0.0:
-            raise ValueError("tolerance must be nonnegative")
         m = self.op.matrix
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > HERMITICITY_ATOL + self.tolerance:
+        if herm > HERMITICITY_ATOL:
             raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL + self.tolerance:
+        if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace deviates from one: tr = {tr}")
         wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
-        if wmin < -(PSD_ATOL + self.tolerance):
+        if wmin < -PSD_ATOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue = {wmin:.3e}")
 
     @property
@@ -232,8 +224,8 @@ def ket(label: str) -> PureState:
     return PureState(vec, (2,) * len(label))
 
 
-def density(matrix, dims=None, tolerance: float = 0.0) -> DensityMatrix:
-    return DensityMatrix(operator(matrix, dims), tolerance=tolerance)
+def density(matrix, dims=None) -> DensityMatrix:
+    return DensityMatrix(operator(matrix, dims))
 
 
 def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
@@ -259,20 +251,20 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     reduced = partial_trace_matrix(rho.matrix, rho.dims, keep)
     reduced = (reduced + reduced.conj().T) / 2.0
     dims = tuple(rho.dims[k] for k in keep)
-    return DensityMatrix(Operator(reduced, dims), tolerance=rho.tolerance)
+    return DensityMatrix(Operator(reduced, dims))
 
 
-def eigenvalue_clusters(values: np.ndarray, rtol: float = DEGENERACY_RTOL):
+def eigenvalue_clusters(values: np.ndarray):
     """Group ascending eigenvalues into degenerate clusters.
 
-    Two neighbors belong to one cluster when their gap is below ``rtol``
-    times the spectral span.  Returns (start, stop) index pairs.
+    Two neighbors belong to one cluster when their gap is below
+    ``DEGENERACY_RTOL`` times the spectral span.  Returns (start, stop)
+    index pairs.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return []
-    span = float(values[-1] - values[0])
-    atol = rtol * span
+    atol = DEGENERACY_RTOL * float(values[-1] - values[0])
     bounds = [0]
     for i in range(1, values.size):
         if values[i] - values[i - 1] > atol:
@@ -313,20 +305,15 @@ def hermitian_eigendecomposition(h: Operator) -> Spectrum:
     return Spectrum(w, v)
 
 
-def _entropy_of_eigenvalues(w: np.ndarray, slack: float = 0.0) -> float:
-    wmin = float(w.min()) if w.size else 0.0
-    if wmin < ENTROPY_NEGATIVE_LIMIT - slack:
-        raise ValueError(f"eigenvalue {wmin:.3e} too negative for entropy")
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """Base-2 von Neumann entropy; eigenvalues below 1e-12 contribute zero."""
+    w = np.linalg.eigvalsh(rho.matrix)
+    if w.min() < ENTROPY_NEGATIVE_LIMIT:
+        raise ValueError(f"eigenvalue {w.min():.3e} too negative for entropy")
     p = w[w > ENTROPY_EIGENVALUE_FLOOR]
     if p.size == 0:
         return 0.0
     return float(-(p * np.log2(p)).sum())
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Base-2 von Neumann entropy; eigenvalues below 1e-12 contribute zero."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    return _entropy_of_eigenvalues(w, slack=rho.tolerance)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from . import correlations as corr
 from . import davies, dynamics, qla
 from .model import InitialStateSpec, NetworkConfig, build_initial_state, effective_coupling
-from .dynamics import IntegratorConfig, Trajectory
+from .dynamics import Trajectory
 
 __all__ = [
     "ScenarioSpec",
@@ -155,13 +155,7 @@ class Table:
         return [row[idx] for row in self.rows]
 
 
-def network_trajectory(
-    cfg: NetworkConfig,
-    init: InitialStateSpec,
-    t_max_lambda: float,
-    samples: int,
-    icfg: IntegratorConfig | None = None,
-) -> Trajectory:
+def network_trajectory(cfg: NetworkConfig, init: InitialStateSpec, t_max_lambda: float, samples: int) -> Trajectory:
     """Evolve one initial condition over a uniform lambda*t grid.
 
     Two-chain states take the factorized fast path; single-chain states are
@@ -171,11 +165,10 @@ def network_trajectory(
     times = dynamics.sample_grid(t_max_lambda, samples, lam)
     rho0 = build_initial_state(init, cfg)
     chain = davies.chain_generator(cfg)
-    meta = {"initial": init, "config": cfg}
     if rho0.dim == chain.dim**2:
-        return dynamics.evolve_factorized(rho0, chain, times, icfg, metadata=meta)
+        return dynamics.evolve_factorized(rho0, chain, times)
     if rho0.dim == chain.dim:
-        return dynamics.evolve(rho0, chain, times, icfg, metadata=meta)
+        return dynamics.evolve(rho0, chain, times)
     raise ValueError(f"initial state dimension {rho0.dim} fits neither register")
 
 
@@ -200,11 +193,11 @@ def _quadratic_peak(times: np.ndarray, values: np.ndarray, i: int) -> tuple[floa
     return float(times[i] + offset * step), float(y1 - 0.25 * (y0 - y2) * offset)
 
 
-def peak_sequence(series_by_pair, times_lambda, threshold: float = PEAK_THRESHOLD, group_window: float = PEAK_GROUP_WINDOW) -> list[PeakEvent]:
-    """Interpolated local maxima above threshold, time-ordered and grouped.
+def peak_sequence(series_by_pair, times_lambda) -> list[PeakEvent]:
+    """Interpolated local maxima above ``PEAK_THRESHOLD``, time-ordered and grouped.
 
-    Events whose refined times fall within ``group_window`` (in lambda*t) of
-    the first event of a group share a ``simultaneous_group`` id.
+    Events whose refined times fall within ``PEAK_GROUP_WINDOW`` (in
+    lambda*t) of the first event of a group share a ``simultaneous_group`` id.
     """
     times_lambda = np.asarray(times_lambda, dtype=float)
     if isinstance(series_by_pair, dict):
@@ -219,14 +212,14 @@ def peak_sequence(series_by_pair, times_lambda, threshold: float = PEAK_THRESHOL
         for i in range(1, len(values) - 1):
             if values[i] > values[i - 1] and values[i] >= values[i + 1]:
                 t_peak, v_peak = _quadratic_peak(times_lambda, values, i)
-                if v_peak > threshold:
+                if v_peak > PEAK_THRESHOLD:
                     raw.append((t_peak, str(label), v_peak))
     raw.sort()
     events: list[PeakEvent] = []
     group = -1
     group_start = -math.inf
     for t_peak, label, v_peak in raw:
-        if t_peak - group_start > group_window:
+        if t_peak - group_start > PEAK_GROUP_WINDOW:
             group += 1
             group_start = t_peak
         events.append(PeakEvent(label, t_peak, v_peak, group))
@@ -240,14 +233,13 @@ def transmission_details(
     dst: corr.PairSelector,
     t_max_lambda: float = 4.0,
     samples: int = 801,
-    icfg: IntegratorConfig | None = None,
 ) -> TransmissionResult:
     """Peak concurrence of ``dst`` relative to the initial concurrence of ``src``.
 
     ``ratio`` is max_t C_dst(t) / C_src(0), the peak located by quadratic
     interpolation; ``ratio_at_transfer`` samples C_dst at lambda*t = 2*pi/3.
     """
-    traj = network_trajectory(cfg, initial, t_max_lambda, samples, icfg)
+    traj = network_trajectory(cfg, initial, t_max_lambda, samples)
     c0 = _concurrence(traj.states[0], src)
     if c0 <= 1e-12:
         raise ValueError("initial concurrence of the source pair vanishes")
@@ -339,22 +331,28 @@ def _sweep(spec: ScenarioSpec, cfg: NetworkConfig):
                 yield gamma, scenario_cfg, InitialStateSpec(kind, theta)
 
 
-def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig, icfg: IntegratorConfig | None = None) -> Table:
+def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig) -> Table:
     """Produce the tabular records of one named scenario.
 
     ``transmission`` reduces each sweep point to its 11' -> 33' ratios.
     The other scenarios evolve one trajectory per point and evaluate their
     measures on every sample; ``fig4`` then reduces its concurrence series
-    to peak events.
+    to peak events.  Scenarios are defined on two three-cavity chains: their
+    columns name cavities 1..3 and 1'..3', so any other network is rejected.
     """
+    if (cfg.sites_per_chain, cfg.num_chains) != (3, 2):
+        raise ValueError(
+            f"scenarios run on two chains of three cavities, got num_chains = {cfg.num_chains}, "
+            f"sites_per_chain = {cfg.sites_per_chain}"
+        )
     columns, rows = None, []
     for gamma, c, init in _sweep(spec, cfg):
         point = (init.kind, init.theta, gamma)
         if spec.name == "transmission":
-            res = transmission_details(init, c, _P11, _P33, spec.t_max_lambda, spec.samples, icfg)
+            res = transmission_details(init, c, _P11, _P33, spec.t_max_lambda, spec.samples)
             rows.append(point + ("11'", "33'", res.ratio, res.peak_time_lambda, res.ratio_at_transfer))
             continue
-        traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples, icfg)
+        traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples)
         nq = len(traj.states[0].dims)
         names, measure = _register_measures(nq) if spec.name == "custom" else _MEASURES[spec.name]
         if columns not in (None, names):
@@ -369,57 +367,70 @@ def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig, icfg: IntegratorConfig 
     return Table(_SWEEP_COLUMNS + (_REDUCED_COLUMNS.get(spec.name) or ("lambda_t",) + columns), tuple(rows))
 
 
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.replace(",", " ").split())
+
+
+def _one_rate(text: str) -> float:
+    rates = _numbers(text)
+    if len(rates) != 1:
+        raise ValueError(
+            f"[network] gamma takes one rate, got {len(rates)}: per-site rates are not "
+            "supported, since a sweep sets one gamma for all sites"
+        )
+    return rates[0]
+
+
+# The keys each config section accepts, with the parser of each value.
+_CONFIG_KEYS = {
+    "network": {
+        "sites_per_chain": int,
+        "num_chains": int,
+        "omega": float,
+        "nu": float,
+        "omega_f": float,
+        "j": float,
+        "kappa": float,
+        "fiber_length_l": float,
+        "fiber_continuum_decay_mu": float,
+        "gamma": _one_rate,
+        "gamma_units": str.strip,
+    },
+    "scenario": {
+        "name": str.strip,
+        "initial": lambda text: tuple(text.replace(",", " ").split()),
+        "theta": _numbers,
+        "gamma": _numbers,
+        "gamma_units": str.strip,
+        "tmax_lambda": float,
+        "samples": int,
+        "out": str.strip,
+        "format": str.strip,
+    },
+}
+# Config keys whose setting has another name.
+_SETTING_NAMES = {"j": "J", "theta": "theta_list", "tmax_lambda": "t_max_lambda"}
+
+
 def load_config(path) -> dict:
-    """Parse an INI-style config with [network], [integrator], [scenario]."""
+    """Parse an INI-style config with [network] and [scenario] sections.
+
+    Returns one dict of settings per section.  An unknown section or key
+    raises ``ValueError`` naming it instead of being ignored.
+    """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(f"config file {path} not found")
-    out: dict = {"network": {}, "integrator": {}, "scenario": {}}
-    if parser.has_section("network"):
-        sec = parser["network"]
-        for key in ("sites_per_chain", "num_chains"):
-            if key in sec:
-                out["network"][key] = sec.getint(key)
-        for key in ("omega", "nu", "omega_f", "j", "kappa", "fiber_length_l", "fiber_continuum_decay_mu"):
-            if key in sec:
-                out["network"]["J" if key == "j" else key] = sec.getfloat(key)
-        if "gamma" in sec:
-            parts = [float(x) for x in sec["gamma"].replace(",", " ").split()]
-            if len(parts) != 1:
-                raise ValueError(
-                    f"[network] gamma takes one rate, got {len(parts)}: per-site rates are not "
-                    "supported, since a sweep sets one gamma for all sites"
-                )
-            out["network"]["gamma"] = parts[0]
-        if "gamma_units" in sec:
-            out["network"]["gamma_units"] = sec["gamma_units"].strip()
-    if parser.has_section("integrator"):
-        sec = parser["integrator"]
-        for key in ("rel_tol", "abs_tol", "max_step"):
-            if key in sec:
-                raise ValueError(
-                    f"[integrator] {key} is not supported: propagation is exact, only trace_guard applies"
-                )
-        if "trace_guard" in sec:
-            out["integrator"]["trace_guard"] = sec.getfloat("trace_guard")
-    if parser.has_section("scenario"):
-        sec = parser["scenario"]
-        if "name" in sec:
-            out["scenario"]["name"] = sec["name"].strip()
-        if "initial" in sec:
-            out["scenario"]["initial"] = tuple(sec["initial"].replace(",", " ").split())
-        if "theta" in sec:
-            out["scenario"]["theta_list"] = tuple(float(x) for x in sec["theta"].replace(",", " ").split())
-        if "gamma" in sec:
-            out["scenario"]["gamma"] = tuple(float(x) for x in sec["gamma"].replace(",", " ").split())
-        if "gamma_units" in sec:
-            out["scenario"]["gamma_units"] = sec["gamma_units"].strip()
-        if "tmax_lambda" in sec:
-            out["scenario"]["t_max_lambda"] = sec.getfloat("tmax_lambda")
-        if "samples" in sec:
-            out["scenario"]["samples"] = sec.getint("samples")
-        for key in ("out", "format"):
-            if key in sec:
-                out["scenario"][key] = sec[key].strip()
+    out: dict = {section: {} for section in _CONFIG_KEYS}
+    # configparser copies [DEFAULT] keys into every section and drops them when
+    # no section follows, so [DEFAULT] is checked as an unknown section first.
+    for section in (["DEFAULT"] if parser.defaults() else []) + parser.sections():
+        keys = _CONFIG_KEYS.get(section)
+        if keys is None:
+            why = ": propagation is exact and takes no integrator settings" if section == "integrator" else ""
+            raise ValueError(f"unknown config section [{section}] (keys: {', '.join(parser[section])}){why}")
+        for key, value in parser[section].items():
+            if key not in keys:
+                raise ValueError(f"unknown key {key!r} in config section [{section}]; known: {', '.join(keys)}")
+            out[section][_SETTING_NAMES.get(key, key)] = keys[key](value)
     return out

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
 
 from cavnet import davies, dynamics, model, qla
 
@@ -226,7 +227,16 @@ class TestPhysicalInvariants:
             assert np.linalg.eigvalsh(state.matrix).min() > -1e-7
 
 
-class TestIntegratorConfig:
-    def test_rejects_nonpositive_trace_guard(self):
-        with pytest.raises(ValueError):
-            dynamics.IntegratorConfig(trace_guard=0.0)
+class TestTraceGuard:
+    @pytest.mark.parametrize("path, kind", [("evolve", "psi2_chain"), ("evolve_factorized", "psi_a")])
+    def test_trace_drift_raises(self, default_cfg, monkeypatch, path, kind):
+        # A c*I term in the generator scales the trace by exp(c t), or by
+        # exp(2 c t) on two chains: at least 1e-4 off at the last sample here.
+        liouvillian = dynamics._liouvillian
+        monkeypatch.setattr(
+            dynamics, "_liouvillian", lambda spec: liouvillian(spec) + 1e-3 * sparse.identity(spec.dim**2, format="csr")
+        )
+        gen = davies.chain_generator(default_cfg)
+        rho0 = model.build_initial_state(model.InitialStateSpec(kind), default_cfg)
+        with pytest.raises(dynamics.TraceDriftError, match=r"\(guard 1e-07\)"):
+            getattr(dynamics, path)(rho0, gen, chain_times(default_cfg, 1.0, 5))

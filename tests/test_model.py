@@ -13,7 +13,7 @@ from conftest import exact_unitary_state
 class TestConfig:
     def test_delta_and_defaults(self, default_cfg):
         assert default_cfg.delta == pytest.approx(2 * math.pi * 300.0)
-        assert default_cfg.gamma == (0.01, 0.01, 0.01)
+        assert default_cfg.gamma == 0.01
 
     def test_rejects_nonpositive_coupling(self):
         with pytest.raises(ValueError):
@@ -28,7 +28,9 @@ class TestConfig:
             model.NetworkConfig(J=2 * math.pi * 100.0)
 
     def test_rejects_negative_gamma(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
+            model.NetworkConfig(gamma=-0.1)
+        with pytest.raises(ValueError, match="per-site rates are not supported"):
             model.NetworkConfig(gamma=(-0.1, 0.0, 0.0))
 
     def test_rejects_finite_temperature(self):
@@ -128,7 +130,7 @@ class TestNetworkHamiltonian:
         b = qla.ket("GEG").density()
         rho0 = np.kron(a.matrix, b.matrix)
         evolved = exact_unitary_state(hn.matrix, rho0, 1.3 / lam)
-        rho = qla.density(evolved, (2,) * 6, tolerance=1e-9)
+        rho = qla.density(evolved, (2,) * 6)
         for keep in ([0, 1, 2], [3, 4, 5]):
             reduced = qla.partial_trace(rho, keep)
             assert qla.purity(reduced) == pytest.approx(1.0, abs=1e-9)

@@ -200,11 +200,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             qla.density(np.diag([1.5, -0.5]))
 
-    def test_tolerance_loosens_validation(self):
-        m = np.diag([1.0 + 5e-8, -5e-8])
-        with pytest.raises(ValueError):
-            qla.density(m)
-        qla.density(m, tolerance=1e-6)
+    def test_density_rejects_small_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            qla.density(np.diag([1.0 + 5e-8, -5e-8]))
 
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,13 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="at least one"):
             runner.ScenarioSpec.named("custom", initial=())
 
+    @pytest.mark.parametrize("size", [dict(sites_per_chain=4), dict(num_chains=1)])
+    def test_other_network_sizes_rejected(self, size):
+        # At N = 4 the fig2 column would be computed on cavities 3 and 2'.
+        spec = runner.ScenarioSpec.named("fig2", samples=4)
+        with pytest.raises(ValueError, match="two chains of three cavities"):
+            runner.run_scenario(spec, model.NetworkConfig(**size))
+
     def test_named_defaults(self):
         spec = runner.ScenarioSpec.named("fig5")
         assert spec.initial == ("psi_b",)
@@ -205,8 +212,6 @@ class TestConfigAndCli:
                     "gamma = 0.02",
                     "gamma_units = abs",
                     "kappa = 1.0",
-                    "[integrator]",
-                    "trace_guard = 1e-8",
                     "[scenario]",
                     "name = fig3",
                     "theta = 0.785398163",
@@ -218,11 +223,26 @@ class TestConfigAndCli:
         parsed = runner.load_config(path)
         assert parsed["network"]["gamma"] == 0.02
         assert parsed["network"]["kappa"] == 1.0
-        assert parsed["integrator"]["trace_guard"] == 1e-8
         assert parsed["scenario"]["name"] == "fig3"
         assert parsed["scenario"]["samples"] == 24
         path.write_text("[integrator]\nrel_tol = 1e-8\n")
         with pytest.raises(ValueError, match="rel_tol.*exact"):
+            runner.load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[network]\ntemperature = 300\n", r"temperature.*\[network\]"),
+            ("[network]\ngama = 0.5\n", r"gama.*\[network\]"),
+            ("[scenario]\nthetas = 0.1\n", r"thetas.*\[scenario\]"),
+            ("[fiber]\nlength = 1.0\n", r"\[fiber\]"),
+            ("[DEFAULT]\ngamma = 0.1\n", r"\[DEFAULT\]"),
+        ],
+    )
+    def test_config_rejects_unknown_sections_and_keys(self, tmp_path, text, named):
+        path = tmp_path / "unknown.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=named):
             runner.load_config(path)
 
     def test_config_rejects_per_site_network_gamma(self, tmp_path):
