@@ -11,12 +11,19 @@ the polar angle of the measurement: a short grid over it plus a bounded
 1-D Nelder-Mead refinement (Ali, Rau & Alber, PRA 81, 042105 (2010),
 searched explicitly rather than trusting their closed form).  Every other
 state takes a coarse grid over the measurement Bloch sphere followed by a
-2-D Nelder-Mead refinement.
+2-D Nelder-Mead refinement.  The grid's 64 x 128 directions are fixed, so
+the outer products conj(v_b) v_d of their kets are built once, on first use;
+the unnormalized A blocks of all directions are then one (8192, 4) @ (4, 4)
+product with the state regrouped to ((b, d), (a, c)), and each orthogonal
+outcome's block is Tr_B rho minus the first, since the two projectors sum
+to the identity.  The simplex objective evaluates the same two blocks from
+the 16 regrouped entries in plain float arithmetic, building no arrays.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -195,18 +202,31 @@ def mutual_information(rho_ab: DensityMatrix) -> float:
     return s_a + s_b - s_ab
 
 
+def _outer_products(kets: np.ndarray) -> np.ndarray:
+    """Rows conj(v_b) v_d, flattened in (b, d) order, of an (n, 2) ket array."""
+    return (kets.conj()[:, :, None] * kets[:, None, :]).reshape(-1, 4)
+
+
 def _conditional_entropy_batch(r: np.ndarray, kets: np.ndarray) -> np.ndarray:
     """Average post-measurement entropy of qubit A for a batch of B-kets.
 
     ``r`` is the (2,2,2,2) state tensor, ``kets`` an (n, 2) array of
     measurement directions; the complementary outcome is included.
     """
-    total = np.zeros(len(kets))
-    orth = np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=1)
-    for v in (kets, orth):
-        m = np.einsum("kb,abcd,kd->kac", v.conj(), r, v)
-        p = np.real(m[:, 0, 0] + m[:, 1, 1])
-        det = np.real(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
+    return _conditional_entropy_outer(r, _outer_products(kets))
+
+
+def _conditional_entropy_outer(r: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """``_conditional_entropy_batch`` from the kets' outer products."""
+    # Row k holds the unnormalized A block <v_k|rho|v_k> flattened as (a, c).
+    blocks = outer @ r.transpose(1, 3, 0, 2).reshape(4, 4)
+    # The two projectors sum to the identity, so the orthogonal outcome's
+    # block is what the first leaves of Tr_B rho.
+    reduced = np.einsum("abcb->ac", r).reshape(4)
+    total = np.zeros(len(outer))
+    for m in (blocks, reduced - blocks):
+        p = np.real(m[:, 0] + m[:, 3])
+        det = np.real(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2])
         disc = np.sqrt(np.clip(p * p - 4.0 * det, 0.0, None))
         lam_hi = np.clip((p + disc) / 2.0, 0.0, None)
         lam_lo = np.clip((p - disc) / 2.0, 0.0, None)
@@ -216,6 +236,43 @@ def _conditional_entropy_batch(r: np.ndarray, kets: np.ndarray) -> np.ndarray:
                 term = np.where(q > 1e-15, -q * np.log2(np.where(q > 1e-15, q, 1.0)), 0.0)
                 total += p * term
     return total
+
+
+def _outcome_entropy(m00: complex, m01: complex, m10: complex, m11: complex) -> float:
+    """p times the entropy of one unnormalized 2x2 A block, in plain floats."""
+    p = (m00 + m11).real
+    if p <= 1e-15:
+        return 0.0
+    det = (m00 * m11 - m01 * m10).real
+    disc = math.sqrt(max(p * p - 4.0 * det, 0.0))
+    total = 0.0
+    for lam in (max((p + disc) / 2.0, 0.0), max((p - disc) / 2.0, 0.0)):
+        q = lam / p
+        if q > 1e-15:
+            total += p * (-q * math.log2(q))
+    return total
+
+
+def _simplex_objective(r: np.ndarray):
+    """``_conditional_entropy_batch`` at one (polar, azimuth), in plain floats.
+
+    The 16 entries of ``r`` regrouped to ((b, d), (a, c)) and the four of
+    Tr_B rho are unpacked once, so an evaluation builds no array.
+    """
+    columns = list(zip(*r.transpose(1, 3, 0, 2).reshape(4, 4).tolist()))
+    t00, t01, t10, t11 = np.einsum("abcb->ac", r).reshape(4).tolist()
+
+    def entropy(x) -> float:
+        polar, azimuth = map(float, x)
+        c = math.cos(polar / 2.0)
+        v1 = cmath.exp(1j * azimuth) * math.sin(polar / 2.0)
+        w00, w01, w10, w11 = c * c, c * v1, v1.conjugate() * c, v1.conjugate() * v1
+        m00, m01, m10, m11 = [w00 * g0 + w01 * g1 + w10 * g2 + w11 * g3 for g0, g1, g2, g3 in columns]
+        return _outcome_entropy(m00, m01, m10, m11) + _outcome_entropy(
+            t00 - m00, t01 - m01, t10 - m10, t11 - m11
+        )
+
+    return entropy
 
 
 def _minimize_conditional_entropy(rho_ab: DensityMatrix) -> tuple[float, MeasurementBasis]:
@@ -286,9 +343,12 @@ def _x_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
     return value, MeasurementBasis(polar, azimuth)
 
 
-def _general_conditional_entropy(rho_ab: DensityMatrix) -> tuple[float, MeasurementBasis]:
-    """Grid scan plus simplex refinement over projective B measurements."""
-    r = rho_ab.matrix.reshape(2, 2, 2, 2)
+@functools.cache
+def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The fixed scan: (polar, azimuth) rows and their kets' outer products.
+
+    Built on the first general-path call, so X-only runs never hold it.
+    """
     polar = np.linspace(0.0, math.pi, _GRID_POLAR)
     azimuth = np.arange(_GRID_AZIMUTH) * (2.0 * math.pi / _GRID_AZIMUTH)
     tt, pp = np.meshgrid(polar, azimuth, indexing="ij")
@@ -296,29 +356,42 @@ def _general_conditional_entropy(rho_ab: DensityMatrix) -> tuple[float, Measurem
         [np.cos(tt / 2.0).ravel() + 0j, np.exp(1j * pp.ravel()) * np.sin(tt.ravel() / 2.0)],
         axis=1,
     )
-    values = _conditional_entropy_batch(r, kets)
+    angles, outer = np.stack([tt.ravel(), pp.ravel()], axis=1), _outer_products(kets)
+    angles.setflags(write=False)
+    outer.setflags(write=False)
+    return angles, outer
+
+
+def _wrap_angle(angle: float) -> float:
+    """``angle`` modulo 2*pi, in [0, 2*pi).
+
+    A tiny negative angle such as -1e-17 rounds up to exactly 2*pi under a
+    plain modulo; it is that close to 0, so it maps there.
+    """
+    wrapped = float(np.mod(angle, 2.0 * math.pi))
+    return wrapped if wrapped < 2.0 * math.pi else 0.0
+
+
+def _general_conditional_entropy(rho_ab: DensityMatrix) -> tuple[float, MeasurementBasis]:
+    """Grid scan plus simplex refinement over projective B measurements."""
+    r = rho_ab.matrix.reshape(2, 2, 2, 2)
+    angles, outer = _direction_grid()
+    values = _conditional_entropy_outer(r, outer)
     best = int(np.argmin(values))
-    x0 = np.array([tt.ravel()[best], pp.ravel()[best]])
-
-    def objective(x: np.ndarray) -> float:
-        v = np.array(
-            [[math.cos(x[0] / 2.0), np.exp(1j * x[1]) * math.sin(x[0] / 2.0)]], dtype=complex
-        )
-        return float(_conditional_entropy_batch(r, v)[0])
-
+    x0 = angles[best]
     res = minimize(
-        objective,
+        _simplex_objective(r),
         x0,
         method="Nelder-Mead",
         options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 400},
     )
     value = min(float(values[best]), float(res.fun))
     x = res.x if res.fun <= values[best] else x0
-    polar_opt = float(np.mod(x[0], 2.0 * math.pi))
-    azimuth_opt = float(np.mod(x[1], 2.0 * math.pi))
+    polar_opt = _wrap_angle(x[0])
+    azimuth_opt = _wrap_angle(x[1])
     if polar_opt > math.pi:
         polar_opt = 2.0 * math.pi - polar_opt
-        azimuth_opt = float(np.mod(azimuth_opt + math.pi, 2.0 * math.pi))
+        azimuth_opt = _wrap_angle(azimuth_opt + math.pi)
     return value, MeasurementBasis(polar_opt, azimuth_opt)
 
 

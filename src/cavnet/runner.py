@@ -134,7 +134,8 @@ class Table:
     @staticmethod
     def _fmt(value) -> str:
         if isinstance(value, float):
-            return f"{value:.12g}"
+            # Adding 0.0 turns -0.0 into 0.0 and leaves every other float as is.
+            return f"{value + 0.0:.12g}"
         return str(value)
 
     def to_csv(self, stream) -> None:

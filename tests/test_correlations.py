@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
 from cavnet import correlations as corr
 from cavnet import model, qla
@@ -60,6 +61,23 @@ def random_x_state(rng):
 def attained_entropy(rho, basis):
     """Conditional entropy of A after measuring B in ``basis``."""
     return float(corr._conditional_entropy_batch(rho.matrix.reshape(2, 2, 2, 2), basis.ket()[None])[0])
+
+
+def reference_conditional_entropy(rho, basis):
+    """Conditional entropy of A after measuring B, by projection.
+
+    Projects with I x |v><v| and I x |v_perp><v_perp|, reduces each outcome
+    to A with ``qla.partial_trace`` and weights its von Neumann entropy.
+    """
+    v = basis.ket()
+    total = 0.0
+    for ket in (v, np.array([-np.conj(v[1]), np.conj(v[0])])):
+        proj = np.kron(np.eye(2), np.outer(ket, ket.conj()))
+        m = proj @ rho.matrix @ proj
+        p = np.trace(m).real
+        if p > 1e-15:
+            total += p * qla.von_neumann_entropy(qla.partial_trace(qla.density(m / p, (2, 2)), [0]))
+    return total
 
 
 def ghz_state():
@@ -238,6 +256,71 @@ class TestXStateSearch:
         non_x = random_density(rng, (2, 2))
         corr.quantum_discord(non_x)
         assert len(calls) == 1 and calls[0] is non_x
+
+
+class TestConditionalEntropyKernel:
+    """The grid kernel and the simplex objective against projection by hand."""
+
+    @staticmethod
+    def assert_matches_reference(rho, bases):
+        r = rho.matrix.reshape(2, 2, 2, 2)
+        want = np.array([reference_conditional_entropy(rho, b) for b in bases])
+        grid = corr._conditional_entropy_batch(r, np.array([b.ket() for b in bases]))
+        objective = corr._simplex_objective(r)
+        simplex = np.array([objective(np.array([b.polar, b.azimuth])) for b in bases])
+        assert np.max(np.abs(grid - want)) < 1e-12
+        assert np.max(np.abs(simplex - want)) < 1e-12
+
+    @given(seed=seeds)
+    def test_random_states_and_directions(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, (2, 2))
+        poles = [corr.MeasurementBasis(0.0, rng.uniform(0, 2 * math.pi)), corr.MeasurementBasis(math.pi, 0.0)]
+        directions = [
+            corr.MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)) for _ in range(6)
+        ]
+        self.assert_matches_reference(rho, poles + directions)
+
+    @given(seed=seeds)
+    @settings(max_examples=20)
+    def test_fixed_grid_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, (2, 2))
+        angles, outer = corr._direction_grid()
+        values = corr._conditional_entropy_outer(rho.matrix.reshape(2, 2, 2, 2), outer)
+        for k in (0, len(values) - 1, *rng.integers(len(values), size=4)):
+            basis = corr.MeasurementBasis(*angles[k])
+            assert values[k] == pytest.approx(reference_conditional_entropy(rho, basis), abs=1e-12)
+
+    def test_product_state_in_its_own_basis(self):
+        basis = corr.MeasurementBasis(1.1, 4.0)
+        b_state = qla.PureState(basis.ket(), (2,)).density()
+        rho_a = random_density(np.random.default_rng(5), (2,))
+        rho = qla.density(np.kron(rho_a.matrix, b_state.matrix), (2, 2))
+        orth = corr.MeasurementBasis(math.pi - basis.polar, basis.azimuth - math.pi).ket()
+        assert abs(np.vdot(orth, b_state.matrix @ orth)) < 1e-15
+        self.assert_matches_reference(rho, [basis])
+        assert reference_conditional_entropy(rho, basis) == pytest.approx(
+            qla.von_neumann_entropy(rho_a), abs=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "angle, wrapped", [(-1e-17, 0.0), (0.0, 0.0), (2 * math.pi, 0.0), (-math.pi, math.pi)]
+    )
+    def test_wrap_angle(self, angle, wrapped):
+        got = corr._wrap_angle(angle)
+        assert 0.0 <= got < 2 * math.pi
+        assert got == pytest.approx(wrapped, abs=1e-15)
+
+    def test_tiny_negative_azimuth_from_simplex(self, monkeypatch):
+        # A plain modulo maps azimuth -1e-17 to exactly 2*pi, which
+        # MeasurementBasis rejects.
+        fake = OptimizeResult(x=np.array([1.0, -1e-17]), fun=-1.0)
+        monkeypatch.setattr(corr, "minimize", lambda *args, **kwargs: fake)
+        rho = random_density(np.random.default_rng(3), (2, 2))
+        value, basis = corr._general_conditional_entropy(rho)
+        assert value == -1.0
+        assert (basis.polar, basis.azimuth) == (1.0, 0.0)
 
 
 class TestOneTangle:

@@ -191,6 +191,18 @@ class TestTables:
         first = json.loads(lines[0])
         assert tuple(first) == table.columns
 
+    def test_negative_zero_written_as_zero(self):
+        import json
+
+        table = runner.Table(("a", "b", "c"), ((-0.0, np.float64(-0.0), -1e-13),))
+        csv, jsonl = io.StringIO(), io.StringIO()
+        table.to_csv(csv)
+        table.to_jsonl(jsonl)
+        assert csv.getvalue() == "a,b,c\n0,0,-1e-13\n"
+        record = json.loads(jsonl.getvalue())
+        assert [math.copysign(1.0, record[k]) for k in "ab"] == [1.0, 1.0]
+        assert record["c"] == -1e-13
+
     def test_simulate_table_columns(self, default_cfg):
         spec = runner.ScenarioSpec.named("custom", theta_list=(math.pi / 4,), t_max_lambda=2.0, samples=24)
         table = runner.run_scenario(spec, default_cfg)
