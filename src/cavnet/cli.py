@@ -21,7 +21,7 @@ _INITIAL_CHOICES = ("psi_a", "psi_b", "rho_eq20", "psi1_chain", "psi2_chain")
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="INI config with [network] and [scenario] sections")
-    parser.add_argument("--theta", type=float, action="append", help="initial-state angle in radians, repeatable")
+    parser.add_argument("--theta", type=float, action="append", help="initial-state angle in radians, repeatable; applies only to psi_a and psi_b, the other initial states run once")
     parser.add_argument("--gamma", type=float, help="cavity decay rate")
     parser.add_argument("--gamma-units", choices=("abs", "lambda"), dest="gamma_units", help="decay-rate units: 1/ns or multiples of the effective coupling")
     parser.add_argument("--kappa", type=float, help="polariton projection factor on the cavity coupling")

@@ -5,6 +5,13 @@ information, classical correlation, quantum discord) act on two-qubit
 reductions; the multipartite measures (one-tangles, tangle with its
 mixed-state bounds, monogamy residual) act on the full register.
 
+The concurrence of an X-form state (defined below) is Wootters' formula in
+closed form (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)); any other
+state takes the general route through the singular values of
+sqrt(rho) (sy x sy) conj(sqrt(rho)).  Every pair reduction of the cavity
+network is X-form.  The concurrence and the discord dispatch on the same
+exact-zero test, ``_is_x_form``.
+
 The discord optimization uses projective measurements only.  X-form
 states, whose entries off the diagonal and anti-diagonal vanish, need only
 the polar angle of the measurement: a short grid over it plus a bounded
@@ -159,16 +166,41 @@ def _swap_qubits(rho_ab: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(Operator(m, (2, 2)))
 
 
+def _is_x_form(m: np.ndarray) -> bool:
+    """Whether a 4x4 two-qubit matrix is exactly zero off its diagonal and anti-diagonal."""
+    return not m[_OFF_X].any()
+
+
 def concurrence(rho_ab: DensityMatrix) -> float:
     """Two-qubit concurrence from the spin-flipped state.
+
+    X-form states take Wootters' formula in closed form, every other state
+    the singular-value route.
+    """
+    _require_two_qubits(rho_ab)
+    m = rho_ab.matrix
+    if _is_x_form(m):
+        return _x_concurrence(m)
+    return _general_concurrence(m)
+
+
+def _x_concurrence(m: np.ndarray) -> float:
+    """Concurrence of an X-form state (Yu & Eberly 2007).
+
+    C = 2 max(0, |rho_03| - sqrt(rho_11 rho_22), |rho_12| - sqrt(rho_00 rho_33)).
+    """
+    d0, d1, d2, d3 = (max(float(m[k, k].real), 0.0) for k in range(4))
+    return 2.0 * max(0.0, float(abs(m[0, 3])) - math.sqrt(d1 * d2), float(abs(m[1, 2])) - math.sqrt(d0 * d3))
+
+
+def _general_concurrence(m: np.ndarray) -> float:
+    """Concurrence of any two-qubit state.
 
     The decreasing square roots of the eigenvalues of rho * rho_tilde are
     evaluated as singular values of sqrt(rho) (sy x sy) conj(sqrt(rho)),
     which keeps the near-zero roots accurate to machine precision instead
     of the sqrt(eps) floor of the plain eigenvalue route.
     """
-    _require_two_qubits(rho_ab)
-    m = rho_ab.matrix
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     if float(w.min()) < -1e-8:
         raise ValueError(f"state spectrum too negative: {w.min():.3e}")
@@ -281,7 +313,7 @@ def _minimize_conditional_entropy(rho_ab: DensityMatrix) -> tuple[float, Measure
     X-form states take the exact polar search, all others the general one.
     """
     m = rho_ab.matrix
-    if not m[_OFF_X].any():
+    if _is_x_form(m):
         return _x_conditional_entropy(m)
     return _general_conditional_entropy(rho_ab)
 
@@ -429,22 +461,17 @@ def quantum_discord(rho_ab: DensityMatrix, measured: str = "B") -> float:
     return _classical_and_discord(rho_ab, measured)[1]
 
 
-def one_tangle(rho: DensityMatrix, site: int, mode: str = "det") -> float:
+def one_tangle(rho: DensityMatrix, site: int) -> float:
     """Squared correlation of one qubit with everything else.
 
-    ``mode="det"`` evaluates 4*det of the one-qubit reduction,
-    ``mode="purity"`` evaluates 2*(1 - Tr[rho_site^2]); the two coincide for
-    qubits.  For mixed full states the value is only an upper-bound proxy.
+    Evaluates 4*det of the one-qubit reduction.  For mixed full states the
+    value is only an upper-bound proxy.
     """
     if not 0 <= site < len(rho.dims):
         raise ValueError(f"site {site} out of range")
     r = qla.partial_trace(rho, [site]).matrix
-    if mode == "det":
-        det = np.real(r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0])
-        return float(4.0 * det)
-    if mode == "purity":
-        return float(2.0 * (1.0 - np.vdot(r, r).real))
-    raise ValueError(f"unknown mode {mode!r}")
+    det = np.real(r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0])
+    return float(4.0 * det)
 
 
 def _pairwise_csq(rho: DensityMatrix, ref_site: int, partners) -> float:
@@ -497,7 +524,7 @@ def monogamy_residual(state: PureState | DensityMatrix, ref_site: int) -> float:
     """
     rho = _require_pure(_as_density(state), "monogamy residual")
     partners = [k for k in range(len(rho.dims)) if k != ref_site]
-    residual = one_tangle(rho, ref_site, "det") - _pairwise_csq(rho, ref_site, partners)
+    residual = one_tangle(rho, ref_site) - _pairwise_csq(rho, ref_site, partners)
     if residual < -_TANGLE_FLOOR:
         raise ValueError(f"monogamy inequality violated by {residual:.3e}")
     return residual

@@ -76,22 +76,41 @@ class Trajectory:
         return len(self.states)
 
 
+def _kron_entries(x: np.ndarray, y: np.ndarray):
+    """Row, column and value arrays of the entries of kron(x, y) that both factors make nonzero."""
+    xi, xj = np.nonzero(x)
+    yi, yj = np.nonzero(y)
+    d = y.shape[0]
+    rows = (xi[:, None] * d + yi).ravel()
+    cols = (xj[:, None] * d + yj).ravel()
+    vals = (x[xi, xj][:, None] * y[yi, yj]).ravel()
+    return rows, cols, vals
+
+
 def _liouvillian(spec: GeneratorSpec) -> sparse.csr_matrix:
     """Generator matrix on row-major vectorized states.
 
     With vec(A X B) = (A (x) B^T) vec(X) and G = -iH - 1/2 sum_c A_c^dag A_c,
-    L = G (x) I + I (x) conj(G) + sum_c A_c (x) conj(A_c).
+    L = G (x) I + I (x) conj(G) + sum_c A_c (x) conj(A_c).  Each Kronecker
+    term contributes the index and value arrays of its nonzero entries, and
+    one COO build sums them; entries that cancel exactly are dropped, so
+    only true nonzeros are stored.
     """
     d = spec.dim
-    eye = sparse.identity(d, format="csr")
+    eye = np.eye(d)
     g = -1j * spec.hamiltonian.matrix
     jumps = []
     for ch in spec.channels:
         a = np.sqrt(ch.rate) * ch.jump.matrix
         a = np.where(np.abs(a) > _JUMP_CHOP_RTOL * np.abs(a).max(), a, 0.0)
         g = g - 0.5 * a.conj().T @ a
-        jumps.append(sparse.kron(a, a.conj(), format="coo"))
-    return (sparse.kron(g, eye) + sparse.kron(eye, g.conj()) + sum(jumps)).tocsr()
+        jumps.append(a)
+    terms = [_kron_entries(g, eye), _kron_entries(eye, g.conj())]
+    terms += [_kron_entries(a, a.conj()) for a in jumps]
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
+    out = sparse.coo_matrix((vals, (rows, cols)), shape=(d * d, d * d)).tocsr()
+    out.eliminate_zeros()
+    return out
 
 
 def _uniform_runs(t: np.ndarray):

@@ -152,11 +152,13 @@ class InitialStateSpec:
     custom: DensityMatrix | None = None
 
     _KINDS = ("psi_a", "psi_b", "rho_eq20", "psi1_chain", "psi2_chain", "custom")
+    # The kinds that depend on theta; every other kind ignores it.
+    THETA_KINDS = ("psi_a", "psi_b")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown initial state kind {self.kind!r}")
-        if self.kind in ("psi_a", "psi_b") and not 0.0 <= self.theta <= math.pi / 2:
+        if self.kind in self.THETA_KINDS and not 0.0 <= self.theta <= math.pi / 2:
             raise ValueError("theta must lie in [0, pi/2]")
         if self.kind == "custom" and self.custom is None:
             raise ValueError("custom initial state requires a payload")
@@ -375,7 +377,6 @@ def build_initial_state(spec: InitialStateSpec, cfg: NetworkConfig) -> DensityMa
                 rho[a, b] = 0.5
         return DensityMatrix(Operator(rho, (2,) * total))
     if spec.kind == "psi1_chain":
-        vec = np.zeros(2**n, dtype=complex)
         first = qla.ket("E" + "G" * (n - 1)).amplitudes
         last = qla.ket("G" * (n - 1) + "E").amplitudes
         vec = (first + last) / math.sqrt(2.0)

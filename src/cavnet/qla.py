@@ -5,7 +5,10 @@ the package is 64-dimensional, so nothing here is sparse or clever.  All
 container types are immutable once constructed and every function is pure,
 which makes values safe to share across threads.  Every ``DensityMatrix``,
 whether built by hand, reduced or propagated, is validated against the same
-``HERMITICITY_ATOL``, ``TRACE_ATOL`` and ``PSD_ATOL`` thresholds.
+``HERMITICITY_ATOL``, ``TRACE_ATOL`` and ``PSD_ATOL`` thresholds.  Positivity
+is tested by a Cholesky factorization of the Hermitian part shifted by
+``PSD_ATOL``, which exists exactly when the least eigenvalue exceeds
+``-PSD_ATOL``; the spectrum is computed only to report a rejection.
 
 Conventions
 -----------
@@ -125,21 +128,34 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
+    """Hermitian, unit-trace, positive-semidefinite operator.
+
+    Positivity is checked without a spectrum: the Hermitian part plus
+    ``PSD_ATOL`` times the identity has a Cholesky factor exactly when its
+    least eigenvalue is positive, that is when the state's least eigenvalue
+    is above ``-PSD_ATOL``.  Only a failed factorization computes the
+    eigenvalues, so that the error names the least one.
+    """
 
     op: Operator
 
     def __post_init__(self):
         m = self.op.matrix
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > HERMITICITY_ATOL:
+        # Written so that a NaN, which a Cholesky factorization passes
+        # through silently, fails here.
+        if not herm <= HERMITICITY_ATOL:
             raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace deviates from one: tr = {tr}")
-        wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
-        if wmin < -PSD_ATOL:
-            raise ValueError(f"not positive semidefinite: min eigenvalue = {wmin:.3e}")
+        shifted = (m + m.conj().T) / 2.0
+        shifted.flat[:: m.shape[0] + 1] += PSD_ATOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
+            raise ValueError(f"not positive semidefinite: min eigenvalue = {wmin:.3e}") from None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -229,7 +245,11 @@ def density(matrix, dims=None) -> DensityMatrix:
 
 
 def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
-    """Raw partial trace over the complement of ``keep``; subsystem order kept."""
+    """Raw partial trace over the complement of ``keep``; subsystem order kept.
+
+    One transpose groups the axes as (keep, rest, keep', rest'); the traced
+    block is then a single contraction over the two ``rest`` groups.
+    """
     dims = list(dims)
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
@@ -237,12 +257,12 @@ def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
         raise ValueError("must keep at least one subsystem")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"subsystem index out of range: keep={keep}, n={n}")
-    t = np.asarray(mat).reshape(dims + dims)
-    for ax in sorted((i for i in range(n) if i not in keep), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + len(dims))
-        dims.pop(ax)
-    d = math.prod(dims)
-    return t.reshape(d, d)
+    rest = [i for i in range(n) if i not in keep]
+    dk = math.prod(dims[i] for i in keep)
+    dr = math.prod(dims[i] for i in rest)
+    order = keep + rest
+    t = np.asarray(mat).reshape(dims + dims).transpose(order + [n + i for i in order])
+    return np.einsum("arbr->ab", t.reshape(dk, dr, dk, dr))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -5,8 +5,9 @@ table: identical inputs give byte-identical CSV output.  Every scenario
 sweeps (gamma, initial state, theta) through one pipeline: the trajectory
 scenarios evaluate per-sample measures listed in one table, ``fig4``
 reduces its concurrence series to peaks and ``transmission`` each point to
-ratios.  ``custom`` takes its measures from the register size.  Times are
-reported dimensionless as lambda*t.
+ratios.  ``custom`` takes its measures from the register size.  Only the
+initial states that depend on theta are swept over it.  Times are reported
+dimensionless as lambda*t.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ _PEAK_SELECTORS = tuple(_pair(label) for label in _PEAK_PAIRS)
 # share its pair_state and at most one discord optimization.
 _MEASURES = {
     "fig2": (("conc_33p",), lambda s: (_concurrence(s, _P33),)),
-    "fig3": (("det_1", "det_2", "det_3"), lambda s: tuple(corr.one_tangle(s, k, "det") for k in range(3))),
+    "fig3": (("det_1", "det_2", "det_3"), lambda s: tuple(corr.one_tangle(s, k) for k in range(3))),
     "fig4": (_PEAK_PAIRS, lambda s: tuple(_concurrence(s, sel) for sel in _PEAK_SELECTORS)),
     "fig5": (("eof_33p", "discord_33p"), lambda s: _eof_discord(s, _P33)),
     "fig6": (("cc_21p", "discord_21p", "eof_21p"), lambda s: _classical_discord_eof(s, _P21)),
@@ -318,17 +319,23 @@ def _register_measures(nq: int):
         return (
             qla.purity(state),
             *(_concurrence(state, sel) for sel in pairs),
-            *(corr.one_tangle(state, site, "det") for site in site_order),
+            *(corr.one_tangle(state, site) for site in site_order),
         )
 
     return columns, measure
 
 
 def _sweep(spec: ScenarioSpec, cfg: NetworkConfig):
+    """Sweep points as (gamma, network config, initial state).
+
+    Kinds that ignore theta run once per gamma, labelled with the sweep's
+    first theta, instead of once per theta with identical rows.
+    """
     for gamma in spec.gamma:
         scenario_cfg = replace(cfg, gamma=gamma, gamma_units=spec.gamma_units)
         for kind in spec.initial:
-            for theta in spec.theta_list:
+            thetas = spec.theta_list if kind in InitialStateSpec.THETA_KINDS else spec.theta_list[:1]
+            for theta in thetas:
                 yield gamma, scenario_cfg, InitialStateSpec(kind, theta)
 
 

@@ -457,7 +457,7 @@ class TestCriterion9FigureProperties:
 
     def test_middle_cavity_node(self, lossless_trajectories):
         traj = lossless_trajectories[("psi_a", round(math.pi / 4, 10))]
-        det2 = np.array([corr.one_tangle(s, 1, "det") for s in traj.states])
+        det2 = np.array([corr.one_tangle(s, 1) for s in traj.states])
         lts = traj.times_lambda
         window = (lts > 1.8) & (lts < 2.4)
         i = int(np.flatnonzero(window)[np.argmin(det2[window])])

@@ -124,6 +124,65 @@ class TestConcurrence:
         assert corr.concurrence(rotated) == pytest.approx(c, abs=1e-9)
 
 
+class TestXConcurrence:
+    """The closed form for X states against the general singular-value route."""
+
+    def test_random_x_states_match_general_route(self):
+        rng = np.random.default_rng(8)
+        for _ in range(400):
+            rho = random_x_state(rng)
+            got = corr.concurrence(rho)
+            assert abs(got - corr._general_concurrence(rho.matrix)) < 1e-12
+
+    @pytest.mark.parametrize("arm", ["03", "12"])
+    def test_each_arm_of_the_max(self, arm):
+        # Coherence rho_03 entangles against sqrt(rho_11 rho_22), rho_12
+        # against sqrt(rho_00 rho_33); the other arm is kept negative.
+        rng = np.random.default_rng(int(arm))
+        positive = 0
+        for _ in range(50):
+            d = rng.dirichlet(np.ones(4))
+            phase = np.exp(2j * math.pi * rng.uniform())
+            if arm == "03":
+                c03, c12 = math.sqrt(d[0] * d[3]) * phase, 0.0
+                want = 2.0 * (math.sqrt(d[0] * d[3]) - math.sqrt(d[1] * d[2]))
+            else:
+                c03, c12 = 0.0, math.sqrt(d[1] * d[2]) * phase
+                want = 2.0 * (math.sqrt(d[1] * d[2]) - math.sqrt(d[0] * d[3]))
+            rho = x_state(d, c03, c12)
+            got = corr.concurrence(rho)
+            assert got == pytest.approx(max(want, 0.0), abs=1e-12)
+            assert abs(got - corr._general_concurrence(rho.matrix)) < 1e-12
+            positive += want > 0.0
+        assert 10 <= positive <= 40
+
+    def test_zero_at_the_boundary(self):
+        # |rho_03| = sqrt(rho_11 rho_22) exactly: separable, C = 0.
+        d = np.array([0.4, 0.25, 0.16, 0.19])
+        rho = x_state(d, math.sqrt(d[1] * d[2]) * np.exp(0.7j), 0.1j)
+        assert corr.concurrence(rho) == pytest.approx(0.0, abs=1e-15)
+        assert corr._general_concurrence(rho.matrix) < 1e-12
+
+    def test_werner_closed_form(self):
+        for p in np.linspace(0.0, 1.0, 31):
+            rho = model.werner_state(float(p))
+            got = corr.concurrence(rho)
+            assert got == pytest.approx(max(0.0, (3 * p - 1) / 2), abs=1e-12)
+            assert abs(got - corr._general_concurrence(rho.matrix)) < 1e-12
+
+    def test_route_taken(self, monkeypatch):
+        calls = []
+        general = corr._general_concurrence
+        monkeypatch.setattr(corr, "_general_concurrence", lambda m: calls.append(1) or general(m))
+        corr.concurrence(random_x_state(np.random.default_rng(0)))
+        assert not calls
+        # A single entry off the X pattern sends the state the general way.
+        rho = random_density(np.random.default_rng(1), (2, 2))
+        assert not corr._is_x_form(rho.matrix)
+        corr.concurrence(rho)
+        assert calls == [1]
+
+
 class TestEof:
     def test_endpoints(self):
         assert corr.eof_from_concurrence(0.0) == 0.0
@@ -335,8 +394,9 @@ class TestOneTangle:
         rng = np.random.default_rng(seed)
         rho = random_pure(rng, (2,) * 6).density()
         site = int(rng.integers(0, 6))
-        det_form = corr.one_tangle(rho, site, "det")
-        purity_form = corr.one_tangle(rho, site, "purity")
+        det_form = corr.one_tangle(rho, site)
+        r = qla.partial_trace(rho, [site]).matrix
+        purity_form = 2.0 * (1.0 - np.vdot(r, r).real)
         assert abs(det_form - purity_form) < 1e-12
 
     def test_site_out_of_range(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,28 @@ from cavnet import qla
 from conftest import brute_force_partial_trace, haar_unitary, random_density, random_pure
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def basis_sum_partial_trace(mat, dims, keep):
+    """Sum over traced basis states r of <r| rho |r>, with explicit isometries.
+
+    For each basis state r of the traced subsystems, V_r maps the kept
+    register's basis state k to the full basis state with digits k and r in
+    place; the reduced state is sum_r V_r^T rho V_r.
+    """
+    n = len(dims)
+    rest = [i for i in range(n) if i not in keep]
+    dk = math.prod(dims[i] for i in keep)
+    strides = [math.prod(dims[i + 1 :]) for i in range(n)]
+    out = np.zeros((dk, dk), dtype=complex)
+    for r in itertools.product(*(range(dims[i]) for i in rest)):
+        v = np.zeros((math.prod(dims), dk))
+        for col, k in enumerate(itertools.product(*(range(dims[i]) for i in keep))):
+            row = sum(strides[i] * digit for i, digit in zip(keep, k))
+            row += sum(strides[i] * digit for i, digit in zip(rest, r))
+            v[row, col] = 1.0
+        out += v.T @ mat @ v
+    return out
 
 
 class TestTensor:
@@ -74,6 +97,17 @@ class TestPartialTrace:
             got = qla.partial_trace(rho, keep).matrix
             want = brute_force_partial_trace(rho.matrix, rho.dims, keep)
             assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("dims", [(2,) * 6, (2, 3, 2)])
+    def test_every_keep_subset_matches_basis_sum(self, dims):
+        rng = np.random.default_rng(len(dims))
+        rho = random_density(rng, dims)
+        n = len(dims)
+        for size in range(1, n + 1):
+            for keep in itertools.combinations(range(n), size):
+                got = qla.partial_trace_matrix(rho.matrix, dims, keep)
+                want = basis_sum_partial_trace(rho.matrix, dims, keep)
+                assert np.max(np.abs(got - want)) < 1e-14, keep
 
     def test_out_of_range_rejected(self):
         rng = np.random.default_rng(1)
@@ -203,6 +237,46 @@ class TestValidation:
     def test_density_rejects_small_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             qla.density(np.diag([1.0 + 5e-8, -5e-8]))
+
+    def test_density_rejects_nan(self):
+        m = np.eye(2) / 2.0
+        m[0, 1] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qla.density(m)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 64])
+    def test_cholesky_psd_decision_matches_spectrum(self, dim, monkeypatch):
+        # States whose least eigenvalue sits just inside or just outside
+        # -PSD_ATOL, full rank and rank deficient.  The Cholesky test alone
+        # must accept exactly the states the spectrum accepts: an accepted
+        # state never reaches eigvalsh, a rejected one raises.
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        rng = np.random.default_rng(dim)
+        checked = 0
+        for factor in (0.5, 0.99, 0.999, 1.001, 1.01, 2.0):
+            for rank in (dim, max(dim // 2, 1), 1):
+                for _ in range(4):
+                    w = np.zeros(dim)
+                    w[:rank] = rng.uniform(0.05, 1.0, size=rank)
+                    w[dim - 1] = 0.0
+                    w *= (1.0 + factor * qla.PSD_ATOL) / w.sum()
+                    w[dim - 1] = -factor * qla.PSD_ATOL
+                    u = haar_unitary(rng, dim)
+                    m = (u * w) @ u.conj().T
+                    m = (m + m.conj().T) / 2.0
+                    expect = eigvalsh(m).min() >= -qla.PSD_ATOL
+                    assert expect == (factor < 1.0)
+                    calls.clear()
+                    if expect:
+                        qla.density(m)
+                        assert not calls
+                    else:
+                        with pytest.raises(ValueError, match="positive semidefinite"):
+                            qla.density(m)
+                    checked += 1
+        assert checked == 6 * 3 * 4
 
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError):

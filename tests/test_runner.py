@@ -92,7 +92,35 @@ class TestDiscordPath:
         monkeypatch.setattr(corr, "_general_conditional_entropy", general)
         spec = small(name, theta_list=(math.pi / 4, 0.4), samples=6)
         table = runner.run_scenario(spec, default_cfg)
-        assert len(table.rows) == 6 * len(spec.gamma) * len(spec.initial) * len(spec.theta_list)
+        # Initial states that ignore theta run once per gamma.
+        points = sum(len(spec.theta_list) if k in model.InitialStateSpec.THETA_KINDS else 1 for k in spec.initial)
+        assert len(table.rows) == 6 * len(spec.gamma) * points
+
+
+class TestThetaFreeStates:
+    def test_theta_free_states_run_once_per_gamma(self, default_cfg, monkeypatch):
+        evolved = []
+        trajectory = runner.network_trajectory
+        monkeypatch.setattr(
+            runner, "network_trajectory", lambda c, init, *a: evolved.append(init) or trajectory(c, init, *a)
+        )
+        spec = runner.ScenarioSpec.named(
+            "custom", initial=("psi_a", "rho_eq20"), theta_list=(0.3, 0.5), gamma=(0.0, 0.01), samples=3,
+            t_max_lambda=1.0,
+        )
+        table = runner.run_scenario(spec, default_cfg)
+        points = [(init.kind, init.theta) for init in evolved]
+        assert points == [("psi_a", 0.3), ("psi_a", 0.5), ("rho_eq20", 0.3)] * 2
+        assert [row[:3] for row in table.rows[::3]] == [
+            (kind, theta, gamma) for gamma in (0.0, 0.01) for kind, theta in points[:3]
+        ]
+
+    def test_cli_theta_free_scenario_prints_each_row_once(self, capsys):
+        run = ["scenario", "--scenario", "fig6", "--theta", "0.3", "--theta", "0.5", "--samples", "3"]
+        assert cli.main(run) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.startswith("rho_eq20,0.3,") for row in rows)
 
 
 class TestPeaks:
