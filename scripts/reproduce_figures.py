@@ -2,8 +2,7 @@
 """Regenerate every figure-style data set as CSV files.
 
 Writes fig2.csv ... fig9.csv plus transmission.csv into the output
-directory (default ./figures_out).  Expect a few minutes: the discord
-scenarios optimize a measurement per sample.
+directory (default ./figures_out).
 """
 
 import argparse

@@ -23,8 +23,6 @@ def main() -> int:
         cfg = NetworkConfig(gamma=gamma)
         for kind in ("psi_a", "psi_b"):
             for label, theta in THETAS:
-                if kind == "psi_a" and theta == 0.0:
-                    continue
                 res = transmission_details(InitialStateSpec(kind, theta), cfg, SRC, DST)
                 print(
                     f"{kind:8s} {label:6s} {gamma:<6g} {res.ratio:8.4f} "

@@ -10,9 +10,7 @@ from .qla import (
     DensityMatrix,
     Operator,
     PureState,
-    Spectrum,
     density,
-    hermitian_eigendecomposition,
     ket,
     partial_trace,
     purity,

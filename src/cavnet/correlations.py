@@ -69,8 +69,8 @@ _TANGLE_FLOOR = 1e-9
 _DISCORD_FLOOR = -1e-8
 # Polar grid of the X-state search, endpoints 0 and pi/2 included.
 _X_GRID = 9
-# Entries of a 4x4 two-qubit matrix off the diagonal and anti-diagonal.
-_OFF_X = tuple(zip(*((i, j) for i in range(4) for j in range(4) if j not in (i, 3 - i))))
+# Mask of the entries of a 4x4 two-qubit matrix off the diagonal and anti-diagonal.
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 @dataclass(frozen=True)

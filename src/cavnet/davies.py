@@ -1,10 +1,11 @@
 """Zero-temperature microscopic dissipation.
 
 The jump operators are built in the global eigenbasis of the system
-Hamiltonian: the bare cavity coupling at each site is sandwiched between
-eigenprojectors, grouped by Bohr frequency.  At zero temperature only the
-downward (positive-frequency) channels survive, which is what makes the
-zero-energy single-excitation chain state exactly dark.
+Hamiltonian.  One helper, ``_bohr_grouping``, diagonalizes it and labels
+every eigenvector pair by the Bohr frequency of its gap; each jump keeps
+the bare cavity coupling's eigenbasis elements with one label.  At zero
+temperature only the downward (positive-frequency) channels survive, which
+is what makes the zero-energy single-excitation chain state exactly dark.
 
 In the polariton two-level space the cavity annihilation operator acts as
 kappa * |G><E| with kappa = 1/sqrt(2) by default; the factor only rescales
@@ -19,14 +20,13 @@ import numpy as np
 
 from . import qla
 from .model import NetworkConfig, build_effective_chain_hamiltonian, build_network_hamiltonian, effective_coupling
-from .qla import DensityMatrix, Operator, Spectrum
+from .qla import HERMITICITY_ATOL, DensityMatrix, Operator
 
 __all__ = [
     "DaviesChannel",
     "DecayChannel",
     "GeneratorSpec",
     "bohr_frequencies",
-    "eigenoperator_parts",
     "site_lowering_operator",
     "build_davies_channels",
     "build_local_channels",
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 ZERO_JUMP_ATOL = 1e-12
+# Eigenvalue gaps closer than this fraction of the spectral span share a
+# Bohr frequency.
+DEGENERACY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,7 @@ class GeneratorSpec:
     lambda_scale: float = 1.0
 
     def __post_init__(self):
-        h = self.hamiltonian.matrix
-        scale = max(1.0, float(np.max(np.abs(h))))
-        if float(np.max(np.abs(h - h.conj().T))) > 1e-10 * scale:
-            raise ValueError("generator Hamiltonian must be Hermitian")
+        _require_hermitian(self.hamiltonian)
         channels = tuple(self.channels)
         for ch in channels:
             if ch.jump.dim != self.hamiltonian.dim:
@@ -109,62 +109,46 @@ class GeneratorSpec:
         return self.hamiltonian.dim
 
 
-def _grouping_atol(eigenvalues: np.ndarray) -> float:
-    span = float(eigenvalues[-1] - eigenvalues[0]) if eigenvalues.size else 0.0
-    return qla.DEGENERACY_RTOL * span
+def _require_hermitian(h: Operator) -> np.ndarray:
+    """The matrix of ``h``; ValueError unless it is Hermitian within
+    ``HERMITICITY_ATOL`` times its largest entry (at least one)."""
+    m = h.matrix
+    scale = max(1.0, float(np.max(np.abs(m))))
+    dev = float(np.max(np.abs(m - m.conj().T)))
+    if dev > HERMITICITY_ATOL * scale:
+        raise ValueError(f"Hamiltonian not Hermitian: max |H - H^dag| = {dev:.3e}")
+    return m
 
 
-def bohr_frequencies(spectrum: Spectrum) -> np.ndarray:
-    """Distinct positive eigenvalue differences, ascending.
+def _bohr_grouping(h: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenbasis of ``h`` and the Bohr-frequency group of every eigenvalue pair.
 
-    Differences are clustered with tolerance ``qla.DEGENERACY_RTOL`` relative
-    to the spectral span; zero (within tolerance) is excluded, since at zero
-    temperature only strictly downward transitions carry weight.
+    Returns ``(v, labels, freqs)``.  The columns of ``v`` are orthonormal
+    eigenvectors with ascending eigenvalues E.  ``labels[a, b]`` is the group
+    of the gap E_b - E_a, the energy a transition from b to a removes.  The
+    positive gaps are sorted and split wherever neighbours differ by more
+    than ``DEGENERACY_RTOL`` times the spectral span; gaps within that
+    tolerance of zero, or below, get the label -1, since at zero temperature
+    only strictly downward transitions carry weight.  ``freqs[k]`` is the
+    mean gap of group k, so ``freqs`` ascends.
     """
-    w = spectrum.eigenvalues
-    atol = _grouping_atol(w)
-    clusters = qla.eigenvalue_clusters(w)
-    values = [float(np.mean(w[a:b])) for a, b in clusters]
-    out: list[float] = []
-    for i, lo in enumerate(values):
-        for hi in values[i + 1 :]:
-            gap = hi - lo
-            if gap <= atol:
-                continue
-            if not any(abs(gap - seen) <= atol for seen in out):
-                out.append(gap)
-    return np.array(sorted(out))
+    m = _require_hermitian(h)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    atol = DEGENERACY_RTOL * float(w[-1] - w[0])
+    gaps = w[None, :] - w[:, None]
+    up = np.flatnonzero(gaps > atol)
+    up = up[np.argsort(gaps.flat[up], kind="stable")]
+    ranked = gaps.flat[up]
+    group = np.cumsum(np.diff(ranked, prepend=ranked[:1]) > atol)
+    labels = np.full(gaps.shape, -1)
+    labels.flat[up] = group
+    freqs = np.bincount(group, weights=ranked) / np.bincount(group)
+    return v, labels, freqs
 
 
-def eigenoperator_parts(spectrum: Spectrum, op: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Resolve ``op`` into eigenbasis blocks P_a op P_b, grouped by frequency.
-
-    Returns (omega, block) pairs over every ordered cluster pair, with
-    omega = E_b - E_a (the energy removed when the block acts), including
-    omega <= 0.  Blocks whose frequencies coincide within tolerance are
-    merged; the blocks sum exactly to ``op`` by projector completeness.
-    """
-    w = spectrum.eigenvalues
-    v = spectrum.eigenvectors
-    atol = _grouping_atol(w)
-    clusters = qla.eigenvalue_clusters(w)
-    projectors = []
-    for a, b in clusters:
-        block = v[:, a:b]
-        projectors.append((float(np.mean(w[a:b])), block @ block.conj().T))
-    merged: list[tuple[float, np.ndarray]] = []
-    for e_a, p_a in projectors:
-        for e_b, p_b in projectors:
-            omega = e_b - e_a
-            part = p_a @ op @ p_b
-            for k, (seen, acc) in enumerate(merged):
-                if abs(omega - seen) <= atol:
-                    merged[k] = (seen, acc + part)
-                    break
-            else:
-                merged.append((omega, part))
-    merged.sort(key=lambda item: item[0])
-    return merged
+def bohr_frequencies(h: Operator) -> np.ndarray:
+    """Distinct positive Bohr frequencies of ``h``, ascending (see ``_bohr_grouping``)."""
+    return _bohr_grouping(h)[2]
 
 
 def site_lowering_operator(cfg: NetworkConfig, site: int, nsites: int | None = None) -> Operator:
@@ -188,33 +172,32 @@ def _site_rates(cfg: NetworkConfig, nsites: int) -> tuple[float, ...]:
 def build_davies_channels(h: Operator, cfg: NetworkConfig) -> list[DaviesChannel]:
     """Downward jump channels of ``h`` for every site and Bohr frequency.
 
-    For site n and frequency omega > 0 the jump is the sum of eigenprojector
-    sandwiches of the site coupling over all eigenvalue pairs separated by
-    omega; degenerate gaps from different excitation sectors merge into one
-    channel.  Channels with an all-zero jump or a zero rate are dropped.
-    The rate is frequency-flat.
+    For site n with coupling A and frequency group k the jump is
+    V (V^dag A V o [label == k]) V^dag: the sum of |a><a|A|b><b| over every
+    eigenvector pair whose gap E_b - E_a falls in group k, so degenerate
+    gaps from different excitation sectors merge into one channel.
+    Channels with an all-zero jump or a zero rate are dropped.  The rate is
+    frequency-flat.
     """
     if any(d != 2 for d in h.dims):
         raise ValueError("Davies construction expects a qubit register")
     nsites = len(h.dims)
     rates = _site_rates(cfg, nsites)
-    spectrum = qla.hermitian_eigendecomposition(h)
-    atol = _grouping_atol(spectrum.eigenvalues)
+    v, labels, freqs = _bohr_grouping(h)
     channels: list[DaviesChannel] = []
     for site in range(nsites):
         if rates[site] == 0.0:
             continue
-        lowering = site_lowering_operator(cfg, site, nsites).matrix
-        for omega, block in eigenoperator_parts(spectrum, lowering):
-            if omega <= atol:
-                continue
-            if float(np.max(np.abs(block))) <= ZERO_JUMP_ATOL:
+        coupling = v.conj().T @ site_lowering_operator(cfg, site, nsites).matrix @ v
+        for k, omega in enumerate(freqs):
+            jump = v @ np.where(labels == k, coupling, 0.0) @ v.conj().T
+            if float(np.max(np.abs(jump))) <= ZERO_JUMP_ATOL:
                 continue
             channels.append(
                 DaviesChannel(
                     site=site,
                     bohr_frequency=float(omega),
-                    jump=Operator(block, h.dims),
+                    jump=Operator(jump, h.dims),
                     rate=rates[site],
                 )
             )

@@ -68,7 +68,6 @@ class NetworkConfig:
     gamma: float = 0.01
     gamma_units: str = "abs"
     kappa: float = 1.0 / math.sqrt(2.0)
-    temperature: float = 0.0
     fiber_length_l: float | None = None
     fiber_continuum_decay_mu: float | None = None
 
@@ -79,8 +78,6 @@ class NetworkConfig:
             raise ValueError("num_chains must be at least 1")
         if not self.J > 0.0:
             raise ValueError("cavity-fiber coupling J must be positive")
-        if self.temperature != 0.0:
-            raise ValueError("only zero-temperature evolution is supported")
         units = _GAMMA_UNIT_ALIASES.get(str(self.gamma_units).lower())
         if units is None:
             raise ValueError(f"unknown gamma_units {self.gamma_units!r}")

@@ -1,7 +1,10 @@
 """Dense complex linear algebra and quantum-state core.
 
-Plain numpy on small dense matrices; the largest register used anywhere in
-the package is 64-dimensional, so nothing here is sparse or clever.  All
+Operators, state containers, tensor embedding, partial traces, entropy and
+purity.  Plain numpy on small dense matrices; the largest register used
+anywhere in the package is 64-dimensional, so nothing here is sparse or
+clever.  The Hamiltonian eigenbasis is computed where it is used, by the
+Davies channel construction in ``davies``.  All
 container types are immutable once constructed and every function is pure,
 which makes values safe to share across threads.  Every ``DensityMatrix``,
 whether built by hand, reduced or propagated, is validated against the same
@@ -27,7 +30,6 @@ __all__ = [
     "Operator",
     "DensityMatrix",
     "PureState",
-    "Spectrum",
     "KET_G",
     "KET_E",
     "SIGMA_Y",
@@ -42,8 +44,6 @@ __all__ = [
     "density",
     "partial_trace",
     "partial_trace_matrix",
-    "hermitian_eigendecomposition",
-    "eigenvalue_clusters",
     "von_neumann_entropy",
     "purity",
 ]
@@ -53,9 +53,6 @@ HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-8
 PSD_ATOL = 1e-9
 NORM_ATOL = 1e-10
-ORTHONORMALITY_ATOL = 1e-10
-RECONSTRUCTION_RTOL = 1e-9
-DEGENERACY_RTOL = 1e-9
 ENTROPY_EIGENVALUE_FLOOR = 1e-12
 ENTROPY_NEGATIVE_LIMIT = -1e-9
 
@@ -170,34 +167,6 @@ class DensityMatrix:
         return self.op.dim
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian operator.
-
-    ``eigenvalues`` ascend; ``eigenvectors`` holds the matching orthonormal
-    eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.eigenvalues, dtype=float).reshape(-1)
-        v = np.array(self.eigenvectors, dtype=complex)
-        if v.shape != (w.size, w.size):
-            raise ValueError("eigenvector matrix shape does not match eigenvalues")
-        if np.any(np.diff(w) < 0):
-            raise ValueError("eigenvalues must ascend")
-        gram = v.conj().T @ v
-        dev = float(np.max(np.abs(gram - np.eye(w.size))))
-        if dev > ORTHONORMALITY_ATOL:
-            raise ValueError(f"eigenvectors not orthonormal: |V^dag V - I| = {dev:.3e}")
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
-
-
 def operator(matrix, dims=None) -> Operator:
     """Wrap a matrix as an Operator; ``dims`` defaults to one subsystem."""
     m = np.asarray(matrix, dtype=complex)
@@ -272,57 +241,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     reduced = (reduced + reduced.conj().T) / 2.0
     dims = tuple(rho.dims[k] for k in keep)
     return DensityMatrix(Operator(reduced, dims))
-
-
-def eigenvalue_clusters(values: np.ndarray):
-    """Group ascending eigenvalues into degenerate clusters.
-
-    Two neighbors belong to one cluster when their gap is below
-    ``DEGENERACY_RTOL`` times the spectral span.  Returns (start, stop)
-    index pairs.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return []
-    atol = DEGENERACY_RTOL * float(values[-1] - values[0])
-    bounds = [0]
-    for i in range(1, values.size):
-        if values[i] - values[i - 1] > atol:
-            bounds.append(i)
-    bounds.append(values.size)
-    return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-
-
-def _gram_schmidt(block: np.ndarray) -> np.ndarray:
-    # Deterministic re-orthonormalization in column index order.
-    out = np.zeros_like(block)
-    for k in range(block.shape[1]):
-        v = block[:, k].copy()
-        for j in range(k):
-            v -= out[:, j] * np.vdot(out[:, j], v)
-        v /= np.linalg.norm(v)
-        out[:, k] = v
-    return out
-
-
-def hermitian_eigendecomposition(h: Operator) -> Spectrum:
-    """Spectral decomposition with deterministic handling of degeneracies.
-
-    Within each eigenvalue cluster the eigenvectors are re-orthonormalized
-    by Gram-Schmidt in index order, so degenerate subspaces come out the
-    same across platforms.
-    """
-    m = h.matrix
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > HERMITICITY_ATOL * scale:
-        raise ValueError(f"operator not Hermitian: max |H - H^dag| = {dev:.3e}")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    v = v.copy()
-    for start, stop in eigenvalue_clusters(w):
-        if stop - start > 1:
-            v[:, start:stop] = _gram_schmidt(v[:, start:stop])
-    return Spectrum(w, v)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import correlations as corr
 from . import davies, dynamics, qla
-from .model import InitialStateSpec, NetworkConfig, build_initial_state, effective_coupling
+from .model import InitialStateSpec, NetworkConfig, build_initial_state, effective_coupling, interleaved_qubit_order
 from .dynamics import Trajectory
 
 __all__ = [
@@ -303,7 +303,7 @@ def _register_measures(nq: int):
         labels = _PEAK_PAIRS
         pairs = _PEAK_SELECTORS
         sites = ("1", "1p", "2", "2p", "3", "3p")
-        site_order = (0, 3, 1, 4, 2, 5)
+        site_order = interleaved_qubit_order(3, 2)
     else:
         pairs = tuple(corr.PairSelector(a, b) for a in range(nq) for b in range(a + 1, nq))
         labels = tuple(f"{p.first + 1}{p.second + 1}" for p in pairs)

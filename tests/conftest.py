@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cavnet import model, qla
+from cavnet import davies, model, qla
 
 settings.register_profile(
     "invariants",
@@ -81,6 +81,24 @@ def exact_unitary_state(h_matrix, rho0_matrix, t):
     u = v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
     m = u @ rho0_matrix @ u.conj().T
     return (m + m.conj().T) / 2.0
+
+
+def downward_terms(h_matrix, op):
+    """(gap, |a><a|op|b><b|) for every eigenvector pair (a, b) of ``h_matrix``
+    whose gap E_b - E_a exceeds the Davies grouping tolerance.
+
+    An explicit double loop, independent of the library's grouping.
+    """
+    w, v = np.linalg.eigh(h_matrix)
+    atol = davies.DEGENERACY_RTOL * (w[-1] - w[0])
+    terms = []
+    for a in range(w.size):
+        for b in range(w.size):
+            gap = w[b] - w[a]
+            if gap > atol:
+                coeff = v[:, a].conj() @ op @ v[:, b]
+                terms.append((gap, coeff * np.outer(v[:, a], v[:, b].conj())))
+    return terms
 
 
 def unit_lambda_config(**overrides):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cavnet import davies, model, qla
 
-from conftest import random_density, random_hermitian, unit_lambda_config
+from conftest import downward_terms, random_density, random_hermitian, unit_lambda_config
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -23,8 +23,7 @@ class TestBohrFrequencies:
     def test_chain_frequency_set(self, default_cfg):
         lam = model.effective_coupling(default_cfg)
         h = model.build_effective_chain_hamiltonian(default_cfg)
-        spec = qla.hermitian_eigendecomposition(h)
-        got = davies.bohr_frequencies(spec)
+        got = davies.bohr_frequencies(h)
         # Brute-force oracle: dedupe all positive eigenvalue differences.
         w = np.linalg.eigvalsh(h.matrix)
         diffs = np.array([b - a for a in w for b in w if b - a > 1e-9 * (w[-1] - w[0])])
@@ -33,12 +32,19 @@ class TestBohrFrequencies:
         assert np.allclose(got / lam, [1.0, 2.0, 3.0, 4.0], atol=1e-9)
 
     def test_zero_hamiltonian(self):
-        spec = qla.hermitian_eigendecomposition(qla.operator(np.zeros((4, 4)), (2, 2)))
-        assert davies.bohr_frequencies(spec).size == 0
+        assert davies.bohr_frequencies(qla.operator(np.zeros((4, 4)), (2, 2))).size == 0
 
     def test_two_level_gap(self):
-        spec = qla.hermitian_eigendecomposition(qla.operator(np.diag([0.0, 2.5])))
-        assert np.allclose(davies.bohr_frequencies(spec), [2.5])
+        assert np.allclose(davies.bohr_frequencies(qla.operator(np.diag([0.0, 2.5]))), [2.5])
+
+    def test_non_hermitian_rejected(self, default_cfg):
+        m = model.build_effective_chain_hamiltonian(default_cfg).matrix.copy()
+        m[0, 7] += 1.0
+        h = qla.Operator(m, (2, 2, 2))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            davies.bohr_frequencies(h)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            davies.build_davies_channels(h, default_cfg)
 
 
 class TestSiteLowering:
@@ -70,8 +76,7 @@ class TestChannelConstruction:
         lam = model.effective_coupling(default_cfg)
         h = model.build_effective_chain_hamiltonian(default_cfg)
         channels = davies.build_davies_channels(h, default_cfg)
-        spec = qla.hermitian_eigendecomposition(h)
-        n_candidates = 3 * davies.bohr_frequencies(spec).size
+        n_candidates = 3 * davies.bohr_frequencies(h).size
         assert n_candidates == 12
         assert len(channels) <= n_candidates
         freqs = {site: set() for site in range(3)}
@@ -110,6 +115,27 @@ class TestChannelConstruction:
             embedded = np.kron(want, eye) if ch.site < 3 else np.kron(eye, want)
             assert np.max(np.abs(ch.jump.matrix - embedded)) < 1e-10
 
+    @pytest.mark.parametrize("build", ["chain", "network"])
+    def test_each_channel_is_its_defining_sum(self, default_cfg, build):
+        # Each jump is the sum of |a><a|A|b><b| over the eigenvector pairs
+        # whose gap matches its Bohr frequency.
+        if build == "chain":
+            h = model.build_effective_chain_hamiltonian(default_cfg)
+        else:
+            h = model.build_network_hamiltonian(default_cfg)
+        w = np.linalg.eigvalsh(h.matrix)
+        atol = davies.DEGENERACY_RTOL * (w[-1] - w[0])
+        nsites = len(h.dims)
+        terms = [
+            downward_terms(h.matrix, davies.site_lowering_operator(default_cfg, site, nsites).matrix)
+            for site in range(nsites)
+        ]
+        channels = davies.build_davies_channels(h, default_cfg)
+        assert channels
+        for ch in channels:
+            want = sum(t for gap, t in terms[ch.site] if abs(gap - ch.bohr_frequency) <= atol)
+            assert np.max(np.abs(ch.jump.matrix - want)) < 1e-13
+
     def test_channel_validation(self, default_cfg):
         with pytest.raises(ValueError):
             davies.DaviesChannel(0, -1.0, qla.identity((2,)), 0.1)
@@ -127,8 +153,7 @@ class TestLindbladRhs:
     def test_unitary_part_only_fixes_eigenprojectors(self, default_cfg):
         h = model.build_effective_chain_hamiltonian(default_cfg)
         gen = davies.GeneratorSpec(h, (), model.effective_coupling(default_cfg))
-        spec = qla.hermitian_eigendecomposition(h)
-        v = spec.eigenvectors[:, 5]
+        v = np.linalg.eigh(h.matrix)[1][:, 5]
         rho = qla.density(np.outer(v, v.conj()), (2, 2, 2))
         out = davies.lindblad_rhs(rho, gen)
         assert np.max(np.abs(out.matrix)) < 1e-9
@@ -172,22 +197,23 @@ class TestGeneratorInvariants:
             assert np.max(np.abs(comm + ch.bohr_frequency * a)) <= 1e-9 * scale
 
     @given(seed=seeds)
-    def test_eigenoperator_completeness(self, seed):
-        # Summed over every frequency, including omega <= 0, the blocks
-        # reassemble the bare site operator; the positive-frequency channels
-        # differ from it by exactly the omega <= 0 remainder.
+    def test_jumps_sum_to_downward_coupling(self, seed):
+        # Summed over frequencies, a site's jumps are the strictly downward
+        # part of its coupling, and what they leave out has no element
+        # between eigenvectors whose gap is above the grouping tolerance.
         rng = np.random.default_rng(seed)
         h = qla.Operator(random_hermitian(rng, 8), (2, 2, 2))
         cfg = unit_lambda_config(gamma=0.2)
-        spec = qla.hermitian_eigendecomposition(h)
-        site = int(rng.integers(0, 3))
-        op = davies.site_lowering_operator(cfg, site).matrix
-        parts = davies.eigenoperator_parts(spec, op)
-        total = sum(block for _, block in parts)
-        assert np.max(np.abs(total - op)) < 1e-13
-        nonpositive = sum(block for omega, block in parts if omega <= 0)
-        positive = sum(block for omega, block in parts if omega > 0)
-        assert np.max(np.abs((op - positive) - nonpositive)) < 1e-13
+        channels = davies.build_davies_channels(h, cfg)
+        w, v = np.linalg.eigh(h.matrix)
+        downward = (w[None, :] - w[:, None]) > davies.DEGENERACY_RTOL * (w[-1] - w[0])
+        for site in range(3):
+            op = davies.site_lowering_operator(cfg, site).matrix
+            jumps = sum(ch.jump.matrix for ch in channels if ch.site == site)
+            oracle = sum(t for _, t in downward_terms(h.matrix, op))
+            assert np.max(np.abs(jumps - oracle)) < 1e-13
+            rest = v.conj().T @ (op - jumps) @ v
+            assert np.max(np.abs(rest[downward])) < 1e-13
 
     @given(seed=seeds)
     def test_energy_flow_is_downhill(self, seed):

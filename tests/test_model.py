@@ -34,7 +34,7 @@ class TestConfig:
             model.NetworkConfig(gamma=(-0.1, 0.0, 0.0))
 
     def test_rejects_finite_temperature(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="temperature"):
             model.NetworkConfig(temperature=1.0)
 
     def test_gamma_units_conversion(self, default_cfg):

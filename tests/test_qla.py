@@ -116,52 +116,6 @@ class TestPartialTrace:
             qla.partial_trace(rho, [2])
 
 
-class TestEigendecomposition:
-    def test_diagonal_sorted(self):
-        h = qla.operator(np.diag([3.0, -1.0, 2.0]))
-        spec = qla.hermitian_eigendecomposition(h)
-        assert np.allclose(spec.eigenvalues, [-1.0, 2.0, 3.0])
-
-    def test_single_excitation_block(self):
-        # Characteristic polynomial (1-x)*x*(x-3) of the hopping matrix.
-        hop = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
-        oracle = np.sort(np.roots([-1.0, 4.0, -3.0, 0.0]).real)
-        spec = qla.hermitian_eigendecomposition(qla.operator(hop, (3,)))
-        assert np.max(np.abs(spec.eigenvalues - oracle)) < 1e-10
-        assert np.max(np.abs(spec.eigenvalues - [0.0, 1.0, 3.0])) < 1e-10
-
-    def test_two_excitation_block(self):
-        # Characteristic polynomial (3-x)*(x-1)*(x-4).
-        hop2 = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 3.0]])
-        oracle = np.sort(np.roots([1.0, -8.0, 19.0, -12.0]).real)
-        spec = qla.hermitian_eigendecomposition(qla.operator(hop2, (3,)))
-        assert np.max(np.abs(spec.eigenvalues - oracle)) < 1e-10
-        assert np.max(np.abs(spec.eigenvalues - [1.0, 3.0, 4.0])) < 1e-10
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            qla.hermitian_eigendecomposition(qla.operator([[0.0, 1.0], [0.0, 0.0]]))
-
-    @given(seed=seeds)
-    def test_reconstruction_and_orthonormality(self, seed):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, 9))
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = qla.operator((g + g.conj().T) / 2)
-        spec = qla.hermitian_eigendecomposition(h)
-        v = spec.eigenvectors
-        rebuilt = (v * spec.eigenvalues) @ v.conj().T
-        scale = max(np.max(np.abs(h.matrix)), 1e-30)
-        assert np.max(np.abs(rebuilt - h.matrix)) <= 1e-9 * scale
-        assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-10
-
-    def test_degenerate_cluster_orthonormal(self):
-        h = qla.operator(np.diag([1.0, 1.0, 1.0, 2.0]))
-        spec = qla.hermitian_eigendecomposition(h)
-        v = spec.eigenvectors
-        assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-12
-
-
 class TestEntropyPurity:
     def test_pure_state_entropy_zero(self):
         rho = qla.ket("GE").density()
