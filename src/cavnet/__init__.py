@@ -23,7 +23,6 @@ from .model import (
     build_effective_chain_hamiltonian,
     build_full_chain_hamiltonian,
     build_initial_state,
-    build_network_hamiltonian,
     effective_coupling,
     map_interleaved_index,
     interleaved_label,
@@ -38,7 +37,6 @@ from .davies import (
     chain_generator,
     lindblad_rhs,
     local_chain_generator,
-    network_generator,
     site_lowering_operator,
 )
 from .dynamics import (

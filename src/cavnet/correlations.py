@@ -18,9 +18,11 @@ the polar angle of the measurement: a short grid over it plus a bounded
 1-D Nelder-Mead refinement (Ali, Rau & Alber, PRA 81, 042105 (2010),
 searched explicitly rather than trusting their closed form).  Every other
 state takes a coarse grid over the measurement Bloch sphere followed by a
-2-D Nelder-Mead refinement.  The grid's 64 x 128 directions are fixed, so
-the outer products conj(v_b) v_d of their kets are built once, on first use;
-the unnormalized A blocks of all directions are then one (8192, 4) @ (4, 4)
+2-D Nelder-Mead refinement.  The grid's directions are fixed: 128 azimuths
+on the first 32 of 64 polar rows over [0, pi], since the direction
+(pi - theta, phi + pi) gives the same projector pair as (theta, phi).  The
+outer products conj(v_b) v_d of their kets are built once, on first use;
+the unnormalized A blocks of all directions are then one (4096, 4) @ (4, 4)
 product with the state regrouped to ((b, d), (a, c)), and each orthogonal
 outcome's block is Tr_B rho minus the first, since the two projectors sum
 to the identity.  The simplex objective evaluates the same two blocks from
@@ -381,7 +383,7 @@ def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
 
     Built on the first general-path call, so X-only runs never hold it.
     """
-    polar = np.linspace(0.0, math.pi, _GRID_POLAR)
+    polar = np.linspace(0.0, math.pi, _GRID_POLAR)[: _GRID_POLAR // 2]
     azimuth = np.arange(_GRID_AZIMUTH) * (2.0 * math.pi / _GRID_AZIMUTH)
     tt, pp = np.meshgrid(polar, azimuth, indexing="ij")
     kets = np.stack(
@@ -537,24 +539,21 @@ def entanglement_sum(state: PureState | DensityMatrix) -> float:
     return _pairwise_csq(rho, 0, partners)
 
 
-def delta_fanchini(rho_123: DensityMatrix, measured: str = "partner") -> DeltaResult:
+def delta_fanchini(rho_123: DensityMatrix) -> DeltaResult:
     """Entanglement-vs-discord balance of a three-qubit state.
 
     delta = E(0,1) + E(0,2) - Q(0,1) - Q(0,2), with each discord measured on
-    the partner qubit by default; that orientation makes delta vanish on
-    tripartite pure states.  Also returns the slack of the strengthened
+    the partner qubit; that orientation makes delta vanish on tripartite
+    pure states.  Also returns the slack of the strengthened
     strong-subadditivity inequality S_2 + S_3 + delta <= S_12 + S_13.
     """
     if rho_123.dims != (2, 2, 2):
         raise ValueError(f"expected a three-qubit state, got dims {rho_123.dims}")
-    if measured not in ("partner", "reference"):
-        raise ValueError("measured must be 'partner' or 'reference'")
-    side = "B" if measured == "partner" else "A"
     delta = 0.0
     for partner in (1, 2):
         pair = pair_state(rho_123, PairSelector(0, partner))
         delta += eof_from_concurrence(concurrence(pair))
-        delta -= quantum_discord(pair, measured=side)
+        delta -= quantum_discord(pair)
     s_2 = qla.von_neumann_entropy(qla.partial_trace(rho_123, [1]))
     s_3 = qla.von_neumann_entropy(qla.partial_trace(rho_123, [2]))
     s_12 = qla.von_neumann_entropy(qla.partial_trace(rho_123, [0, 1]))

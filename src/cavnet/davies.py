@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qla
-from .model import NetworkConfig, build_effective_chain_hamiltonian, build_network_hamiltonian, effective_coupling
+from .model import NetworkConfig, build_effective_chain_hamiltonian, effective_coupling
 from .qla import HERMITICITY_ATOL, DensityMatrix, Operator
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "build_davies_channels",
     "build_local_channels",
     "chain_generator",
-    "network_generator",
     "local_chain_generator",
     "lindblad_rhs",
 ]
@@ -220,12 +219,6 @@ def build_local_channels(h: Operator, cfg: NetworkConfig) -> list[DecayChannel]:
 def chain_generator(cfg: NetworkConfig) -> GeneratorSpec:
     """Master-equation generator for one chain (8-dimensional register)."""
     h = build_effective_chain_hamiltonian(cfg)
-    return GeneratorSpec(h, tuple(build_davies_channels(h, cfg)), effective_coupling(cfg))
-
-
-def network_generator(cfg: NetworkConfig) -> GeneratorSpec:
-    """Generator for the full two-chain network (64-dimensional register)."""
-    h = build_network_hamiltonian(cfg)
     return GeneratorSpec(h, tuple(build_davies_channels(h, cfg)), effective_coupling(cfg))
 
 

@@ -1,8 +1,8 @@
 """Physical model builders.
 
 Translates cavity/fiber parameters into the effective polariton-chain
-Hamiltonian, the two-chain network composite, a truncated pre-elimination
-model used for validation, and the standard initial states.
+Hamiltonian, a truncated pre-elimination model used for validation, and
+the standard initial states.
 
 Units: angular frequencies in rad/ns, so a value quoted as "2*pi*30 GHz"
 enters as ``2*pi*30``.  Decay rates are 1/ns when ``gamma_units="abs"`` or
@@ -27,7 +27,6 @@ __all__ = [
     "InitialStateSpec",
     "effective_coupling",
     "build_effective_chain_hamiltonian",
-    "build_network_hamiltonian",
     "build_full_chain_hamiltonian",
     "full_chain_basis",
     "full_chain_number_operator",
@@ -193,16 +192,6 @@ def build_effective_chain_hamiltonian(cfg: NetworkConfig) -> Operator:
         hop = _chain_qubit_operator({site: qla.RAISING, site + 1: qla.LOWERING}, n)
         h += lam * (hop + hop.conj().T)
     return Operator(h, (2,) * n)
-
-
-def build_network_hamiltonian(cfg: NetworkConfig) -> Operator:
-    """Two uncoupled chains, chain-blocked qubit order (1,2,3 | 1',2',3')."""
-    if cfg.num_chains != 2:
-        raise ValueError("network Hamiltonian is defined for num_chains = 2")
-    hc = build_effective_chain_hamiltonian(cfg)
-    eye = qla.identity(hc.dims)
-    h = np.kron(hc.matrix, eye.matrix) + np.kron(eye.matrix, hc.matrix)
-    return Operator(h, hc.dims + hc.dims)
 
 
 def full_chain_basis(cfg: NetworkConfig, excitation_cap: int) -> list[tuple[int, ...]]:

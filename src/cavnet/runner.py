@@ -347,6 +347,8 @@ def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig) -> Table:
     measures on every sample; ``fig4`` then reduces its concurrence series
     to peak events.  Scenarios are defined on two three-cavity chains: their
     columns name cavities 1..3 and 1'..3', so any other network is rejected.
+    Each sweep point runs with the spec's gamma and gamma units in place of
+    ``cfg.gamma`` and ``cfg.gamma_units``.
     """
     if (cfg.sites_per_chain, cfg.num_chains) != (3, 2):
         raise ValueError(

@@ -11,9 +11,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cavnet import dynamics, qla
+from cavnet import davies, dynamics, model, qla
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,3 +44,15 @@ def test_arguments_the_hooks_read():
     # (args[0] is the instance).
     assert list(inspect.signature(dynamics.evolve_factorized).parameters) == ["rho0", "chain_spec", "sample_times"]
     assert list(inspect.signature(qla.DensityMatrix.__init__).parameters) == ["self", "op"]
+    # The evolver hooks count samples with len(traj) and hash the raw bytes
+    # of traj.times_ns through memoryview, so it must be a C-contiguous
+    # float array.
+    cfg = model.NetworkConfig()
+    chain = davies.chain_generator(cfg)
+    times = dynamics.sample_grid(1.0, 3, chain.lambda_scale)
+    for evolve, kind in ((dynamics.evolve, "psi1_chain"), (dynamics.evolve_factorized, "psi_a")):
+        traj = evolve(model.build_initial_state(model.InitialStateSpec(kind), cfg), chain, times)
+        assert len(traj) == 3
+        assert isinstance(traj.times_ns, np.ndarray) and traj.times_ns.dtype == np.float64
+        assert traj.times_ns.flags.c_contiguous
+        assert bytes(memoryview(traj.times_ns)) == times.tobytes()

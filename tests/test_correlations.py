@@ -482,14 +482,6 @@ class TestDelta:
             assert abs(res.delta) < 1e-5
             assert abs(res.ssa_slack) < 1e-5
 
-    def test_orientation_flag_changes_result(self):
-        rng = np.random.default_rng(9)
-        psi = random_pure(rng, (2, 2, 2))
-        partner = corr.delta_fanchini(psi.density(), "partner").delta
-        reference = corr.delta_fanchini(psi.density(), "reference").delta
-        assert abs(partner) < 1e-5
-        assert abs(reference) > 1e-3
-
     def test_wrong_register_rejected(self):
         with pytest.raises(ValueError):
             corr.delta_fanchini(bell_phi_plus())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from cavnet import davies, model, qla
 
 from conftest import downward_terms, random_density, random_hermitian, unit_lambda_config
@@ -104,7 +105,7 @@ class TestChannelConstruction:
             model.build_effective_chain_hamiltonian(default_cfg), default_cfg
         )
         network = davies.build_davies_channels(
-            model.build_network_hamiltonian(default_cfg), default_cfg
+            oracles.build_network_hamiltonian(default_cfg), default_cfg
         )
         assert len(network) == 2 * len(chain)
         eye = np.eye(8)
@@ -122,7 +123,7 @@ class TestChannelConstruction:
         if build == "chain":
             h = model.build_effective_chain_hamiltonian(default_cfg)
         else:
-            h = model.build_network_hamiltonian(default_cfg)
+            h = oracles.build_network_hamiltonian(default_cfg)
         w = np.linalg.eigvalsh(h.matrix)
         atol = davies.DEGENERACY_RTOL * (w[-1] - w[0])
         nsites = len(h.dims)

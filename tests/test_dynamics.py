@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy import sparse
 
+import oracles
 from cavnet import davies, dynamics, model, qla
 
 from conftest import exact_unitary_state, random_density
@@ -83,14 +83,12 @@ class TestFactorizedPath:
 
     def test_agrees_with_direct_network_evolution(self, default_cfg):
         gen = davies.chain_generator(default_cfg)
-        net = davies.network_generator(default_cfg)
+        net = oracles.network_generator(default_cfg)
         rho0 = model.build_initial_state(model.InitialStateSpec("psi_b", math.pi / 4), default_cfg)
         times = chain_times(default_cfg, 3.0, 7)
         fact = dynamics.evolve_factorized(rho0, gen, times)
-        direct = dynamics.evolve(rho0, net, times)
-        dev = max(
-            np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(fact.states, direct.states)
-        )
+        direct = oracles.direct_evolve(rho0, net, times)
+        dev = max(np.max(np.abs(a.matrix - b)) for a, b in zip(fact.states, direct))
         assert dev < 1e-8
 
     def test_rejects_mismatched_dimensions(self, default_cfg):
@@ -98,7 +96,7 @@ class TestFactorizedPath:
         rho0 = qla.density(np.eye(4) / 4, (2, 2))
         with pytest.raises(ValueError):
             dynamics.evolve_factorized(rho0, gen, [0.0, 0.01])
-        net = davies.network_generator(default_cfg)
+        net = oracles.network_generator(default_cfg)
         rho64 = model.build_initial_state(model.InitialStateSpec("psi_a", 0.5), default_cfg)
         with pytest.raises(ValueError, match="dimension"):
             dynamics.evolve_factorized(rho64, net, [0.0, 0.01])
@@ -108,7 +106,7 @@ class TestFactorizedPath:
         rho0 = model.build_initial_state(model.InitialStateSpec("psi_b", math.pi / 3), default_cfg)
         times = chain_times(default_cfg, 6.0, 25)
         traj = dynamics.evolve_factorized(rho0, gen, times)
-        liouvillian = dynamics._liouvillian(gen).toarray()
+        liouvillian = dynamics._liouvillian(gen)
         r = rho0.matrix.reshape(8, 8, 8, 8)  # rows (i, k), cols (j, l)
         for t, state in zip(times, traj.states):
             phi = scipy.linalg.expm(liouvillian * t).reshape(8, 8, 8, 8)  # E_ij -> E_ab
@@ -117,7 +115,7 @@ class TestFactorizedPath:
             assert np.max(np.abs(state.matrix - full)) < 1e-12
 
     @pytest.mark.parametrize("factorized", [True, False])
-    def test_nonuniform_grid_matches_uniform_samples(self, default_cfg, factorized):
+    def test_rejects_nonuniform_grid(self, default_cfg, factorized):
         gen = davies.chain_generator(default_cfg)
         if factorized:
             rho0 = model.build_initial_state(model.InitialStateSpec("psi_a", 0.5), default_cfg)
@@ -126,18 +124,39 @@ class TestFactorizedPath:
             rho0 = qla.ket("EGG").density()
             run = dynamics.evolve
         uniform = chain_times(default_cfg, 4.0, 13)
-        picked = [0, 1, 2, 5, 6, 12]
-        full = run(rho0, gen, uniform)
-        sparse_grid = run(rho0, gen, uniform[picked])
-        for k, state in zip(picked, sparse_grid.states):
-            assert np.max(np.abs(state.matrix - full.states[k].matrix)) < 1e-12
+        run(rho0, gen, uniform)
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            run(rho0, gen, uniform[[0, 1, 2, 5, 6, 12]])
+
+
+class TestDirectOracle:
+    @pytest.mark.parametrize("gamma", [0.01, 0.5])
+    @pytest.mark.parametrize("kind", ["psi1_chain", "psi2_chain"])
+    def test_chain_evolution_matches_direct_action(self, kind, gamma):
+        # The fig9 grid: 800 samples over 12 lambda*t.
+        cfg = model.NetworkConfig(gamma=gamma)
+        gen = davies.chain_generator(cfg)
+        rho0 = model.build_initial_state(model.InitialStateSpec(kind), cfg)
+        times = chain_times(cfg, 12.0, 800)
+        traj = dynamics.evolve(rho0, gen, times)
+        direct = oracles.direct_evolve(rho0, gen, times)
+        dev = max(np.max(np.abs(a.matrix - b)) for a, b in zip(traj.states, direct))
+        assert dev < 1e-12
 
 
 class TestLiouvillian:
-    @pytest.mark.parametrize("build", ["chain_generator", "local_chain_generator", "network_generator"])
-    def test_matches_lindblad_rhs(self, build):
-        spec = getattr(davies, build)(model.NetworkConfig(gamma=0.05))
-        liouvillian = dynamics._liouvillian(spec)
+    @pytest.mark.parametrize(
+        "build, liouvillian_of",
+        [
+            (davies.chain_generator, dynamics._liouvillian),
+            (davies.local_chain_generator, dynamics._liouvillian),
+            (oracles.network_generator, oracles.sparse_liouvillian),
+        ],
+        ids=["chain_generator", "local_chain_generator", "network_generator"],
+    )
+    def test_matches_lindblad_rhs(self, build, liouvillian_of):
+        spec = build(model.NetworkConfig(gamma=0.05))
+        liouvillian = liouvillian_of(spec)
         rng = np.random.default_rng(11)
         for _ in range(5):
             rho = random_density(rng, spec.hamiltonian.dims)
@@ -234,7 +253,7 @@ class TestTraceGuard:
         # exp(2 c t) on two chains: at least 1e-4 off at the last sample here.
         liouvillian = dynamics._liouvillian
         monkeypatch.setattr(
-            dynamics, "_liouvillian", lambda spec: liouvillian(spec) + 1e-3 * sparse.identity(spec.dim**2, format="csr")
+            dynamics, "_liouvillian", lambda spec: liouvillian(spec) + 1e-3 * np.eye(spec.dim**2)
         )
         gen = davies.chain_generator(default_cfg)
         rho0 = model.build_initial_state(model.InitialStateSpec(kind), default_cfg)

