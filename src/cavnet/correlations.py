@@ -15,13 +15,15 @@ exact-zero test, ``_is_x_form``.
 The discord optimization uses projective measurements only.  X-form
 states, whose entries off the diagonal and anti-diagonal vanish, need only
 the polar angle of the measurement: a short grid over it plus a bounded
-1-D Nelder-Mead refinement (Ali, Rau & Alber, PRA 81, 042105 (2010),
-searched explicitly rather than trusting their closed form).  Every other
-state takes a coarse grid over the measurement Bloch sphere followed by a
-2-D Nelder-Mead refinement.  The grid's directions are fixed: 128 azimuths
-on the first 32 of 64 polar rows over [0, pi], since the direction
-(pi - theta, phi + pi) gives the same projector pair as (theta, phi).  The
-outer products conj(v_b) v_d of their kets are built once, on first use;
+1-D refinement (Ali, Rau & Alber, PRA 81, 042105 (2010), searched
+explicitly rather than trusting their closed form).  Every other state
+takes a coarse grid over the measurement Bloch sphere followed by a 2-D
+refinement.  Both refinements run ``minimize``, an in-house Nelder-Mead
+simplex on plain float tuples (Lagarias et al., SIAM J. Optim. 9, 112
+(1998)).  The grid's directions are fixed: 128 azimuths on the first 32
+of 64 polar rows over [0, pi], since the direction (pi - theta, phi + pi)
+gives the same projector pair as (theta, phi).  The outer products
+conj(v_b) v_d of their kets are built once, on first use;
 the unnormalized A blocks of all directions are then one (4096, 4) @ (4, 4)
 product with the state regrouped to ((b, d), (a, c)), and each orthogonal
 outcome's block is Tr_B rho minus the first, since the two projectors sum
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import qla
 from .model import cavity_label_to_qubit
@@ -142,6 +143,72 @@ class TangleBounds(NamedTuple):
 class DeltaResult(NamedTuple):
     delta: float
     ssa_slack: float
+
+
+class MinimizeResult(NamedTuple):
+    x: tuple[float, ...]
+    fun: float
+    nfev: int
+
+
+def _start_simplex(x0: tuple[float, ...]) -> list[tuple[float, ...]]:
+    """``x0`` plus one vertex per coordinate, scaled by 1.05 or set to 0.00025 where zero."""
+    simplex = [x0]
+    for k, v in enumerate(x0):
+        simplex.append(x0[:k] + (1.05 * v if v != 0 else 0.00025,) + x0[k + 1 :])
+    return simplex
+
+
+def minimize(fun, simplex, *, xatol: float, fatol: float, maxiter: int, bounds=None) -> MinimizeResult:
+    """Nelder-Mead minimization of ``fun`` over float tuples from the given start simplex.
+
+    Reflection, expansion, contraction and shrink coefficients are 1, 2,
+    1/2 and 1/2; ``bounds``, one (low, high) pair per coordinate, clip every
+    vertex and trial point.  The vertices stay stably sorted by value.  The
+    search stops once every vertex lies within ``xatol`` of the best in each
+    coordinate and within ``fatol`` of it in value, or after ``maxiter``
+    iterations.
+    """
+    nfev = 0
+
+    def clip(x):
+        return x if bounds is None else tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(x, bounds))
+
+    def vertex(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(x), x
+
+    verts = sorted((vertex(clip(tuple(x))) for x in simplex), key=lambda vert: vert[0])
+    n = len(verts) - 1
+    for _ in range(maxiter - 1):
+        f0, x0 = verts[0]
+        if (
+            max(abs(a - b) for _, x in verts[1:] for a, b in zip(x, x0)) <= xatol
+            and max(abs(f0 - f) for f, _ in verts[1:]) <= fatol
+        ):
+            break
+        xbar = [sum(c) / n for c in zip(*(x for _, x in verts[:-1]))]
+        f_worst, worst = verts[-1]
+        fr, xr = vertex(clip(tuple(2 * b - w for b, w in zip(xbar, worst))))
+        if fr < f0:
+            expanded = vertex(clip(tuple(3 * b - 2 * w for b, w in zip(xbar, worst))))
+            verts[-1] = expanded if expanded[0] < fr else (fr, xr)
+        elif fr < verts[-2][0]:
+            verts[-1] = fr, xr
+        else:
+            if fr < f_worst:
+                trial = vertex(clip(tuple(1.5 * b - 0.5 * w for b, w in zip(xbar, worst))))
+                accept = trial[0] <= fr
+            else:
+                trial = vertex(clip(tuple(0.5 * b + 0.5 * w for b, w in zip(xbar, worst))))
+                accept = trial[0] < f_worst
+            if accept:
+                verts[-1] = trial
+            else:
+                verts[1:] = [vertex(clip(tuple(a + 0.5 * (b - a) for a, b in zip(x0, x)))) for _, x in verts[1:]]
+        verts.sort(key=lambda vert: vert[0])
+    return MinimizeResult(verts[0][1], verts[0][0], nfev)
 
 
 def _as_density(state: DensityMatrix | PureState) -> DensityMatrix:
@@ -360,16 +427,17 @@ def _x_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
     # the simplex never collapses onto a bound: an endpoint that is a local
     # maximum still lets the search walk into the dip beside it.
     res = minimize(
-        lambda x: entropy(float(x[0])),
-        [polar],
-        method="Nelder-Mead",
+        lambda x: entropy(x[0]),
+        [(polar,), (polar + step / 2.0,)],
         bounds=[(polar - step, polar + step)],
-        options={"initial_simplex": [[polar], [polar + step / 2.0]], "xatol": 1e-6, "fatol": 1e-12},
+        xatol=1e-6,
+        fatol=1e-12,
+        maxiter=200,
     )
     if res.fun < value:
         # A polar angle past pi/2 is still a valid one; a negative one
         # measures the mirrored direction, which attains the same value.
-        value, polar = float(res.fun), abs(float(res.x[0]))
+        value, polar = res.fun, abs(res.x[0])
     # Azimuths phi and phi + pi reach the same singular value.
     azimuth = 0.5 * (cmath.phase(r12) - cmath.phase(r03))
     if azimuth < 0.0:
@@ -412,14 +480,9 @@ def _general_conditional_entropy(rho_ab: DensityMatrix) -> tuple[float, Measurem
     angles, outer = _direction_grid()
     values = _conditional_entropy_outer(r, outer)
     best = int(np.argmin(values))
-    x0 = angles[best]
-    res = minimize(
-        _simplex_objective(r),
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 400},
-    )
-    value = min(float(values[best]), float(res.fun))
+    x0 = tuple(angles[best].tolist())
+    res = minimize(_simplex_objective(r), _start_simplex(x0), xatol=1e-6, fatol=1e-10, maxiter=400)
+    value = min(float(values[best]), res.fun)
     x = res.x if res.fun <= values[best] else x0
     polar_opt = _wrap_angle(x[0])
     azimuth_opt = _wrap_angle(x[1])

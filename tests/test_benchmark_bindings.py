@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavnet import davies, dynamics, model, qla
+from cavnet import correlations, davies, dynamics, model, qla
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,7 +39,7 @@ def test_class_span_binding_in_class_dict(name, module, cls, attr):
     assert attr in vars(getattr(importlib.import_module(module), cls))
 
 
-def test_arguments_the_hooks_read():
+def test_arguments_the_hooks_read(monkeypatch):
     # The generator is args[1] or chain_spec; the operator is args[1] or op
     # (args[0] is the instance).
     assert list(inspect.signature(dynamics.evolve_factorized).parameters) == ["rho0", "chain_spec", "sample_times"]
@@ -56,3 +56,21 @@ def test_arguments_the_hooks_read():
         assert isinstance(traj.times_ns, np.ndarray) and traj.times_ns.dtype == np.float64
         assert traj.times_ns.flags.c_contiguous
         assert bytes(memoryview(traj.times_ns)) == times.tobytes()
+    # The minimize hook adds int(res.nfev) for every call, on both discord
+    # paths.
+    results = []
+    minimize = correlations.minimize
+
+    def spy(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(correlations, "minimize", spy)
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    general = g @ g.conj().T
+    x_form = np.where(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1], general, 0.0)
+    for m in (x_form, general):
+        correlations.quantum_discord(qla.density(m / np.trace(m).real, (2, 2)))
+    assert len(results) == 2
+    assert all(type(res.nfev) is int and res.nfev > 0 for res in results)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
+from scipy.optimize import minimize as scipy_minimize
 
+import oracles
 from cavnet import correlations as corr
 from cavnet import model, qla
 
@@ -374,12 +375,113 @@ class TestConditionalEntropyKernel:
     def test_tiny_negative_azimuth_from_simplex(self, monkeypatch):
         # A plain modulo maps azimuth -1e-17 to exactly 2*pi, which
         # MeasurementBasis rejects.
-        fake = OptimizeResult(x=np.array([1.0, -1e-17]), fun=-1.0)
+        fake = corr.MinimizeResult(x=(1.0, -1e-17), fun=-1.0, nfev=1)
         monkeypatch.setattr(corr, "minimize", lambda *args, **kwargs: fake)
         rho = random_density(np.random.default_rng(3), (2, 2))
         value, basis = corr._general_conditional_entropy(rho)
         assert value == -1.0
         assert (basis.polar, basis.azimuth) == (1.0, 0.0)
+
+
+# The four Bell states as (c1, c2, c3): the vertices of the tetrahedron of
+# valid Bell-diagonal correlations.
+BELL_VERTICES = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float)
+ORACLE_ATOL = 1e-10
+
+
+def locally_rotated(rng, rho):
+    """``rho`` under a Haar-random local unitary U_A (x) U_B."""
+    u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+    return qla.density(u @ rho.matrix @ u.conj().T, (2, 2))
+
+
+class TestDiscordOracles:
+    """Discord against answers that owe nothing to the production search.
+
+    Discord measured on either side, concurrence and mutual information are
+    all invariant under local unitaries, so a rotated state keeps the value
+    of the state it came from while leaving the X form.
+    """
+
+    @staticmethod
+    def assert_invariants(rho, rotated):
+        assert not corr._is_x_form(rotated.matrix)
+        assert abs(corr.concurrence(rotated) - corr.concurrence(rho)) < ORACLE_ATOL
+        assert abs(corr.mutual_information(rotated) - corr.mutual_information(rho)) < ORACLE_ATOL
+
+    def test_bell_diagonal_closed_form(self):
+        rng = np.random.default_rng(42303)
+        worst = 0.0
+        for k in range(400):
+            c = rng.dirichlet(np.ones(4)) @ BELL_VERTICES
+            rho = oracles.bell_diagonal_state(c)
+            rotated = locally_rotated(rng, rho)
+            self.assert_invariants(rho, rotated)
+            # Unrotated, the state is X-form and takes the polar search.
+            assert corr._is_x_form(rho.matrix)
+            want = oracles.luo_discord(c)
+            for state in (rho, rotated):
+                worst = max(worst, abs(corr.quantum_discord(state, "AB"[k % 2]) - want))
+        assert worst < ORACLE_ATOL
+
+    def test_rotated_x_states_match_x_path(self):
+        rng = np.random.default_rng(42105)
+        worst = 0.0
+        for k in range(400):
+            rho = random_x_state(rng)
+            rotated = locally_rotated(rng, rho)
+            self.assert_invariants(rho, rotated)
+            side = "AB"[k % 2]
+            worst = max(worst, abs(corr.quantum_discord(rotated, side) - corr.quantum_discord(rho, side)))
+        assert worst < ORACLE_ATOL
+
+    def test_dense_reference(self):
+        # The 472nd state of default_rng(2024), measured on A, is where a
+        # start-dependent simplex once stopped 4.6e-6 short of the minimum.
+        rng = np.random.default_rng(2024)
+        cases = [([random_density(rng, (2, 2)) for _ in range(472)][-1], "A")]
+        rng = np.random.default_rng(181361)
+        cases += [(random_density(rng, (2, 2)), "AB"[k % 2]) for k in range(49)]
+        worst = max(abs(corr.quantum_discord(rho, side) - oracles.dense_discord(rho, side)) for rho, side in cases)
+        assert worst < ORACLE_ATOL
+
+
+class TestSimplexPort:
+    """``minimize`` reproduces scipy's Nelder-Mead in both production call shapes.
+
+    Every call the discord search makes is replayed through
+    ``scipy.optimize.minimize``: the bounded 1-D call with its own simplex,
+    and the unbounded 2-D call, which must start from scipy's default
+    simplex around its first vertex.
+    """
+
+    @pytest.mark.parametrize("path", ["x", "general"])
+    def test_matches_scipy_nelder_mead(self, monkeypatch, path):
+        calls = []
+        ours = corr.minimize
+
+        def spy(fun, simplex, **options):
+            calls.append((fun, simplex, options, ours(fun, simplex, **options)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(corr, "minimize", spy)
+        rng = np.random.default_rng(1998)
+        for _ in range(200):
+            if path == "x":
+                corr._x_conditional_entropy(random_x_state(rng).matrix)
+            else:
+                corr._general_conditional_entropy(random_density(rng, (2, 2)))
+        assert len(calls) == 200
+        for fun, simplex, options, res in calls:
+            options = dict(options)
+            bounds = options.pop("bounds", None)
+            assert (bounds is None) == (path == "general")
+            if bounds is not None:
+                options["initial_simplex"] = simplex
+            want = scipy_minimize(fun, simplex[0], method="Nelder-Mead", bounds=bounds, options=options)
+            assert res.x == tuple(want.x.tolist())
+            assert res.fun == want.fun
+            assert res.nfev == want.nfev
 
 
 class TestOneTangle:

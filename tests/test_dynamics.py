@@ -164,6 +164,34 @@ class TestLiouvillian:
             assert np.max(np.abs(liouvillian @ rho.matrix.reshape(-1) - expected)) < 1e-12
 
 
+class TestPadeExponential:
+    """``dynamics._expm`` against ``scipy.linalg.expm``."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.01, 0.5, 5.0])
+    @pytest.mark.parametrize(
+        "t_max_lambda, samples",
+        [(12.0, 800), (4.0, 801), (20.0, 800), (20.0, 2)],
+        ids=["fig9", "transmission", "fig2", "two-samples"],
+    )
+    def test_chain_steps(self, gamma, t_max_lambda, samples):
+        cfg = model.NetworkConfig(gamma=gamma)
+        a = dynamics._liouvillian(davies.chain_generator(cfg)) * chain_times(cfg, t_max_lambda, samples)[1]
+        if samples == 2:
+            # One step over 20 lambda*t is long enough that squaring runs.
+            assert np.abs(a).sum(axis=0).max() > dynamics._THETA_13
+        assert np.max(np.abs(dynamics._expm(a) - scipy.linalg.expm(a))) < 1e-13
+
+    @pytest.mark.parametrize("norm", [t for t, _ in dynamics._PADE] + [dynamics._THETA_13, 40.0])
+    def test_every_degree(self, norm):
+        # Just inside each degree's theta, so each Pade branch and the
+        # squaring one run once.
+        rng = np.random.default_rng(int(norm * 1000))
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        a *= 0.99 * norm / np.abs(a).sum(axis=0).max()
+        ref = scipy.linalg.expm(a)
+        assert np.max(np.abs(dynamics._expm(a) - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
 class TestScalarSeries:
     def test_trace_series_is_one(self, default_cfg):
         gen = davies.chain_generator(default_cfg)

@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,3 +404,24 @@ class TestConfigAndCli:
         assert len(lines) == 2
         ratio = float(lines[1].split(",")[5])
         assert ratio == pytest.approx(0.7494, abs=5e-3)
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only run-time dependency: importing cavnet, propagating
+    # (fig5, fig9) and both discord paths must load no scipy module.
+    code = """
+import sys
+import numpy as np
+import cavnet
+from cavnet import correlations, model, qla, runner
+for name in ("fig5", "fig9"):
+    runner.run_scenario(runner.ScenarioSpec.named(name, samples=5), model.NetworkConfig())
+g = np.random.default_rng(0).normal(size=(4, 4)) + 1j * np.random.default_rng(1).normal(size=(4, 4))
+m = g @ g.conj().T
+correlations.quantum_discord(qla.density(m / np.trace(m).real, (2, 2)))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=300)
+    assert out.stdout.strip() == "[]"
