@@ -26,7 +26,6 @@ from .model import (
     effective_coupling,
     map_interleaved_index,
     interleaved_label,
-    werner_state,
 )
 from .davies import (
     DaviesChannel,
@@ -51,7 +50,6 @@ from .correlations import (
     classical_correlation,
     concurrence,
     delta_fanchini,
-    entanglement_sum,
     eof_from_concurrence,
     monogamy_residual,
     mutual_information,

@@ -5,6 +5,11 @@ information, classical correlation, quantum discord) act on two-qubit
 reductions; the multipartite measures (one-tangles, tangle with its
 mixed-state bounds, monogamy residual) act on the full register.
 
+The pairwise measures read the 4x4 matrix directly and build no one-qubit
+reduction: the entropy of either qubit's marginal [[a, b], [b*, d]] comes
+from its closed-form eigenvalues (a + d)/2 +- hypot((a - d)/2, |b|), taken
+straight from the 4x4 entries, and only joint entropies call ``eigvalsh``.
+
 The concurrence of an X-form state (defined below) is Wootters' formula in
 closed form (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)); any other
 state takes the general route through the singular values of
@@ -59,7 +64,6 @@ __all__ = [
     "tangle_pure",
     "tangle_bounds",
     "monogamy_residual",
-    "entanglement_sum",
     "delta_fanchini",
     "pair_state",
 ]
@@ -227,12 +231,14 @@ def pair_state(rho: DensityMatrix, pair: PairSelector) -> DensityMatrix:
     if max(pair.first, pair.second) >= len(rho.dims):
         raise ValueError(f"pair {pair} out of range for dims {rho.dims}")
     reduced = qla.partial_trace(rho, [pair.first, pair.second])
-    return reduced if pair.first < pair.second else _swap_qubits(reduced)
+    if pair.first < pair.second:
+        return reduced
+    return DensityMatrix(Operator(_swap_qubits(reduced.matrix), (2, 2)))
 
 
-def _swap_qubits(rho_ab: DensityMatrix) -> DensityMatrix:
-    m = rho_ab.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    return DensityMatrix(Operator(m, (2, 2)))
+def _swap_qubits(m: np.ndarray) -> np.ndarray:
+    """A 4x4 two-qubit matrix with its qubits exchanged."""
+    return m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
 
 
 def _is_x_form(m: np.ndarray) -> bool:
@@ -293,12 +299,39 @@ def eof_from_concurrence(c: float) -> float:
     return _binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
 
 
+def _marginal_entropy(m: np.ndarray, side: int) -> float:
+    """Base-2 entropy of qubit ``side`` (0 = A, 1 = B) of a 4x4 two-qubit matrix.
+
+    The marginal [[a, b], [b*, d]] is read off the entries of ``m``, with b
+    averaged over its two mirrored sums as ``qla.partial_trace`` does, and
+    has the eigenvalues (a + d)/2 -+ hypot((a - d)/2, |b|).  The floor and
+    the negativity limit are those of ``qla.von_neumann_entropy``.
+    """
+    e = m.ravel().tolist()
+    if side == 0:
+        a, d, b, b_mirror = e[0] + e[5], e[10] + e[15], e[2] + e[7], e[8] + e[13]
+    else:
+        a, d, b, b_mirror = e[0] + e[10], e[5] + e[15], e[1] + e[11], e[4] + e[14]
+    mean = 0.5 * (a.real + d.real)
+    split = math.hypot(0.5 * (a.real - d.real), 0.5 * abs(b + b_mirror.conjugate()))
+    low = mean - split
+    if low < qla.ENTROPY_NEGATIVE_LIMIT:
+        raise ValueError(f"eigenvalue {low:.3e} too negative for entropy")
+    total = 0.0
+    for w in (low, mean + split):
+        if w > qla.ENTROPY_EIGENVALUE_FLOOR:
+            total -= w * math.log2(w)
+    return total
+
+
 def mutual_information(rho_ab: DensityMatrix) -> float:
     """S(A) + S(B) - S(AB) in bits for a bipartite state."""
     if len(rho_ab.dims) != 2:
         raise ValueError("mutual information needs a bipartite split")
-    s_a = qla.von_neumann_entropy(qla.partial_trace(rho_ab, [0]))
-    s_b = qla.von_neumann_entropy(qla.partial_trace(rho_ab, [1]))
+    if rho_ab.dims == (2, 2):
+        s_a, s_b = _marginal_entropy(rho_ab.matrix, 0), _marginal_entropy(rho_ab.matrix, 1)
+    else:
+        s_a, s_b = (qla.von_neumann_entropy(qla.partial_trace(rho_ab, [k])) for k in (0, 1))
     s_ab = qla.von_neumann_entropy(rho_ab)
     return s_a + s_b - s_ab
 
@@ -376,15 +409,14 @@ def _simplex_objective(r: np.ndarray):
     return entropy
 
 
-def _minimize_conditional_entropy(rho_ab: DensityMatrix) -> tuple[float, MeasurementBasis]:
-    """Minimal conditional entropy of A over projective B measurements.
+def _minimize_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
+    """Minimal conditional entropy of A over projective B measurements of a 4x4 matrix.
 
     X-form states take the exact polar search, all others the general one.
     """
-    m = rho_ab.matrix
     if _is_x_form(m):
         return _x_conditional_entropy(m)
-    return _general_conditional_entropy(rho_ab)
+    return _general_conditional_entropy(m)
 
 
 def _xlog2x(x: float) -> float:
@@ -474,9 +506,9 @@ def _wrap_angle(angle: float) -> float:
     return wrapped if wrapped < 2.0 * math.pi else 0.0
 
 
-def _general_conditional_entropy(rho_ab: DensityMatrix) -> tuple[float, MeasurementBasis]:
-    """Grid scan plus simplex refinement over projective B measurements."""
-    r = rho_ab.matrix.reshape(2, 2, 2, 2)
+def _general_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
+    """Grid scan plus simplex refinement over projective B measurements of a 4x4 matrix."""
+    r = m.reshape(2, 2, 2, 2)
     angles, outer = _direction_grid()
     values = _conditional_entropy_outer(r, outer)
     best = int(np.argmin(values))
@@ -503,10 +535,9 @@ def classical_correlation(
     _require_two_qubits(rho_ab)
     if measured not in ("A", "B"):
         raise ValueError("measured side must be 'A' or 'B'")
-    work = rho_ab if measured == "B" else _swap_qubits(rho_ab)
-    s_unmeasured = qla.von_neumann_entropy(qla.partial_trace(work, [0]))
+    work = rho_ab.matrix if measured == "B" else _swap_qubits(rho_ab.matrix)
     cond, basis = _minimize_conditional_entropy(work)
-    return s_unmeasured - cond, basis
+    return _marginal_entropy(work, 0) - cond, basis
 
 
 def _classical_and_discord(rho_ab: DensityMatrix, measured: str) -> tuple[float, float]:
@@ -595,13 +626,6 @@ def monogamy_residual(state: PureState | DensityMatrix, ref_site: int) -> float:
     return residual
 
 
-def entanglement_sum(state: PureState | DensityMatrix) -> float:
-    """Sum of squared pairwise concurrences from the first cavity."""
-    rho = _require_pure(_as_density(state), "entanglement sum")
-    partners = range(1, len(rho.dims))
-    return _pairwise_csq(rho, 0, partners)
-
-
 def delta_fanchini(rho_123: DensityMatrix) -> DeltaResult:
     """Entanglement-vs-discord balance of a three-qubit state.
 
@@ -612,13 +636,11 @@ def delta_fanchini(rho_123: DensityMatrix) -> DeltaResult:
     """
     if rho_123.dims != (2, 2, 2):
         raise ValueError(f"expected a three-qubit state, got dims {rho_123.dims}")
+    pairs = [pair_state(rho_123, PairSelector(0, partner)) for partner in (1, 2)]
     delta = 0.0
-    for partner in (1, 2):
-        pair = pair_state(rho_123, PairSelector(0, partner))
+    for pair in pairs:
         delta += eof_from_concurrence(concurrence(pair))
         delta -= quantum_discord(pair)
-    s_2 = qla.von_neumann_entropy(qla.partial_trace(rho_123, [1]))
-    s_3 = qla.von_neumann_entropy(qla.partial_trace(rho_123, [2]))
-    s_12 = qla.von_neumann_entropy(qla.partial_trace(rho_123, [0, 1]))
-    s_13 = qla.von_neumann_entropy(qla.partial_trace(rho_123, [0, 2]))
+    s_12, s_13 = (qla.von_neumann_entropy(pair) for pair in pairs)
+    s_2, s_3 = (_marginal_entropy(pair.matrix, 1) for pair in pairs)
     return DeltaResult(delta, s_12 + s_13 - s_2 - s_3 - delta)

@@ -36,7 +36,6 @@ __all__ = [
     "map_interleaved_index",
     "interleaved_label",
     "cavity_label_to_qubit",
-    "werner_state",
 ]
 
 SPEED_OF_LIGHT_M_PER_NS = 0.299792458
@@ -373,12 +372,3 @@ def build_initial_state(spec: InitialStateSpec, cfg: NetworkConfig) -> DensityMa
         return spec.custom
     raise ValueError(f"unknown initial state kind {spec.kind!r}")
 
-
-def werner_state(p: float) -> DensityMatrix:
-    """Two-qubit Werner family p*|Phi+><Phi+| + (1-p)*I/4."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("mixing parameter must lie in [0, 1]")
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
-    rho = p * np.outer(bell, bell.conj()) + (1.0 - p) * np.eye(4) / 4.0
-    return DensityMatrix(Operator(rho, (2, 2)))

@@ -11,7 +11,9 @@ whether built by hand, reduced or propagated, is validated against the same
 ``HERMITICITY_ATOL``, ``TRACE_ATOL`` and ``PSD_ATOL`` thresholds.  Positivity
 is tested by a Cholesky factorization of the Hermitian part shifted by
 ``PSD_ATOL``, which exists exactly when the least eigenvalue exceeds
-``-PSD_ATOL``; the spectrum is computed only to report a rejection.
+``-PSD_ATOL``; the spectrum is computed only to report a rejection.  A
+partial trace is one gather of the flattened matrix at index arrays cached
+per (dims, keep), followed by one sum over the traced digits.
 
 Conventions
 -----------
@@ -21,6 +23,7 @@ row-major: the first-listed subsystem is the most significant index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,7 +141,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = self.op.matrix
-        herm = float(np.max(np.abs(m - m.conj().T)))
+        m_dag = m.conj().T
+        herm = float(np.max(np.abs(m - m_dag)))
         # Written so that a NaN, which a Cholesky factorization passes
         # through silently, fails here.
         if not herm <= HERMITICITY_ATOL:
@@ -146,12 +150,12 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace deviates from one: tr = {tr}")
-        shifted = (m + m.conj().T) / 2.0
+        shifted = (m + m_dag) / 2.0
         shifted.flat[:: m.shape[0] + 1] += PSD_ATOL
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
+            wmin = float(np.linalg.eigvalsh((m + m_dag) / 2.0).min())
             raise ValueError(f"not positive semidefinite: min eigenvalue = {wmin:.3e}") from None
 
     @property
@@ -213,13 +217,16 @@ def density(matrix, dims=None) -> DensityMatrix:
     return DensityMatrix(operator(matrix, dims))
 
 
-def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
-    """Raw partial trace over the complement of ``keep``; subsystem order kept.
+@functools.cache
+def _trace_gather(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of the (traced digit, kept row, kept column) entries of a ``dims`` matrix.
 
-    One transpose groups the axes as (keep, rest, keep', rest'); the traced
-    block is then a single contraction over the two ``rest`` groups.
+    Entry (r, i, j) is the position, in the row-major flattened matrix, of
+    the element whose row has kept digits i and traced digits r and whose
+    column has kept digits j and the same r; summing over r traces out the
+    complement of ``keep``.
     """
-    dims = list(dims)
+    dims = [int(d) for d in dims]
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if not keep:
@@ -227,11 +234,29 @@ def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"subsystem index out of range: keep={keep}, n={n}")
     rest = [i for i in range(n) if i not in keep]
+    size = math.prod(dims)
     dk = math.prod(dims[i] for i in keep)
-    dr = math.prod(dims[i] for i in rest)
+    # The flat index of every entry, its axes grouped as (keep, rest, keep',
+    # rest'); the diagonal over the two rest groups is the gather.
     order = keep + rest
-    t = np.asarray(mat).reshape(dims + dims).transpose(order + [n + i for i in order])
-    return np.einsum("arbr->ab", t.reshape(dk, dr, dk, dr))
+    flat = np.arange(size * size).reshape(dims + dims).transpose(order + [n + i for i in order])
+    flat = np.einsum("arbr->rab", flat.reshape(dk, size // dk, dk, size // dk)).copy()
+    flat.setflags(write=False)
+    return flat
+
+
+def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
+    """Raw partial trace over the complement of ``keep``; subsystem order kept.
+
+    One gather of the flattened matrix at indices cached per (dims, keep)
+    and one sum over the traced digits.
+    """
+    flat = _trace_gather(tuple(dims), tuple(keep))
+    mat = np.asarray(mat)
+    size = flat.shape[0] * flat.shape[1]
+    if mat.shape != (size, size):
+        raise ValueError(f"matrix shape {mat.shape} does not fit dims {tuple(dims)}")
+    return mat.reshape(-1)[flat].sum(axis=0)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

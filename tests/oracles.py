@@ -11,6 +11,12 @@ neither its propagator nor its regrouping.
 The discord references are Luo's closed form for Bell-diagonal states and
 a dense search over projective measurements that shares nothing with the
 production grid, objective or simplex.
+
+The remaining references are the forms production code used before it
+read two-qubit marginals and partial traces more directly: a transpose and
+``einsum`` partial trace, and the strong-subadditivity slack of
+``delta_fanchini`` from four partial traces.  The Werner family and the
+entanglement sum are fixtures that only tests use.
 """
 
 import math
@@ -20,7 +26,7 @@ from scipy import sparse
 from scipy.optimize import minimize
 from scipy.sparse.linalg import expm_multiply
 
-from cavnet import davies, model, qla
+from cavnet import correlations, davies, model, qla
 
 # Eigenbasis round-off of about 1e-15 where a Davies jump vanishes; entries
 # this far below the largest one are dropped so that the 4096-dimensional
@@ -177,3 +183,55 @@ def dense_discord(rho: qla.DensityMatrix, measured: str = "B") -> float:
     conditional = min(float(grid[best]), float(res.fun))
     s_b = _entropy_bits(np.linalg.eigvalsh(np.einsum("abad->bd", r)))
     return s_b - _entropy_bits(np.linalg.eigvalsh(m)) + conditional
+
+
+def partial_trace_einsum(mat: np.ndarray, dims, keep) -> np.ndarray:
+    """Partial trace over the complement of ``keep``, by one transpose and one contraction.
+
+    The transpose groups the axes as (keep, rest, keep', rest'); the traced
+    block is then a single ``einsum`` over the two ``rest`` groups.
+    """
+    dims = list(dims)
+    n = len(dims)
+    keep = sorted(set(int(k) for k in keep))
+    if not keep:
+        raise ValueError("must keep at least one subsystem")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise ValueError(f"subsystem index out of range: keep={keep}, n={n}")
+    rest = [i for i in range(n) if i not in keep]
+    dk = math.prod(dims[i] for i in keep)
+    dr = math.prod(dims[i] for i in rest)
+    order = keep + rest
+    t = np.asarray(mat).reshape(dims + dims).transpose(order + [n + i for i in order])
+    return np.einsum("arbr->ab", t.reshape(dk, dr, dk, dr))
+
+
+def delta_four_traces(rho_123: qla.DensityMatrix) -> correlations.DeltaResult:
+    """``delta_fanchini`` with S_2, S_3, S_12 and S_13 each from its own partial trace."""
+    delta = 0.0
+    for partner in (1, 2):
+        pair = correlations.pair_state(rho_123, correlations.PairSelector(0, partner))
+        delta += correlations.eof_from_concurrence(correlations.concurrence(pair))
+        delta -= correlations.quantum_discord(pair)
+    s_2, s_3, s_12, s_13 = (
+        qla.von_neumann_entropy(qla.partial_trace(rho_123, keep)) for keep in ([1], [2], [0, 1], [0, 2])
+    )
+    return correlations.DeltaResult(delta, s_12 + s_13 - s_2 - s_3 - delta)
+
+
+def werner_state(p: float) -> qla.DensityMatrix:
+    """Two-qubit Werner family p*|Phi+><Phi+| + (1-p)*I/4."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("mixing parameter must lie in [0, 1]")
+    bell = np.zeros(4, dtype=complex)
+    bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
+    return qla.density(p * np.outer(bell, bell.conj()) + (1.0 - p) * np.eye(4) / 4.0, (2, 2))
+
+
+def entanglement_sum(state) -> float:
+    """Sum of the squared concurrences of the first qubit with each other one, for a pure state."""
+    rho = state.density() if isinstance(state, qla.PureState) else state
+    if qla.purity(rho) < 1.0 - 1e-8:
+        raise ValueError(f"entanglement sum requires a pure state, purity = {qla.purity(rho):.6g}")
+    pairs = (correlations.pair_state(rho, correlations.PairSelector(0, k)) for k in range(1, len(rho.dims)))
+    return sum(correlations.concurrence(pair) ** 2 for pair in pairs)

@@ -295,7 +295,7 @@ class TestCriterion7Oracles:
             return (2.0 - s_ab) - cc
 
         devs = [
-            abs(corr.quantum_discord(model.werner_state(p)) - closed_form(p))
+            abs(corr.quantum_discord(oracles.werner_state(p)) - closed_form(p))
             for p in (0.2, 0.5, 0.8)
         ]
         ok = max(devs) < 1e-6
@@ -385,7 +385,7 @@ class TestCriterion8PropertySuites:
             q = corr.quantum_discord(rho)
             assert q >= 0.0 and abs(q - (mi - cc)) < 1e-9
             p = float(rng.uniform())
-            w = model.werner_state(p)
+            w = oracles.werner_state(p)
             assert abs(corr.quantum_discord(w, "A") - corr.quantum_discord(w, "B")) < 1e-6
             mixed = random_density(rng, (2, 2, 2), rank=int(rng.integers(1, 9)))
             b = corr.tangle_bounds(mixed, int(rng.integers(0, 3)))
@@ -497,7 +497,7 @@ class TestSupplementaryClaims:
         for kind in ("psi_a", "psi_b"):
             traj = lossless_trajectories[(kind, round(math.pi / 4, 10))]
             mask = (traj.times_lambda > 0) & (traj.times_lambda <= TRANSFER)
-            values = [corr.entanglement_sum(s) for s, m in zip(traj.states, mask) if m]
+            values = [oracles.entanglement_sum(s) for s, m in zip(traj.states, mask) if m]
             averages[kind] = float(np.mean(values))
         assert averages["psi_a"] > averages["psi_b"] + 0.2
 

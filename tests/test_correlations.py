@@ -108,7 +108,7 @@ class TestConcurrence:
     def test_werner_family_closed_form(self):
         for p in (0.0, 1 / 3, 0.5, 0.9, 1.0):
             want = max(0.0, (3 * p - 1) / 2)
-            assert corr.concurrence(model.werner_state(p)) == pytest.approx(want, abs=1e-10)
+            assert corr.concurrence(oracles.werner_state(p)) == pytest.approx(want, abs=1e-10)
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -166,7 +166,7 @@ class TestXConcurrence:
 
     def test_werner_closed_form(self):
         for p in np.linspace(0.0, 1.0, 31):
-            rho = model.werner_state(float(p))
+            rho = oracles.werner_state(float(p))
             got = corr.concurrence(rho)
             assert got == pytest.approx(max(0.0, (3 * p - 1) / 2), abs=1e-12)
             assert abs(got - corr._general_concurrence(rho.matrix)) < 1e-12
@@ -218,6 +218,13 @@ class TestMutualInformation:
         m = (qla.ket("GG").density().matrix + qla.ket("EE").density().matrix) / 2
         assert corr.mutual_information(qla.density(m, (2, 2))) == pytest.approx(1.0, abs=1e-12)
 
+    def test_qubit_qutrit_register(self):
+        # Registers other than two qubits take their marginals by partial trace.
+        product = np.kron(np.diag([0.7, 0.3]), np.diag([0.2, 0.5, 0.3]))
+        assert corr.mutual_information(qla.density(product, (2, 3))) == pytest.approx(0.0, abs=1e-12)
+        mixture = np.diag([0.5, 0.0, 0.0, 0.0, 0.0, 0.5])
+        assert corr.mutual_information(qla.density(mixture, (2, 3))) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestClassicalCorrelationAndDiscord:
     def test_bell_state(self):
@@ -239,7 +246,7 @@ class TestClassicalCorrelationAndDiscord:
 
     def test_werner_matches_closed_form(self):
         for p in (0.2, 0.5, 0.8):
-            got = corr.quantum_discord(model.werner_state(p))
+            got = corr.quantum_discord(oracles.werner_state(p))
             assert got == pytest.approx(werner_discord_oracle(p), abs=1e-6)
 
     def test_invalid_side(self):
@@ -249,13 +256,25 @@ class TestClassicalCorrelationAndDiscord:
     @given(p=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=200, deadline=None)
     def test_measured_side_symmetry_on_werner(self, p):
-        rho = model.werner_state(p)
+        rho = oracles.werner_state(p)
         cc_b, _ = corr.classical_correlation(rho, "B")
         cc_a, _ = corr.classical_correlation(rho, "A")
         assert cc_a == pytest.approx(cc_b, abs=1e-6)
         assert corr.quantum_discord(rho, "A") == pytest.approx(
             corr.quantum_discord(rho, "B"), abs=1e-6
         )
+
+    def test_measuring_a_is_measuring_b_of_the_swapped_state(self):
+        # The qubit exchange as an explicit permutation of the basis.
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        rng = np.random.default_rng(1307)
+        states = [random_density(rng, (2, 2)) for _ in range(20)] + [random_x_state(rng) for _ in range(20)]
+        for rho in states:
+            swapped = qla.density(swap @ rho.matrix @ swap.T, (2, 2))
+            cc_a, basis_a = corr.classical_correlation(rho, "A")
+            cc_b, basis_b = corr.classical_correlation(swapped, "B")
+            assert abs(cc_a - cc_b) < 1e-14
+            assert (basis_a.polar, basis_a.azimuth) == pytest.approx((basis_b.polar, basis_b.azimuth), abs=1e-12)
 
     @given(seed=seeds)
     def test_discord_nonnegative_and_consistent(self, seed):
@@ -274,8 +293,8 @@ class TestXStateSearch:
     @given(seed=seeds)
     def test_matches_general_optimizer(self, seed):
         rho = random_x_state(np.random.default_rng(seed))
-        value, basis = corr._minimize_conditional_entropy(rho)
-        general, _ = corr._general_conditional_entropy(rho)
+        value, basis = corr._minimize_conditional_entropy(rho.matrix)
+        general, _ = corr._general_conditional_entropy(rho.matrix)
         assert value == pytest.approx(general, abs=1e-9)
         assert attained_entropy(rho, basis) == pytest.approx(value, abs=1e-10)
 
@@ -291,8 +310,8 @@ class TestXStateSearch:
         ids=["mid-cell", "endpoint-dip"],
     )
     def test_interior_optimum_beats_both_endpoints(self, rho):
-        value, basis = corr._minimize_conditional_entropy(rho)
-        general, _ = corr._general_conditional_entropy(rho)
+        value, basis = corr._minimize_conditional_entropy(rho.matrix)
+        general, _ = corr._general_conditional_entropy(rho.matrix)
         assert 1e-3 < basis.polar < math.pi / 2 - 1e-3
         for polar in (0.0, math.pi / 2):
             endpoint = attained_entropy(rho, corr.MeasurementBasis(polar, basis.azimuth))
@@ -304,9 +323,9 @@ class TestXStateSearch:
         calls = []
         general = corr._general_conditional_entropy
 
-        def spy(rho_ab):
-            calls.append(rho_ab)
-            return general(rho_ab)
+        def spy(m):
+            calls.append(m)
+            return general(m)
 
         monkeypatch.setattr(corr, "_general_conditional_entropy", spy)
         rng = np.random.default_rng(11)
@@ -315,7 +334,7 @@ class TestXStateSearch:
         assert calls == []
         non_x = random_density(rng, (2, 2))
         corr.quantum_discord(non_x)
-        assert len(calls) == 1 and calls[0] is non_x
+        assert len(calls) == 1 and calls[0] is non_x.matrix
 
 
 class TestConditionalEntropyKernel:
@@ -378,7 +397,7 @@ class TestConditionalEntropyKernel:
         fake = corr.MinimizeResult(x=(1.0, -1e-17), fun=-1.0, nfev=1)
         monkeypatch.setattr(corr, "minimize", lambda *args, **kwargs: fake)
         rho = random_density(np.random.default_rng(3), (2, 2))
-        value, basis = corr._general_conditional_entropy(rho)
+        value, basis = corr._general_conditional_entropy(rho.matrix)
         assert value == -1.0
         assert (basis.polar, basis.azimuth) == (1.0, 0.0)
 
@@ -470,7 +489,7 @@ class TestSimplexPort:
             if path == "x":
                 corr._x_conditional_entropy(random_x_state(rng).matrix)
             else:
-                corr._general_conditional_entropy(random_density(rng, (2, 2)))
+                corr._general_conditional_entropy(random_density(rng, (2, 2)).matrix)
         assert len(calls) == 200
         for fun, simplex, options, res in calls:
             options = dict(options)
@@ -563,14 +582,74 @@ class TestTangleBounds:
 class TestEntanglementSum:
     def test_initial_bell_pair(self, default_cfg):
         rho = model.build_initial_state(model.InitialStateSpec("psi_b", math.pi / 4), default_cfg)
-        assert corr.entanglement_sum(rho) == pytest.approx(1.0, abs=1e-10)
+        assert oracles.entanglement_sum(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_product_state(self, default_cfg):
         rho = model.build_initial_state(model.InitialStateSpec("psi_a", 0.0), default_cfg)
-        assert corr.entanglement_sum(rho) == pytest.approx(0.0, abs=1e-10)
+        assert oracles.entanglement_sum(rho) == pytest.approx(0.0, abs=1e-10)
+
+
+class TestMarginalEntropy:
+    """The closed-form one-qubit marginal entropy against a partial trace and ``eigvalsh``."""
+
+    @staticmethod
+    def assert_matches_partial_trace(states):
+        for rho in states:
+            for side in (0, 1):
+                want = qla.von_neumann_entropy(qla.partial_trace(rho, [side]))
+                assert abs(corr._marginal_entropy(rho.matrix, side) - want) < 1e-12
+
+    def test_full_rank_states(self):
+        rng = np.random.default_rng(2401)
+        self.assert_matches_partial_trace(random_density(rng, (2, 2)) for _ in range(200))
+
+    def test_rank_one_states(self):
+        # Products have pure marginals, whose lower eigenvalue is round-off.
+        rng = np.random.default_rng(2402)
+        kets = [(random_pure(rng, (2,)).amplitudes, random_pure(rng, (2,)).amplitudes) for _ in range(100)]
+        states = [qla.PureState(np.kron(a, b), (2, 2)).density() for a, b in kets]
+        states += [random_pure(rng, (2, 2)).density() for _ in range(100)]
+        states += [qla.ket(label).density() for label in ("GG", "GE", "EG", "EE")]
+        self.assert_matches_partial_trace(states)
+
+    def test_maximally_mixed_marginals(self):
+        rng = np.random.default_rng(2403)
+        states = [bell_phi_plus(), qla.density(np.eye(4) / 4.0, (2, 2))]
+        states += [oracles.werner_state(p) for p in np.linspace(0.0, 1.0, 11)]
+        for _ in range(50):
+            rho = oracles.bell_diagonal_state(rng.dirichlet(np.ones(4)) @ BELL_VERTICES)
+            states += [rho, locally_rotated(rng, rho)]
+        self.assert_matches_partial_trace(states)
+        assert all(abs(corr._marginal_entropy(rho.matrix, side) - 1.0) < 1e-12 for rho in states for side in (0, 1))
+
+    def test_x_states(self):
+        rng = np.random.default_rng(2404)
+        self.assert_matches_partial_trace(random_x_state(rng) for _ in range(200))
+
+    def test_too_negative_eigenvalue_raises(self):
+        # Qubit A's marginal is diag(1 + 2e-9, -2e-9), below the limit;
+        # qubit B's is diag(1, 0) up to round-off.
+        m = np.diag([1.0 + 2e-9, 0.0, -2e-9, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="too negative"):
+            corr._marginal_entropy(m, 0)
+        assert abs(corr._marginal_entropy(m, 1)) < 1e-12
+        # Above the limit the negative eigenvalue is dropped, as in
+        # von_neumann_entropy, which accepts this marginal as a state.
+        m = np.diag([1.0 + 5e-10, 0.0, -5e-10, 0.0]).astype(complex)
+        want = qla.von_neumann_entropy(qla.density(np.diag([1.0 + 5e-10, -5e-10])))
+        assert abs(corr._marginal_entropy(m, 0) - want) < 1e-15
 
 
 class TestDelta:
+    def test_matches_four_partial_traces(self):
+        rng = np.random.default_rng(1306)
+        states = [random_density(rng, (2, 2, 2), rank=int(rng.integers(1, 9))) for _ in range(30)]
+        states += [random_pure(rng, (2, 2, 2)).density() for _ in range(10)]
+        for rho in states:
+            got, want = corr.delta_fanchini(rho), oracles.delta_four_traces(rho)
+            assert abs(got.delta - want.delta) < 1e-12
+            assert abs(got.ssa_slack - want.ssa_slack) < 1e-12
+
     def test_single_excitation_product_state(self):
         res = corr.delta_fanchini(qla.ket("EGG").density())
         assert res.delta == pytest.approx(0.0, abs=1e-12)

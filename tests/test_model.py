@@ -269,8 +269,8 @@ class TestInitialStates:
 class TestWerner:
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            model.werner_state(1.5)
+            oracles.werner_state(1.5)
 
     def test_limits(self):
-        assert qla.purity(model.werner_state(1.0)) == pytest.approx(1.0)
-        assert qla.purity(model.werner_state(0.0)) == pytest.approx(0.25)
+        assert qla.purity(oracles.werner_state(1.0)) == pytest.approx(1.0)
+        assert qla.purity(oracles.werner_state(0.0)) == pytest.approx(0.25)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cavnet import qla
 
 from conftest import brute_force_partial_trace, haar_unitary, random_density, random_pure
@@ -114,6 +115,34 @@ class TestPartialTrace:
         rho = random_density(rng, (2, 2))
         with pytest.raises(ValueError):
             qla.partial_trace(rho, [2])
+
+    @pytest.mark.parametrize("dims", [(2,) * 6, (2, 3, 2)])
+    def test_gather_matches_einsum_reference(self, dims):
+        # Every keep subset, also listed in reverse and with a repeated site,
+        # which both forms sort and deduplicate.
+        rng = np.random.default_rng(46)
+        rho = random_density(rng, dims)
+        n = len(dims)
+        for size in range(1, n + 1):
+            for keep in itertools.combinations(range(n), size):
+                for listed in (keep, keep[::-1], keep + keep[:1]):
+                    got = qla.partial_trace_matrix(rho.matrix, dims, listed)
+                    want = oracles.partial_trace_einsum(rho.matrix, dims, listed)
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) < 1e-14, listed
+
+    @pytest.mark.parametrize("keep", [[], [3], [-1], [0, 3]], ids=["empty", "past-end", "negative", "one-past-end"])
+    def test_bad_keep_raises_like_reference(self, keep):
+        mat = np.eye(8) / 8.0
+        with pytest.raises(ValueError) as got:
+            qla.partial_trace_matrix(mat, (2, 2, 2), keep)
+        with pytest.raises(ValueError) as want:
+            oracles.partial_trace_einsum(mat, (2, 2, 2), keep)
+        assert str(got.value) == str(want.value)
+
+    def test_mismatched_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            qla.partial_trace_matrix(np.eye(4), (2, 2, 2), [0])
 
 
 class TestEntropyPurity:

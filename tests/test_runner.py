@@ -79,7 +79,7 @@ class TestFig6:
         # An optimizer that overshoots the minimal conditional entropy makes
         # Q = I - J negative; the figure must fail, not clip it to zero.
         basis = corr.MeasurementBasis(0.0, 0.0)
-        monkeypatch.setattr(corr, "_minimize_conditional_entropy", lambda rho_ab: (-1.0, basis))
+        monkeypatch.setattr(corr, "_minimize_conditional_entropy", lambda m: (-1.0, basis))
         with pytest.raises(RuntimeError, match="discord optimizer failure"):
             runner.run_scenario(small("fig6", t_max_lambda=1.0, samples=3), default_cfg)
 
@@ -90,8 +90,8 @@ class TestDiscordPath:
         # The dynamics conserves excitation parity, so every pair state is an
         # X state; one that reached the general optimizer would cost about
         # twenty times more per discord.
-        def general(rho_ab):
-            raise AssertionError(f"{name} pair state is not X-form:\n{rho_ab.matrix}")
+        def general(m):
+            raise AssertionError(f"{name} pair state is not X-form:\n{m}")
 
         monkeypatch.setattr(corr, "_general_conditional_entropy", general)
         spec = small(name, theta_list=(math.pi / 4, 0.4), samples=6)
