@@ -21,21 +21,15 @@ from .model import (
     InitialStateSpec,
     NetworkConfig,
     build_effective_chain_hamiltonian,
-    build_full_chain_hamiltonian,
     build_initial_state,
     effective_coupling,
     map_interleaved_index,
-    interleaved_label,
 )
 from .davies import (
     DaviesChannel,
-    DecayChannel,
     GeneratorSpec,
-    bohr_frequencies,
     build_davies_channels,
     chain_generator,
-    lindblad_rhs,
-    local_chain_generator,
     site_lowering_operator,
 )
 from .dynamics import (

@@ -6,9 +6,17 @@ reductions; the multipartite measures (one-tangles, tangle with its
 mixed-state bounds, monogamy residual) act on the full register.
 
 The pairwise measures read the 4x4 matrix directly and build no one-qubit
-reduction: the entropy of either qubit's marginal [[a, b], [b*, d]] comes
-from its closed-form eigenvalues (a + d)/2 +- hypot((a - d)/2, |b|), taken
-straight from the 4x4 entries, and only joint entropies call ``eigvalsh``.
+reduction.  Every entropy except the joint one, which calls ``eigvalsh``,
+reads the Bloch matrix R[mu, nu] = Tr[rho sigma_mu (x) sigma_nu], with
+sigma_0 the identity: one product of a constant (16, 16) Pauli table with
+the flattened matrix.  Write t = R[0, 0], a = R[1:, 0], b = R[0, 1:] and
+T = R[1:, 1:].  Qubit A's marginal has the eigenvalues (t -+ |a|)/2, and
+measuring B along the unit vector n leaves A with the conditional entropy
+
+    S(A | n) = sum over +- of eta(w/2) - eta((w + r)/4) - eta((w - r)/4),
+    w = t +- b.n,  r = |a +- T n|,  eta(x) = x log2 x
+
+(Luo, PRA 77, 042303 (2008); Ali, Rau & Alber, PRA 81, 042105 (2010)).
 
 The concurrence of an X-form state (defined below) is Wootters' formula in
 closed form (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)); any other
@@ -17,23 +25,21 @@ sqrt(rho) (sy x sy) conj(sqrt(rho)).  Every pair reduction of the cavity
 network is X-form.  The concurrence and the discord dispatch on the same
 exact-zero test, ``_is_x_form``.
 
-The discord optimization uses projective measurements only.  X-form
-states, whose entries off the diagonal and anti-diagonal vanish, need only
-the polar angle of the measurement: a short grid over it plus a bounded
-1-D refinement (Ali, Rau & Alber, PRA 81, 042105 (2010), searched
-explicitly rather than trusting their closed form).  Every other state
-takes a coarse grid over the measurement Bloch sphere followed by a 2-D
-refinement.  Both refinements run ``minimize``, an in-house Nelder-Mead
-simplex on plain float tuples (Lagarias et al., SIAM J. Optim. 9, 112
-(1998)).  The grid's directions are fixed: 128 azimuths on the first 32
-of 64 polar rows over [0, pi], since the direction (pi - theta, phi + pi)
-gives the same projector pair as (theta, phi).  The outer products
-conj(v_b) v_d of their kets are built once, on first use;
-the unnormalized A blocks of all directions are then one (4096, 4) @ (4, 4)
-product with the state regrouped to ((b, d), (a, c)), and each orthogonal
-outcome's block is Tr_B rho minus the first, since the two projectors sum
-to the identity.  The simplex objective evaluates the same two blocks from
-the 16 regrouped entries in plain float arithmetic, building no arrays.
+The discord minimizes S(A | n) over projective measurements of B, and
+every search evaluates the formula above.  X-form states, whose entries
+off the diagonal and anti-diagonal vanish, have a = a3 z, b = b3 z and a
+block-diagonal T: T33 along z and a transverse 2x2 block of larger
+singular value 2(|rho_03| + |rho_12|).  With n's transverse part along
+that singular vector only the polar angle is left: a short grid over
+it plus a bounded 1-D refinement (Ali, Rau & Alber, searched explicitly
+rather than trusting their closed form).  Every other state takes a grid
+of fixed directions, the columns of a (3, 4096) array n, all evaluated at
+once as ``b @ n``, ``T @ n`` and column norms, then a 2-D refinement that
+evaluates the formula at one (polar, azimuth) in plain floats.  The
+grid's directions are 128 azimuths on the first 32 of 64 polar rows over
+[0, pi]: n and -n give the same value, since they swap the two outcomes.
+Both refinements run ``minimize``, an in-house Nelder-Mead simplex on
+plain float tuples (Lagarias et al., SIAM J. Optim. 9, 112 (1998)).
 """
 
 from __future__ import annotations
@@ -78,6 +84,10 @@ _DISCORD_FLOOR = -1e-8
 _X_GRID = 9
 # Mask of the entries of a 4x4 two-qubit matrix off the diagonal and anti-diagonal.
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+# Row (mu, nu) dotted with a flattened 4x4 matrix m is Tr[m sigma_mu (x) sigma_nu],
+# for sigma_0 = identity, sigma_x, sigma_y, sigma_z.
+_PAULIS = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), qla.SIGMA_Y, np.diag([1.0, -1.0]))
+_PAULI_TABLE = np.array([np.kron(p, q).T.ravel() for p in _PAULIS for q in _PAULIS])
 
 
 @dataclass(frozen=True)
@@ -299,26 +309,26 @@ def eof_from_concurrence(c: float) -> float:
     return _binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
 
 
+def _bloch(m: np.ndarray) -> np.ndarray:
+    """R[mu, nu] = Tr[m sigma_mu (x) sigma_nu] of a Hermitian 4x4 two-qubit matrix, as a real (4, 4)."""
+    return np.dot(_PAULI_TABLE, m.ravel()).real.reshape(4, 4)
+
+
 def _marginal_entropy(m: np.ndarray, side: int) -> float:
     """Base-2 entropy of qubit ``side`` (0 = A, 1 = B) of a 4x4 two-qubit matrix.
 
-    The marginal [[a, b], [b*, d]] is read off the entries of ``m``, with b
-    averaged over its two mirrored sums as ``qla.partial_trace`` does, and
-    has the eigenvalues (a + d)/2 -+ hypot((a - d)/2, |b|).  The floor and
-    the negativity limit are those of ``qla.von_neumann_entropy``.
+    The marginal (t I + v.sigma)/2, with v the Bloch vector a or b, has the
+    eigenvalues (t -+ |v|)/2.  The floor and the negativity limit are those
+    of ``qla.von_neumann_entropy``.
     """
-    e = m.ravel().tolist()
-    if side == 0:
-        a, d, b, b_mirror = e[0] + e[5], e[10] + e[15], e[2] + e[7], e[8] + e[13]
-    else:
-        a, d, b, b_mirror = e[0] + e[10], e[5] + e[15], e[1] + e[11], e[4] + e[14]
-    mean = 0.5 * (a.real + d.real)
-    split = math.hypot(0.5 * (a.real - d.real), 0.5 * abs(b + b_mirror.conjugate()))
-    low = mean - split
+    r = _bloch(m)
+    t, *v = (r[:, 0] if side == 0 else r[0]).tolist()
+    norm = math.hypot(*v)
+    low = 0.5 * (t - norm)
     if low < qla.ENTROPY_NEGATIVE_LIMIT:
         raise ValueError(f"eigenvalue {low:.3e} too negative for entropy")
     total = 0.0
-    for w in (low, mean + split):
+    for w in (low, 0.5 * (t + norm)):
         if w > qla.ENTROPY_EIGENVALUE_FLOOR:
             total -= w * math.log2(w)
     return total
@@ -336,74 +346,45 @@ def mutual_information(rho_ab: DensityMatrix) -> float:
     return s_a + s_b - s_ab
 
 
-def _outer_products(kets: np.ndarray) -> np.ndarray:
-    """Rows conj(v_b) v_d, flattened in (b, d) order, of an (n, 2) ket array."""
-    return (kets.conj()[:, :, None] * kets[:, None, :]).reshape(-1, 4)
+def _xlog2x(x: float) -> float:
+    return x * math.log2(x) if x > 0.0 else 0.0
 
 
-def _conditional_entropy_batch(r: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Average post-measurement entropy of qubit A for a batch of B-kets.
+def _xlog2x_array(x: np.ndarray) -> np.ndarray:
+    return x * np.log2(x, out=np.zeros_like(x), where=x > 0.0)
 
-    ``r`` is the (2,2,2,2) state tensor, ``kets`` an (n, 2) array of
-    measurement directions; the complementary outcome is included.
+
+def _outcome_term(w, r, xlog2x=_xlog2x):
+    """One outcome's share eta(w/2) - eta((w + r)/4) - eta((w - r)/4) of S(A | n).
+
+    ``w`` = t +- b.n and ``r`` = |a +- T n|; ``xlog2x`` is eta, on floats
+    or, with ``_xlog2x_array``, on arrays.
     """
-    return _conditional_entropy_outer(r, _outer_products(kets))
+    return xlog2x(0.5 * w) - xlog2x(0.25 * (w + r)) - xlog2x(0.25 * (w - r))
 
 
-def _conditional_entropy_outer(r: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """``_conditional_entropy_batch`` from the kets' outer products."""
-    # Row k holds the unnormalized A block <v_k|rho|v_k> flattened as (a, c).
-    blocks = outer @ r.transpose(1, 3, 0, 2).reshape(4, 4)
-    # The two projectors sum to the identity, so the orthogonal outcome's
-    # block is what the first leaves of Tr_B rho.
-    reduced = np.einsum("abcb->ac", r).reshape(4)
-    total = np.zeros(len(outer))
-    for m in (blocks, reduced - blocks):
-        p = np.real(m[:, 0] + m[:, 3])
-        det = np.real(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2])
-        disc = np.sqrt(np.clip(p * p - 4.0 * det, 0.0, None))
-        lam_hi = np.clip((p + disc) / 2.0, 0.0, None)
-        lam_lo = np.clip((p - disc) / 2.0, 0.0, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for lam in (lam_hi, lam_lo):
-                q = np.where(p > 1e-15, lam / np.where(p > 1e-15, p, 1.0), 0.0)
-                term = np.where(q > 1e-15, -q * np.log2(np.where(q > 1e-15, q, 1.0)), 0.0)
-                total += p * term
-    return total
+def _grid_entropies(bloch: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """S(A | n) of the Bloch matrix ``bloch`` for every column of a (3, k) array of unit vectors."""
+    sign = np.array([[1.0], [-1.0]])
+    w = bloch[0, 0] + sign * (bloch[0, 1:] @ n)
+    v = bloch[1:, 0, None, None] + sign * (bloch[1:, 1:] @ n)[:, None]
+    return _outcome_term(w, np.sqrt((v * v).sum(axis=0)), _xlog2x_array).sum(axis=0)
 
 
-def _outcome_entropy(m00: complex, m01: complex, m10: complex, m11: complex) -> float:
-    """p times the entropy of one unnormalized 2x2 A block, in plain floats."""
-    p = (m00 + m11).real
-    if p <= 1e-15:
-        return 0.0
-    det = (m00 * m11 - m01 * m10).real
-    disc = math.sqrt(max(p * p - 4.0 * det, 0.0))
-    total = 0.0
-    for lam in (max((p + disc) / 2.0, 0.0), max((p - disc) / 2.0, 0.0)):
-        q = lam / p
-        if q > 1e-15:
-            total += p * (-q * math.log2(q))
-    return total
-
-
-def _simplex_objective(r: np.ndarray):
-    """``_conditional_entropy_batch`` at one (polar, azimuth), in plain floats.
-
-    The 16 entries of ``r`` regrouped to ((b, d), (a, c)) and the four of
-    Tr_B rho are unpacked once, so an evaluation builds no array.
-    """
-    columns = list(zip(*r.transpose(1, 3, 0, 2).reshape(4, 4).tolist()))
-    t00, t01, t10, t11 = np.einsum("abcb->ac", r).reshape(4).tolist()
+def _general_objective(bloch: np.ndarray):
+    """S(A | n) of the Bloch matrix ``bloch`` at one (polar, azimuth) of n, in plain floats."""
+    (t, b1, b2, b3), (a1, t11, t12, t13), (a2, t21, t22, t23), (a3, t31, t32, t33) = bloch.tolist()
 
     def entropy(x) -> float:
         polar, azimuth = map(float, x)
-        c = math.cos(polar / 2.0)
-        v1 = cmath.exp(1j * azimuth) * math.sin(polar / 2.0)
-        w00, w01, w10, w11 = c * c, c * v1, v1.conjugate() * c, v1.conjugate() * v1
-        m00, m01, m10, m11 = [w00 * g0 + w01 * g1 + w10 * g2 + w11 * g3 for g0, g1, g2, g3 in columns]
-        return _outcome_entropy(m00, m01, m10, m11) + _outcome_entropy(
-            t00 - m00, t01 - m01, t10 - m10, t11 - m11
+        s = math.sin(polar)
+        n1, n2, n3 = s * math.cos(azimuth), s * math.sin(azimuth), math.cos(polar)
+        bn = b1 * n1 + b2 * n2 + b3 * n3
+        u1 = t11 * n1 + t12 * n2 + t13 * n3
+        u2 = t21 * n1 + t22 * n2 + t23 * n3
+        u3 = t31 * n1 + t32 * n2 + t33 * n3
+        return _outcome_term(t + bn, math.hypot(a1 + u1, a2 + u2, a3 + u3)) + _outcome_term(
+            t - bn, math.hypot(a1 - u1, a2 - u2, a3 - u3)
         )
 
     return entropy
@@ -419,39 +400,33 @@ def _minimize_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasi
     return _general_conditional_entropy(m)
 
 
-def _xlog2x(x: float) -> float:
-    return x * math.log2(x) if x > 0.0 else 0.0
+def _x_objective(m: np.ndarray):
+    """S(A | n) of an X-form 4x4 matrix at the polar angle theta of n, in plain floats.
+
+    n's transverse part lies along the larger singular vector of T's
+    transverse block, so r = hypot(a3 +- T33 cos, 2(|rho_03| + |rho_12|) sin).
+    """
+    (t, _, _, b3), _, _, (a3, _, _, t33) = _bloch(m).tolist()
+    c_perp = 2.0 * (abs(complex(m[0, 3])) + abs(complex(m[1, 2])))
+
+    def entropy(theta: float) -> float:
+        c, s = math.cos(theta), math.sin(theta)
+        return _outcome_term(t + b3 * c, math.hypot(a3 + t33 * c, c_perp * s)) + _outcome_term(
+            t - b3 * c, math.hypot(a3 - t33 * c, c_perp * s)
+        )
+
+    return entropy
 
 
 def _x_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
     """Polar-angle search for an X-form state.
 
-    In Bloch form the state has local z-components a3, b3, correlation T33
-    and a transverse block whose larger singular value is
-    2(|rho_03| + |rho_12|).  For a B direction at polar angle theta the
-    entropy is least when the direction's transverse part lies along that
-    singular vector, at azimuth (arg rho_12 - arg rho_03)/2, and it is even
-    about theta = 0 and pi/2, so a grid over [0, pi/2] locates the minimum.
+    The entropy is least when n's transverse part lies along the larger
+    singular vector of T's transverse block, at azimuth
+    (arg rho_12 - arg rho_03)/2, and it is even about theta = 0 and pi/2,
+    so a grid over [0, pi/2] locates the minimum.
     """
-    d0, d1, d2, d3 = (float(m[k, k].real) for k in range(4))
-    r03, r12 = complex(m[0, 3]), complex(m[1, 2])
-    trace = d0 + d1 + d2 + d3
-    a3 = d0 + d1 - d2 - d3
-    b3 = d0 - d1 + d2 - d3
-    t33 = d0 - d1 - d2 + d3
-    c_perp = 2.0 * (abs(r03) + abs(r12))
-
-    def entropy(theta: float) -> float:
-        # Outcome weights p = (trace +- b3 cos)/2; each post-measurement A
-        # block has eigenvalues (2p +- |a +- T n|)/4.
-        c, s = math.cos(theta), math.sin(theta)
-        total = 0.0
-        for sign in (1.0, -1.0):
-            w = trace + sign * b3 * c
-            r = math.hypot(a3 + sign * t33 * c, c_perp * s)
-            total += _xlog2x(0.5 * w) - _xlog2x(0.25 * (w + r)) - _xlog2x(0.25 * (w - r))
-        return total
-
+    entropy = _x_objective(m)
     step = 0.5 * math.pi / (_X_GRID - 1)
     value, polar = min((entropy(k * step), k * step) for k in range(_X_GRID))
     # Refine within the two grid cells around the best point.  The cells of
@@ -471,7 +446,7 @@ def _x_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
         # measures the mirrored direction, which attains the same value.
         value, polar = res.fun, abs(res.x[0])
     # Azimuths phi and phi + pi reach the same singular value.
-    azimuth = 0.5 * (cmath.phase(r12) - cmath.phase(r03))
+    azimuth = 0.5 * (cmath.phase(m[1, 2]) - cmath.phase(m[0, 3]))
     if azimuth < 0.0:
         azimuth += math.pi
     return value, MeasurementBasis(polar, azimuth)
@@ -479,21 +454,18 @@ def _x_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
 
 @functools.cache
 def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The fixed scan: (polar, azimuth) rows and their kets' outer products.
+    """The fixed scan: (polar, azimuth) rows, and their unit vectors n as the columns of a (3, k) array.
 
     Built on the first general-path call, so X-only runs never hold it.
     """
     polar = np.linspace(0.0, math.pi, _GRID_POLAR)[: _GRID_POLAR // 2]
     azimuth = np.arange(_GRID_AZIMUTH) * (2.0 * math.pi / _GRID_AZIMUTH)
-    tt, pp = np.meshgrid(polar, azimuth, indexing="ij")
-    kets = np.stack(
-        [np.cos(tt / 2.0).ravel() + 0j, np.exp(1j * pp.ravel()) * np.sin(tt.ravel() / 2.0)],
-        axis=1,
-    )
-    angles, outer = np.stack([tt.ravel(), pp.ravel()], axis=1), _outer_products(kets)
+    tt, pp = (g.ravel() for g in np.meshgrid(polar, azimuth, indexing="ij"))
+    angles = np.stack([tt, pp], axis=1)
+    n = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)])
     angles.setflags(write=False)
-    outer.setflags(write=False)
-    return angles, outer
+    n.setflags(write=False)
+    return angles, n
 
 
 def _wrap_angle(angle: float) -> float:
@@ -508,12 +480,12 @@ def _wrap_angle(angle: float) -> float:
 
 def _general_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
     """Grid scan plus simplex refinement over projective B measurements of a 4x4 matrix."""
-    r = m.reshape(2, 2, 2, 2)
-    angles, outer = _direction_grid()
-    values = _conditional_entropy_outer(r, outer)
+    bloch = _bloch(m)
+    angles, n = _direction_grid()
+    values = _grid_entropies(bloch, n)
     best = int(np.argmin(values))
     x0 = tuple(angles[best].tolist())
-    res = minimize(_simplex_objective(r), _start_simplex(x0), xatol=1e-6, fatol=1e-10, maxiter=400)
+    res = minimize(_general_objective(bloch), _start_simplex(x0), xatol=1e-6, fatol=1e-10, maxiter=400)
     value = min(float(values[best]), res.fun)
     x = res.x if res.fun <= values[best] else x0
     polar_opt = _wrap_angle(x[0])

@@ -20,19 +20,14 @@ import numpy as np
 
 from . import qla
 from .model import NetworkConfig, build_effective_chain_hamiltonian, effective_coupling
-from .qla import HERMITICITY_ATOL, DensityMatrix, Operator
+from .qla import HERMITICITY_ATOL, Operator
 
 __all__ = [
     "DaviesChannel",
-    "DecayChannel",
     "GeneratorSpec",
-    "bohr_frequencies",
     "site_lowering_operator",
     "build_davies_channels",
-    "build_local_channels",
     "chain_generator",
-    "local_chain_generator",
-    "lindblad_rhs",
 ]
 
 ZERO_JUMP_ATOL = 1e-12
@@ -61,23 +56,6 @@ class DaviesChannel:
             raise ValueError("decay rate must be nonnegative")
         if float(np.max(np.abs(self.jump.matrix))) <= ZERO_JUMP_ATOL:
             raise ValueError("zero jump operators must be dropped, not stored")
-
-
-@dataclass(frozen=True)
-class DecayChannel:
-    """Plain local decay at one site, with no eigenbasis filtering.
-
-    This is the non-secular contrast model: it damps the dark state that the
-    microscopic construction leaves untouched.
-    """
-
-    site: int
-    jump: Operator
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0.0:
-            raise ValueError("decay rate must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -145,11 +123,6 @@ def _bohr_grouping(h: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return v, labels, freqs
 
 
-def bohr_frequencies(h: Operator) -> np.ndarray:
-    """Distinct positive Bohr frequencies of ``h``, ascending (see ``_bohr_grouping``)."""
-    return _bohr_grouping(h)[2]
-
-
 def site_lowering_operator(cfg: NetworkConfig, site: int, nsites: int | None = None) -> Operator:
     """kappa * |G><E| at ``site``, embedded in an ``nsites``-qubit register."""
     if nsites is None:
@@ -203,40 +176,7 @@ def build_davies_channels(h: Operator, cfg: NetworkConfig) -> list[DaviesChannel
     return channels
 
 
-def build_local_channels(h: Operator, cfg: NetworkConfig) -> list[DecayChannel]:
-    """One bare lowering channel per site, ignoring the eigenstructure."""
-    if any(d != 2 for d in h.dims):
-        raise ValueError("local channels expect a qubit register")
-    nsites = len(h.dims)
-    rates = _site_rates(cfg, nsites)
-    return [
-        DecayChannel(site=site, jump=site_lowering_operator(cfg, site, nsites), rate=rates[site])
-        for site in range(nsites)
-        if rates[site] > 0.0
-    ]
-
-
 def chain_generator(cfg: NetworkConfig) -> GeneratorSpec:
     """Master-equation generator for one chain (8-dimensional register)."""
     h = build_effective_chain_hamiltonian(cfg)
     return GeneratorSpec(h, tuple(build_davies_channels(h, cfg)), effective_coupling(cfg))
-
-
-def local_chain_generator(cfg: NetworkConfig) -> GeneratorSpec:
-    """One-chain generator with plain per-site decay instead of Davies channels."""
-    h = build_effective_chain_hamiltonian(cfg)
-    return GeneratorSpec(h, tuple(build_local_channels(h, cfg)), effective_coupling(cfg))
-
-
-def lindblad_rhs(rho: DensityMatrix, spec: GeneratorSpec) -> Operator:
-    """Exact right-hand side of the master equation; Hermitian and traceless."""
-    if rho.dim != spec.dim:
-        raise ValueError(f"state dimension {rho.dim} does not match generator {spec.dim}")
-    h = spec.hamiltonian.matrix
-    m = rho.matrix
-    out = -1j * (h @ m - m @ h)
-    for ch in spec.channels:
-        a = ch.jump.matrix
-        ada = a.conj().T @ a
-        out += ch.rate * (a @ m @ a.conj().T - 0.5 * (ada @ m + m @ ada))
-    return Operator(out, rho.dims)

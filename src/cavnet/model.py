@@ -1,8 +1,7 @@
 """Physical model builders.
 
 Translates cavity/fiber parameters into the effective polariton-chain
-Hamiltonian, a truncated pre-elimination model used for validation, and
-the standard initial states.
+Hamiltonian and the standard initial states.
 
 Units: angular frequencies in rad/ns, so a value quoted as "2*pi*30 GHz"
 enters as ``2*pi*30``.  Decay rates are 1/ns when ``gamma_units="abs"`` or
@@ -15,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -27,14 +25,8 @@ __all__ = [
     "InitialStateSpec",
     "effective_coupling",
     "build_effective_chain_hamiltonian",
-    "build_full_chain_hamiltonian",
-    "full_chain_basis",
-    "full_chain_number_operator",
-    "full_chain_site_projector",
-    "full_chain_single_excitation",
     "build_initial_state",
     "map_interleaved_index",
-    "interleaved_label",
     "cavity_label_to_qubit",
 ]
 
@@ -193,83 +185,6 @@ def build_effective_chain_hamiltonian(cfg: NetworkConfig) -> Operator:
     return Operator(h, (2,) * n)
 
 
-def full_chain_basis(cfg: NetworkConfig, excitation_cap: int) -> list[tuple[int, ...]]:
-    """Occupation tuples (qubits..., fibers...) with at most ``cap`` quanta.
-
-    Qubits hold 0 or 1; each of the ``sites_per_chain - 1`` fiber modes holds
-    up to ``cap`` photons.  Ordered by total excitation, then lexicographic.
-    """
-    if excitation_cap < 1:
-        raise ValueError("excitation_cap must be at least 1")
-    n = cfg.sites_per_chain
-    states = [
-        q + f
-        for q in product((0, 1), repeat=n)
-        for f in product(range(excitation_cap + 1), repeat=n - 1)
-        if sum(q) + sum(f) <= excitation_cap
-    ]
-    states.sort(key=lambda s: (sum(s), s))
-    return states
-
-
-def build_full_chain_hamiltonian(cfg: NetworkConfig, excitation_cap: int) -> Operator:
-    """Pre-elimination chain model with explicit fiber modes, truncated.
-
-    Polariton qubits at energy omega - nu, fiber modes at omega_f, and the
-    J/sqrt(2) polariton-fiber exchange terms; excitation number conserved.
-    Used to validate the effective chain Hamiltonian at small J/delta.
-    """
-    basis = full_chain_basis(cfg, excitation_cap)
-    index = {s: i for i, s in enumerate(basis)}
-    n = cfg.sites_per_chain
-    big_omega = cfg.omega - cfg.nu
-    d = len(basis)
-    diag = np.zeros(d)
-    coupling = np.zeros((d, d), dtype=complex)
-    g = cfg.J / math.sqrt(2.0)
-    for s, i in index.items():
-        qubits, fibers = s[:n], s[n:]
-        diag[i] = big_omega * sum(qubits) + cfg.omega_f * sum(fibers)
-        # Directed part L_site^+ b_fiber only; the conjugate is added once below.
-        for fiber in range(n - 1):
-            if fibers[fiber] == 0:
-                continue
-            amp = g * math.sqrt(fibers[fiber])
-            for site in (fiber, fiber + 1):
-                if qubits[site] == 1:
-                    continue
-                target = list(s)
-                target[site] = 1
-                target[n + fiber] -= 1
-                coupling[index[tuple(target)], i] += amp
-    h = np.diag(diag).astype(complex) + coupling + coupling.conj().T
-    return Operator(h, (d,))
-
-
-def full_chain_number_operator(cfg: NetworkConfig, excitation_cap: int) -> Operator:
-    basis = full_chain_basis(cfg, excitation_cap)
-    return Operator(np.diag([float(sum(s)) for s in basis]).astype(complex), (len(basis),))
-
-
-def full_chain_site_projector(cfg: NetworkConfig, excitation_cap: int, site: int) -> Operator:
-    """Projector onto "polariton at ``site`` excited" in the truncated basis."""
-    if not 0 <= site < cfg.sites_per_chain:
-        raise ValueError(f"site {site} out of range")
-    basis = full_chain_basis(cfg, excitation_cap)
-    return Operator(np.diag([float(s[site]) for s in basis]).astype(complex), (len(basis),))
-
-
-def full_chain_single_excitation(cfg: NetworkConfig, excitation_cap: int, site: int) -> PureState:
-    """Basis state with one polariton at ``site`` and everything else empty."""
-    basis = full_chain_basis(cfg, excitation_cap)
-    target = tuple(1 if k == site else 0 for k in range(cfg.sites_per_chain)) + (0,) * (
-        cfg.sites_per_chain - 1
-    )
-    vec = np.zeros(len(basis), dtype=complex)
-    vec[basis.index(target)] = 1.0
-    return PureState(vec, (len(basis),))
-
-
 def interleaved_qubit_order(sites_per_chain: int = 3, num_chains: int = 2) -> tuple[int, ...]:
     """Internal qubit index addressed by each interleaved label position.
 
@@ -294,16 +209,6 @@ def map_interleaved_index(label: str, sites_per_chain: int = 3, num_chains: int 
         if c == "E":
             idx |= 1 << (n - 1 - order[pos])
     return idx
-
-
-def interleaved_label(index: int, sites_per_chain: int = 3, num_chains: int = 2) -> str:
-    """Inverse of :func:`map_interleaved_index`."""
-    n = sites_per_chain * num_chains
-    if not 0 <= index < 2**n:
-        raise ValueError(f"index {index} out of range for {n} qubits")
-    order = interleaved_qubit_order(sites_per_chain, num_chains)
-    bits = [(index >> (n - 1 - q)) & 1 for q in range(n)]
-    return "".join("E" if bits[order[pos]] else "G" for pos in range(n))
 
 
 def cavity_label_to_qubit(site_label: str, sites_per_chain: int = 3) -> int:

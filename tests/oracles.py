@@ -17,9 +17,17 @@ read two-qubit marginals and partial traces more directly: a transpose and
 ``einsum`` partial trace, and the strong-subadditivity slack of
 ``delta_fanchini`` from four partial traces.  The Werner family and the
 entanglement sum are fixtures that only tests use.
+
+Last come the models that only validate the production one: the truncated
+pre-elimination chain with explicit fiber modes, against which the
+effective chain Hamiltonian is checked; plain local decay, the non-secular
+contrast to the Davies channels; and the master equation's right-hand side
+applied directly rather than through the Liouvillian.
 """
 
 import math
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy import sparse
@@ -235,3 +243,145 @@ def entanglement_sum(state) -> float:
         raise ValueError(f"entanglement sum requires a pure state, purity = {qla.purity(rho):.6g}")
     pairs = (correlations.pair_state(rho, correlations.PairSelector(0, k)) for k in range(1, len(rho.dims)))
     return sum(correlations.concurrence(pair) ** 2 for pair in pairs)
+
+
+def interleaved_label(index: int, sites_per_chain: int = 3, num_chains: int = 2) -> str:
+    """Inverse of ``model.map_interleaved_index``."""
+    n = sites_per_chain * num_chains
+    if not 0 <= index < 2**n:
+        raise ValueError(f"index {index} out of range for {n} qubits")
+    order = model.interleaved_qubit_order(sites_per_chain, num_chains)
+    bits = [(index >> (n - 1 - q)) & 1 for q in range(n)]
+    return "".join("E" if bits[order[pos]] else "G" for pos in range(n))
+
+
+def full_chain_basis(cfg: model.NetworkConfig, excitation_cap: int) -> list[tuple[int, ...]]:
+    """Occupation tuples (qubits..., fibers...) with at most ``cap`` quanta.
+
+    Qubits hold 0 or 1; each of the ``sites_per_chain - 1`` fiber modes holds
+    up to ``cap`` photons.  Ordered by total excitation, then lexicographic.
+    """
+    if excitation_cap < 1:
+        raise ValueError("excitation_cap must be at least 1")
+    n = cfg.sites_per_chain
+    states = [
+        q + f
+        for q in product((0, 1), repeat=n)
+        for f in product(range(excitation_cap + 1), repeat=n - 1)
+        if sum(q) + sum(f) <= excitation_cap
+    ]
+    states.sort(key=lambda s: (sum(s), s))
+    return states
+
+
+def build_full_chain_hamiltonian(cfg: model.NetworkConfig, excitation_cap: int) -> qla.Operator:
+    """Pre-elimination chain model with explicit fiber modes, truncated.
+
+    Polariton qubits at energy omega - nu, fiber modes at omega_f, and the
+    J/sqrt(2) polariton-fiber exchange terms; excitation number conserved.
+    Used to validate the effective chain Hamiltonian at small J/delta.
+    """
+    basis = full_chain_basis(cfg, excitation_cap)
+    index = {s: i for i, s in enumerate(basis)}
+    n = cfg.sites_per_chain
+    big_omega = cfg.omega - cfg.nu
+    d = len(basis)
+    diag = np.zeros(d)
+    coupling = np.zeros((d, d), dtype=complex)
+    g = cfg.J / math.sqrt(2.0)
+    for s, i in index.items():
+        qubits, fibers = s[:n], s[n:]
+        diag[i] = big_omega * sum(qubits) + cfg.omega_f * sum(fibers)
+        # Directed part L_site^+ b_fiber only; the conjugate is added once below.
+        for fiber in range(n - 1):
+            if fibers[fiber] == 0:
+                continue
+            amp = g * math.sqrt(fibers[fiber])
+            for site in (fiber, fiber + 1):
+                if qubits[site] == 1:
+                    continue
+                target = list(s)
+                target[site] = 1
+                target[n + fiber] -= 1
+                coupling[index[tuple(target)], i] += amp
+    h = np.diag(diag).astype(complex) + coupling + coupling.conj().T
+    return qla.Operator(h, (d,))
+
+
+def full_chain_number_operator(cfg: model.NetworkConfig, excitation_cap: int) -> qla.Operator:
+    basis = full_chain_basis(cfg, excitation_cap)
+    return qla.Operator(np.diag([float(sum(s)) for s in basis]).astype(complex), (len(basis),))
+
+
+def full_chain_site_projector(cfg: model.NetworkConfig, excitation_cap: int, site: int) -> qla.Operator:
+    """Projector onto "polariton at ``site`` excited" in the truncated basis."""
+    if not 0 <= site < cfg.sites_per_chain:
+        raise ValueError(f"site {site} out of range")
+    basis = full_chain_basis(cfg, excitation_cap)
+    return qla.Operator(np.diag([float(s[site]) for s in basis]).astype(complex), (len(basis),))
+
+
+def full_chain_single_excitation(cfg: model.NetworkConfig, excitation_cap: int, site: int) -> qla.PureState:
+    """Basis state with one polariton at ``site`` and everything else empty."""
+    basis = full_chain_basis(cfg, excitation_cap)
+    target = tuple(1 if k == site else 0 for k in range(cfg.sites_per_chain)) + (0,) * (
+        cfg.sites_per_chain - 1
+    )
+    vec = np.zeros(len(basis), dtype=complex)
+    vec[basis.index(target)] = 1.0
+    return qla.PureState(vec, (len(basis),))
+
+
+def bohr_frequencies(h: qla.Operator) -> np.ndarray:
+    """Distinct positive Bohr frequencies of ``h``, ascending (see ``davies._bohr_grouping``)."""
+    return davies._bohr_grouping(h)[2]
+
+
+@dataclass(frozen=True)
+class DecayChannel:
+    """Plain local decay at one site, with no eigenbasis filtering.
+
+    This is the non-secular contrast model: it damps the dark state that the
+    microscopic construction leaves untouched.
+    """
+
+    site: int
+    jump: qla.Operator
+    rate: float
+
+    def __post_init__(self):
+        if self.rate < 0.0:
+            raise ValueError("decay rate must be nonnegative")
+
+
+def build_local_channels(h: qla.Operator, cfg: model.NetworkConfig) -> list[DecayChannel]:
+    """One bare lowering channel per site, ignoring the eigenstructure."""
+    if any(d != 2 for d in h.dims):
+        raise ValueError("local channels expect a qubit register")
+    nsites = len(h.dims)
+    rates = davies._site_rates(cfg, nsites)
+    return [
+        DecayChannel(site=site, jump=davies.site_lowering_operator(cfg, site, nsites), rate=rates[site])
+        for site in range(nsites)
+        if rates[site] > 0.0
+    ]
+
+
+def local_chain_generator(cfg: model.NetworkConfig) -> davies.GeneratorSpec:
+    """One-chain generator with plain per-site decay instead of Davies channels."""
+    h = model.build_effective_chain_hamiltonian(cfg)
+    return davies.GeneratorSpec(h, tuple(build_local_channels(h, cfg)), model.effective_coupling(cfg))
+
+
+def lindblad_rhs(rho: qla.DensityMatrix, spec: davies.GeneratorSpec) -> qla.Operator:
+    """Exact right-hand side of the master equation; Hermitian and traceless."""
+    if rho.dim != spec.dim:
+        raise ValueError(f"state dimension {rho.dim} does not match generator {spec.dim}")
+    h = spec.hamiltonian.matrix
+    m = rho.matrix
+    out = -1j * (h @ m - m @ h)
+    for ch in spec.channels:
+        a = ch.jump.matrix
+        ada = a.conj().T @ a
+        out += ch.rate * (a @ m @ a.conj().T - 0.5 * (ada @ m + m @ ada))
+    return qla.Operator(out, rho.dims)

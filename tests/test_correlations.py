@@ -59,9 +59,15 @@ def random_x_state(rng):
     return x_state(d, *coherences)
 
 
+def unit_vectors(bases):
+    """The Bloch-sphere directions of ``bases``, one column each."""
+    polar, azimuth = np.array([(b.polar, b.azimuth) for b in bases]).T
+    return np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)])
+
+
 def attained_entropy(rho, basis):
     """Conditional entropy of A after measuring B in ``basis``."""
-    return float(corr._conditional_entropy_batch(rho.matrix.reshape(2, 2, 2, 2), basis.ket()[None])[0])
+    return float(corr._grid_entropies(corr._bloch(rho.matrix), unit_vectors([basis]))[0])
 
 
 def reference_conditional_entropy(rho, basis):
@@ -337,15 +343,33 @@ class TestXStateSearch:
         assert len(calls) == 1 and calls[0] is non_x.matrix
 
 
+class TestBlochMatrix:
+    """``_bloch`` against the Pauli expansion it inverts."""
+
+    PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+    def test_rebuilds_the_matrix(self):
+        # m = (1/4) sum over mu, nu of R[mu, nu] sigma_mu (x) sigma_nu.
+        rng = np.random.default_rng(1408)
+        for _ in range(200):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m = (g + g.conj().T) / 2.0
+            r = corr._bloch(m)
+            rebuilt = sum(
+                r[mu, nu] * np.kron(p, q) for mu, p in enumerate(self.PAULIS) for nu, q in enumerate(self.PAULIS)
+            )
+            assert np.max(np.abs(rebuilt / 4.0 - m)) < 1e-15
+
+
 class TestConditionalEntropyKernel:
     """The grid kernel and the simplex objective against projection by hand."""
 
     @staticmethod
     def assert_matches_reference(rho, bases):
-        r = rho.matrix.reshape(2, 2, 2, 2)
+        bloch = corr._bloch(rho.matrix)
         want = np.array([reference_conditional_entropy(rho, b) for b in bases])
-        grid = corr._conditional_entropy_batch(r, np.array([b.ket() for b in bases]))
-        objective = corr._simplex_objective(r)
+        grid = corr._grid_entropies(bloch, unit_vectors(bases))
+        objective = corr._general_objective(bloch)
         simplex = np.array([objective(np.array([b.polar, b.azimuth])) for b in bases])
         assert np.max(np.abs(grid - want)) < 1e-12
         assert np.max(np.abs(simplex - want)) < 1e-12
@@ -365,11 +389,44 @@ class TestConditionalEntropyKernel:
     def test_fixed_grid_rows(self, seed):
         rng = np.random.default_rng(seed)
         rho = random_density(rng, (2, 2))
-        angles, outer = corr._direction_grid()
-        values = corr._conditional_entropy_outer(rho.matrix.reshape(2, 2, 2, 2), outer)
+        angles, n = corr._direction_grid()
+        values = corr._grid_entropies(corr._bloch(rho.matrix), n)
         for k in (0, len(values) - 1, *rng.integers(len(values), size=4)):
             basis = corr.MeasurementBasis(*angles[k])
             assert values[k] == pytest.approx(reference_conditional_entropy(rho, basis), abs=1e-12)
+
+    @given(seed=seeds)
+    @settings(max_examples=20)
+    def test_grid_is_even_in_the_direction(self, seed):
+        # The premise of scanning half the polar rows: measuring along -n
+        # swaps the two outcomes and leaves S(A | n) unchanged.
+        rho = random_density(np.random.default_rng(seed), (2, 2))
+        angles, n = corr._direction_grid()
+        opposite = [
+            corr.MeasurementBasis(math.pi - polar, (azimuth + math.pi) % (2 * math.pi)) for polar, azimuth in angles
+        ]
+        bloch = corr._bloch(rho.matrix)
+        assert np.max(np.abs(unit_vectors(opposite) + n)) < 1e-15
+        values = corr._grid_entropies(bloch, n)
+        assert np.max(np.abs(corr._grid_entropies(bloch, unit_vectors(opposite)) - values)) < 1e-13
+
+    def test_x_objective_is_the_general_one_at_its_azimuth(self):
+        rng = np.random.default_rng(4210)
+        for _ in range(200):
+            m = random_x_state(rng).matrix
+            _, basis = corr._x_conditional_entropy(m)
+            x_objective, objective = corr._x_objective(m), corr._general_objective(corr._bloch(m))
+            for theta in rng.uniform(0.0, math.pi, size=5):
+                assert abs(x_objective(theta) - objective((theta, basis.azimuth))) < 1e-13
+
+    def test_scalar_paths_return_plain_floats(self):
+        # A numpy scalar in a simplex objective slows every evaluation.
+        rng = np.random.default_rng(7)
+        x_m, general_m = random_x_state(rng).matrix, random_density(rng, (2, 2)).matrix
+        assert type(corr._x_conditional_entropy(x_m)[0]) is float
+        assert type(corr._general_conditional_entropy(general_m)[0]) is float
+        assert type(corr._x_objective(x_m)(0.3)) is float
+        assert type(corr._general_objective(corr._bloch(general_m))((0.3, 1.2))) is float
 
     def test_product_state_in_its_own_basis(self):
         basis = corr.MeasurementBasis(1.1, 4.0)

@@ -24,7 +24,7 @@ class TestBohrFrequencies:
     def test_chain_frequency_set(self, default_cfg):
         lam = model.effective_coupling(default_cfg)
         h = model.build_effective_chain_hamiltonian(default_cfg)
-        got = davies.bohr_frequencies(h)
+        got = oracles.bohr_frequencies(h)
         # Brute-force oracle: dedupe all positive eigenvalue differences.
         w = np.linalg.eigvalsh(h.matrix)
         diffs = np.array([b - a for a in w for b in w if b - a > 1e-9 * (w[-1] - w[0])])
@@ -33,17 +33,17 @@ class TestBohrFrequencies:
         assert np.allclose(got / lam, [1.0, 2.0, 3.0, 4.0], atol=1e-9)
 
     def test_zero_hamiltonian(self):
-        assert davies.bohr_frequencies(qla.operator(np.zeros((4, 4)), (2, 2))).size == 0
+        assert oracles.bohr_frequencies(qla.operator(np.zeros((4, 4)), (2, 2))).size == 0
 
     def test_two_level_gap(self):
-        assert np.allclose(davies.bohr_frequencies(qla.operator(np.diag([0.0, 2.5]))), [2.5])
+        assert np.allclose(oracles.bohr_frequencies(qla.operator(np.diag([0.0, 2.5]))), [2.5])
 
     def test_non_hermitian_rejected(self, default_cfg):
         m = model.build_effective_chain_hamiltonian(default_cfg).matrix.copy()
         m[0, 7] += 1.0
         h = qla.Operator(m, (2, 2, 2))
         with pytest.raises(ValueError, match="not Hermitian"):
-            davies.bohr_frequencies(h)
+            oracles.bohr_frequencies(h)
         with pytest.raises(ValueError, match="not Hermitian"):
             davies.build_davies_channels(h, default_cfg)
 
@@ -77,7 +77,7 @@ class TestChannelConstruction:
         lam = model.effective_coupling(default_cfg)
         h = model.build_effective_chain_hamiltonian(default_cfg)
         channels = davies.build_davies_channels(h, default_cfg)
-        n_candidates = 3 * davies.bohr_frequencies(h).size
+        n_candidates = 3 * oracles.bohr_frequencies(h).size
         assert n_candidates == 12
         assert len(channels) <= n_candidates
         freqs = {site: set() for site in range(3)}
@@ -148,7 +148,7 @@ class TestLindbladRhs:
     def test_ground_state_stationary(self, default_cfg):
         gen = davies.chain_generator(default_cfg)
         ground = qla.ket("GGG").density()
-        out = davies.lindblad_rhs(ground, gen)
+        out = oracles.lindblad_rhs(ground, gen)
         assert np.max(np.abs(out.matrix)) < 1e-12
 
     def test_unitary_part_only_fixes_eigenprojectors(self, default_cfg):
@@ -156,20 +156,20 @@ class TestLindbladRhs:
         gen = davies.GeneratorSpec(h, (), model.effective_coupling(default_cfg))
         v = np.linalg.eigh(h.matrix)[1][:, 5]
         rho = qla.density(np.outer(v, v.conj()), (2, 2, 2))
-        out = davies.lindblad_rhs(rho, gen)
+        out = oracles.lindblad_rhs(rho, gen)
         assert np.max(np.abs(out.matrix)) < 1e-9
 
     def test_dark_state_stationary(self, default_cfg):
         gen = davies.chain_generator(default_cfg)
         dark = dark_state_vector()
         rho = qla.density(np.outer(dark, dark.conj()), (2, 2, 2))
-        out = davies.lindblad_rhs(rho, gen)
+        out = oracles.lindblad_rhs(rho, gen)
         assert np.max(np.abs(out.matrix)) < 1e-12
 
     def test_dimension_mismatch(self, default_cfg):
         gen = davies.chain_generator(default_cfg)
         with pytest.raises(ValueError):
-            davies.lindblad_rhs(qla.density(np.eye(2) / 2), gen)
+            oracles.lindblad_rhs(qla.density(np.eye(2) / 2), gen)
 
 
 class TestGeneratorInvariants:
@@ -179,7 +179,7 @@ class TestGeneratorInvariants:
         gen = davies.chain_generator(cfg)
         rng = np.random.default_rng(seed)
         rho = random_density(rng, (2, 2, 2))
-        out = davies.lindblad_rhs(rho, gen).matrix
+        out = oracles.lindblad_rhs(rho, gen).matrix
         assert abs(np.trace(out)) <= 1e-12 * 8
         assert np.max(np.abs(out - out.conj().T)) <= 1e-12
 
@@ -232,7 +232,7 @@ class TestGeneratorInvariants:
             blocks += proj @ rho @ proj
         blocks /= np.trace(blocks).real
         state = qla.density(blocks, (2, 2, 2))
-        flow = np.trace(h @ davies.lindblad_rhs(state, gen).matrix).real
+        flow = np.trace(h @ oracles.lindblad_rhs(state, gen).matrix).real
         assert flow <= 1e-10
 
     def test_generator_spec_rejects_non_hermitian(self):
@@ -241,16 +241,16 @@ class TestGeneratorInvariants:
 
     def test_generator_spec_rejects_dim_mismatch(self, default_cfg):
         h = model.build_effective_chain_hamiltonian(default_cfg)
-        bad = davies.DecayChannel(0, qla.identity((2,)), 0.1)
+        bad = oracles.DecayChannel(0, qla.identity((2,)), 0.1)
         with pytest.raises(ValueError):
             davies.GeneratorSpec(h, (bad,))
 
 
 class TestLocalContrastModel:
     def test_local_channels_damp_the_dark_state_direction(self, default_cfg):
-        gen = davies.local_chain_generator(default_cfg)
+        gen = oracles.local_chain_generator(default_cfg)
         assert len(gen.channels) == 3
         dark = dark_state_vector()
         rho = qla.density(np.outer(dark, dark.conj()), (2, 2, 2))
-        out = davies.lindblad_rhs(rho, gen)
+        out = oracles.lindblad_rhs(rho, gen)
         assert np.max(np.abs(out.matrix)) > 1e-4

@@ -149,7 +149,7 @@ class TestLiouvillian:
         "build, liouvillian_of",
         [
             (davies.chain_generator, dynamics._liouvillian),
-            (davies.local_chain_generator, dynamics._liouvillian),
+            (oracles.local_chain_generator, dynamics._liouvillian),
             (oracles.network_generator, oracles.sparse_liouvillian),
         ],
         ids=["chain_generator", "local_chain_generator", "network_generator"],
@@ -160,7 +160,7 @@ class TestLiouvillian:
         rng = np.random.default_rng(11)
         for _ in range(5):
             rho = random_density(rng, spec.hamiltonian.dims)
-            expected = davies.lindblad_rhs(rho, spec).matrix.reshape(-1)
+            expected = oracles.lindblad_rhs(rho, spec).matrix.reshape(-1)
             assert np.max(np.abs(liouvillian @ rho.matrix.reshape(-1) - expected)) < 1e-12
 
 

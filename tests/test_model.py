@@ -139,17 +139,17 @@ class TestNetworkHamiltonian:
 
 class TestFullChainModel:
     def test_truncated_dimension(self, default_cfg):
-        assert model.build_full_chain_hamiltonian(default_cfg, 1).dim == 6
-        basis = model.full_chain_basis(default_cfg, 1)
+        assert oracles.build_full_chain_hamiltonian(default_cfg, 1).dim == 6
+        basis = oracles.full_chain_basis(default_cfg, 1)
         assert len(basis) == 6
 
     def test_rejects_zero_cap(self, default_cfg):
         with pytest.raises(ValueError):
-            model.build_full_chain_hamiltonian(default_cfg, 0)
+            oracles.build_full_chain_hamiltonian(default_cfg, 0)
 
     def test_conserves_total_excitation(self, default_cfg):
-        h = model.build_full_chain_hamiltonian(default_cfg, 2)
-        n = model.full_chain_number_operator(default_cfg, 2)
+        h = oracles.build_full_chain_hamiltonian(default_cfg, 2)
+        n = oracles.full_chain_number_operator(default_cfg, 2)
         comm = h.matrix @ n.matrix - n.matrix @ h.matrix
         assert np.max(np.abs(comm)) < 1e-12 * np.max(np.abs(h.matrix))
 
@@ -161,10 +161,10 @@ class TestFullChainModel:
             J=J, omega_f=model.NetworkConfig().omega - model.NetworkConfig().nu - delta
         )
         lam = model.effective_coupling(cfg)
-        h_full = model.build_full_chain_hamiltonian(cfg, 1)
+        h_full = oracles.build_full_chain_hamiltonian(cfg, 1)
         h_eff = model.build_effective_chain_hamiltonian(cfg)
-        psi_full = model.full_chain_single_excitation(cfg, 1, 0)
-        proj3 = model.full_chain_site_projector(cfg, 1, 2).matrix
+        psi_full = oracles.full_chain_single_excitation(cfg, 1, 0)
+        proj3 = oracles.full_chain_site_projector(cfg, 1, 2).matrix
         psi_eff = qla.ket("EGG")
         full, eff = [], []
         for lt in times_lambda:
@@ -205,7 +205,7 @@ class TestInterleavedIndexing:
 
     def test_roundtrip_all_labels(self):
         for idx in range(64):
-            assert model.map_interleaved_index(model.interleaved_label(idx)) == idx
+            assert model.map_interleaved_index(oracles.interleaved_label(idx)) == idx
 
     def test_malformed_labels_rejected(self):
         with pytest.raises(ValueError):
