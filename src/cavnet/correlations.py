@@ -54,7 +54,7 @@ import numpy as np
 
 from . import qla
 from .model import cavity_label_to_qubit
-from .qla import DensityMatrix, Operator, PureState
+from .qla import DensityMatrix, PureState
 
 __all__ = [
     "PairSelector",
@@ -240,10 +240,7 @@ def pair_state(rho: DensityMatrix, pair: PairSelector) -> DensityMatrix:
     """Two-qubit reduction with the pair members in the requested order."""
     if max(pair.first, pair.second) >= len(rho.dims):
         raise ValueError(f"pair {pair} out of range for dims {rho.dims}")
-    reduced = qla.partial_trace(rho, [pair.first, pair.second])
-    if pair.first < pair.second:
-        return reduced
-    return DensityMatrix(Operator(_swap_qubits(reduced.matrix), (2, 2)))
+    return qla.partial_trace(rho, [pair.first, pair.second])
 
 
 def _swap_qubits(m: np.ndarray) -> np.ndarray:
@@ -334,15 +331,21 @@ def _marginal_entropy(m: np.ndarray, side: int) -> float:
     return total
 
 
+def _pair_entropies(rho_ab: DensityMatrix) -> tuple[float, float, float]:
+    """S(A), S(B) and S(AB) in bits of a two-qubit state."""
+    m = rho_ab.matrix
+    return _marginal_entropy(m, 0), _marginal_entropy(m, 1), qla.von_neumann_entropy(rho_ab)
+
+
 def mutual_information(rho_ab: DensityMatrix) -> float:
     """S(A) + S(B) - S(AB) in bits for a bipartite state."""
     if len(rho_ab.dims) != 2:
         raise ValueError("mutual information needs a bipartite split")
     if rho_ab.dims == (2, 2):
-        s_a, s_b = _marginal_entropy(rho_ab.matrix, 0), _marginal_entropy(rho_ab.matrix, 1)
+        s_a, s_b, s_ab = _pair_entropies(rho_ab)
     else:
         s_a, s_b = (qla.von_neumann_entropy(qla.partial_trace(rho_ab, [k])) for k in (0, 1))
-    s_ab = qla.von_neumann_entropy(rho_ab)
+        s_ab = qla.von_neumann_entropy(rho_ab)
     return s_a + s_b - s_ab
 
 
@@ -512,13 +515,16 @@ def classical_correlation(
     return _marginal_entropy(work, 0) - cond, basis
 
 
-def _classical_and_discord(rho_ab: DensityMatrix, measured: str) -> tuple[float, float]:
+def _classical_and_discord(
+    rho_ab: DensityMatrix, measured: str, info: float | None = None
+) -> tuple[float, float]:
     """Classical correlation J and discord Q = I - J from one optimization.
 
+    ``info`` is the mutual information I where the caller already holds it.
     A Q below the floor means the optimizer overshot the true minimum.
     """
     cc, _ = classical_correlation(rho_ab, measured)
-    q = mutual_information(rho_ab) - cc
+    q = (mutual_information(rho_ab) if info is None else info) - cc
     if q < _DISCORD_FLOOR:
         raise RuntimeError(f"discord optimizer failure: Q = {q:.3e} < {_DISCORD_FLOOR}")
     return cc, max(q, 0.0)
@@ -608,11 +614,11 @@ def delta_fanchini(rho_123: DensityMatrix) -> DeltaResult:
     """
     if rho_123.dims != (2, 2, 2):
         raise ValueError(f"expected a three-qubit state, got dims {rho_123.dims}")
-    pairs = [pair_state(rho_123, PairSelector(0, partner)) for partner in (1, 2)]
-    delta = 0.0
-    for pair in pairs:
+    delta, entropies = 0.0, []
+    for pair in (pair_state(rho_123, PairSelector(0, other)) for other in (1, 2)):
+        s_a, s_b, s_ab = _pair_entropies(pair)  # S(other) and S(0, other) also give the slack
         delta += eof_from_concurrence(concurrence(pair))
-        delta -= quantum_discord(pair)
-    s_12, s_13 = (qla.von_neumann_entropy(pair) for pair in pairs)
-    s_2, s_3 = (_marginal_entropy(pair.matrix, 1) for pair in pairs)
+        delta -= _classical_and_discord(pair, "B", s_a + s_b - s_ab)[1]
+        entropies.append((s_ab, s_b))
+    (s_12, s_2), (s_13, s_3) = entropies
     return DeltaResult(delta, s_12 + s_13 - s_2 - s_3 - delta)

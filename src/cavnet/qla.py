@@ -7,13 +7,14 @@ clever.  The Hamiltonian eigenbasis is computed where it is used, by the
 Davies channel construction in ``davies``.  All
 container types are immutable once constructed and every function is pure,
 which makes values safe to share across threads.  Every ``DensityMatrix``,
-whether built by hand, reduced or propagated, is validated against the same
-``HERMITICITY_ATOL``, ``TRACE_ATOL`` and ``PSD_ATOL`` thresholds.  Positivity
-is tested by a Cholesky factorization of the Hermitian part shifted by
-``PSD_ATOL``, which exists exactly when the least eigenvalue exceeds
-``-PSD_ATOL``; the spectrum is computed only to report a rejection.  A
-partial trace is one gather of the flattened matrix at index arrays cached
-per (dims, keep), followed by one sum over the traced digits.
+whether built by hand, reduced or propagated, is validated on its support
+against the same ``HERMITICITY_ATOL``, ``TRACE_ATOL`` and ``PSD_ATOL``
+thresholds.  Positivity is tested by a Cholesky factorization of the
+Hermitian part shifted by ``PSD_ATOL``, which exists exactly when the least
+eigenvalue exceeds ``-PSD_ATOL``; the spectrum is computed only to report a
+rejection.  A partial trace is one gather of the flattened matrix at index
+arrays cached per (dims, keep), in that order, then one sum over the traced
+digits.
 
 Conventions
 -----------
@@ -130,6 +131,8 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator.
 
+    The checks run on the support, the indices with a nonzero in their row
+    or column; all else is zero, so each decision is the whole matrix's.
     Positivity is checked without a spectrum: the Hermitian part plus
     ``PSD_ATOL`` times the identity has a Cholesky factor exactly when its
     least eigenvalue is positive, that is when the state's least eigenvalue
@@ -141,8 +144,11 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = self.op.matrix
+        live = m.any(axis=0) | m.any(axis=1)
+        if not live.all():
+            m = m[live][:, live]
         m_dag = m.conj().T
-        herm = float(np.max(np.abs(m - m_dag)))
+        herm = float(np.abs(m - m_dag).max(initial=0.0))
         # Written so that a NaN, which a Cholesky factorization passes
         # through silently, fails here.
         if not herm <= HERMITICITY_ATOL:
@@ -224,15 +230,17 @@ def _trace_gather(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     Entry (r, i, j) is the position, in the row-major flattened matrix, of
     the element whose row has kept digits i and traced digits r and whose
     column has kept digits j and the same r; summing over r traces out the
-    complement of ``keep``.
+    complement of ``keep``.  Kept digits follow ``keep``'s order.
     """
     dims = [int(d) for d in dims]
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
+    keep = [int(k) for k in keep]
     if not keep:
         raise ValueError("must keep at least one subsystem")
-    if keep[0] < 0 or keep[-1] >= n:
+    if min(keep) < 0 or max(keep) >= n:
         raise ValueError(f"subsystem index out of range: keep={keep}, n={n}")
+    if len(set(keep)) < len(keep):
+        raise ValueError(f"repeated subsystem index: keep={keep}")
     rest = [i for i in range(n) if i not in keep]
     size = math.prod(dims)
     dk = math.prod(dims[i] for i in keep)
@@ -246,7 +254,7 @@ def _trace_gather(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
 
 
 def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
-    """Raw partial trace over the complement of ``keep``; subsystem order kept.
+    """Raw partial trace over the complement of ``keep``, kept subsystems in ``keep``'s order.
 
     One gather of the flattened matrix at indices cached per (dims, keep)
     and one sum over the traced digits.
@@ -260,8 +268,8 @@ def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the kept subsystems, original order preserved."""
-    keep = sorted(set(int(k) for k in keep))
+    """Reduced state on the kept subsystems, in the order ``keep`` lists them."""
+    keep = [int(k) for k in keep]
     reduced = partial_trace_matrix(rho.matrix, rho.dims, keep)
     reduced = (reduced + reduced.conj().T) / 2.0
     dims = tuple(rho.dims[k] for k in keep)

@@ -13,10 +13,12 @@ a dense search over projective measurements that shares nothing with the
 production grid, objective or simplex.
 
 The remaining references are the forms production code used before it
-read two-qubit marginals and partial traces more directly: a transpose and
-``einsum`` partial trace, and the strong-subadditivity slack of
-``delta_fanchini`` from four partial traces.  The Werner family and the
-entanglement sum are fixtures that only tests use.
+stepped only the reachable block of a two-chain trajectory and read
+two-qubit marginals and partial traces more directly: the full-matrix
+two-chain stepper, a transpose and ``einsum`` partial trace, and the
+strong-subadditivity slack of ``delta_fanchini`` from four partial traces.
+The Werner family and the entanglement sum are fixtures that only tests
+use.
 
 Last come the models that only validate the production one: the truncated
 pre-elimination chain with explicit fiber modes, against which the
@@ -34,7 +36,7 @@ from scipy import sparse
 from scipy.optimize import minimize
 from scipy.sparse.linalg import expm_multiply
 
-from cavnet import correlations, davies, model, qla
+from cavnet import correlations, davies, dynamics, model, qla
 
 # Eigenbasis round-off of about 1e-15 where a Davies jump vanishes; entries
 # this far below the largest one are dropped so that the 4096-dimensional
@@ -193,19 +195,40 @@ def dense_discord(rho: qla.DensityMatrix, measured: str = "B") -> float:
     return s_b - _entropy_bits(np.linalg.eigvalsh(m)) + conditional
 
 
+def regroup(m: np.ndarray, d: int) -> np.ndarray:
+    """M[(i j), (k l)] = rho[(i k), (j l)] for two chains of dimension d; an involution."""
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def evolve_factorized_dense(
+    rho0: qla.DensityMatrix, chain_spec: davies.GeneratorSpec, sample_times
+) -> dynamics.Trajectory:
+    """``dynamics.evolve_factorized`` stepping the whole regrouped state, M <- S M S^T."""
+    t, step = dynamics._validate_sample_times(sample_times)
+    d = chain_spec.dim
+    s = dynamics._propagator(chain_spec, step)
+    m = regroup(rho0.matrix.astype(complex), d)
+    return dynamics._stepped(
+        t, chain_spec.lambda_scale, rho0.dims, m, lambda m: s @ m @ s.T, lambda m: regroup(m, d)
+    )
+
+
 def partial_trace_einsum(mat: np.ndarray, dims, keep) -> np.ndarray:
     """Partial trace over the complement of ``keep``, by one transpose and one contraction.
 
-    The transpose groups the axes as (keep, rest, keep', rest'); the traced
-    block is then a single ``einsum`` over the two ``rest`` groups.
+    The transpose groups the axes as (keep, rest, keep', rest'), the kept
+    ones in the order ``keep`` lists them; the traced block is then a single
+    ``einsum`` over the two ``rest`` groups.
     """
     dims = list(dims)
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
+    keep = [int(k) for k in keep]
     if not keep:
         raise ValueError("must keep at least one subsystem")
-    if keep[0] < 0 or keep[-1] >= n:
+    if min(keep) < 0 or max(keep) >= n:
         raise ValueError(f"subsystem index out of range: keep={keep}, n={n}")
+    if len(set(keep)) < len(keep):
+        raise ValueError(f"repeated subsystem index: keep={keep}")
     rest = [i for i in range(n) if i not in keep]
     dk = math.prod(dims[i] for i in keep)
     dr = math.prod(dims[i] for i in rest)

@@ -707,6 +707,26 @@ class TestDelta:
             assert abs(got.delta - want.delta) < 1e-12
             assert abs(got.ssa_slack - want.ssa_slack) < 1e-12
 
+    def test_one_joint_entropy_per_pair_and_same_bits(self, monkeypatch):
+        # Each pair's S(0, k) is computed once, and the result is bit for bit
+        # the one from quantum_discord plus separate entropies.
+        rng = np.random.default_rng(1407)
+        states = [random_density(rng, (2, 2, 2), rank=int(rng.integers(1, 9))) for _ in range(10)]
+        for rho in states:
+            pairs = [corr.pair_state(rho, corr.PairSelector(0, k)) for k in (1, 2)]
+            delta = 0.0
+            for pair in pairs:
+                delta += corr.eof_from_concurrence(corr.concurrence(pair))
+                delta -= corr.quantum_discord(pair)
+            s_12, s_13 = (qla.von_neumann_entropy(pair) for pair in pairs)
+            s_2, s_3 = (corr._marginal_entropy(pair.matrix, 1) for pair in pairs)
+            calls = []
+            entropy = qla.von_neumann_entropy
+            monkeypatch.setattr(qla, "von_neumann_entropy", lambda r: calls.append(r.dim) or entropy(r))
+            assert tuple(corr.delta_fanchini(rho)) == (delta, s_12 + s_13 - s_2 - s_3 - delta)
+            assert calls == [4, 4]
+            monkeypatch.undo()
+
     def test_single_excitation_product_state(self):
         res = corr.delta_fanchini(qla.ket("EGG").density())
         assert res.delta == pytest.approx(0.0, abs=1e-12)
@@ -751,3 +771,20 @@ class TestPairSelector:
             for j in range(2):
                 swap[j * 2 + i, i * 2 + j] = 1.0
         assert np.max(np.abs(rev - swap @ fwd @ swap.T)) < 1e-12
+
+    def test_either_order_is_one_reduction(self, default_cfg, monkeypatch):
+        # A reversed pair is one ordered partial trace, validated once, and
+        # bit for bit the forward reduction with its qubits exchanged.
+        rho = model.build_initial_state(model.InitialStateSpec("psi_a", 0.3), default_cfg)
+        calls = []
+        validate = qla.DensityMatrix.__post_init__
+
+        def spy(self):
+            calls.append(self.dim)
+            validate(self)
+
+        monkeypatch.setattr(qla.DensityMatrix, "__post_init__", spy)
+        fwd = corr.pair_state(rho, corr.PairSelector(0, 3)).matrix
+        rev = corr.pair_state(rho, corr.PairSelector(3, 0)).matrix
+        assert calls == [4, 4]
+        assert np.array_equal(rev, corr._swap_qubits(fwd))

@@ -144,6 +144,52 @@ class TestDirectOracle:
         assert dev < 1e-12
 
 
+class TestReachableBlock:
+    """The block stepper against the full-matrix one of ``tests/oracles.py``.
+
+    Figure states keep each chain in {vacuum, one excitation}, so the
+    regrouped state has 16 reachable rows and columns of 64; a dense state
+    reaches all of them.
+    """
+
+    @pytest.mark.parametrize(
+        "gamma, units", [(0.0, "abs"), (0.01, "abs"), (0.5, "lambda"), (5.0, "lambda")],
+        ids=["lossless", "0.01abs", "0.5lambda", "5lambda"],
+    )
+    @pytest.mark.parametrize("kind", ["psi_a", "psi_b", "rho_eq20", "dense64"])
+    def test_block_is_exact(self, kind, gamma, units):
+        cfg = model.NetworkConfig(gamma=gamma, gamma_units=units)
+        gen = davies.chain_generator(cfg)
+        if kind == "dense64":
+            rho0 = random_density(np.random.default_rng(64), (2,) * 6)
+        else:
+            rho0 = model.build_initial_state(model.InitialStateSpec(kind, 0.3), cfg)
+        times = chain_times(cfg, 12.0, 120)
+        got = dynamics.evolve_factorized(rho0, gen, times)
+        dense = oracles.evolve_factorized_dense(rho0, gen, times)
+        assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(got.states, dense.states)) < 1e-14
+        s = dynamics._propagator(gen, times[1])
+        m0 = oracles.regroup(rho0.matrix, 8)
+        rows, cols = dynamics._reachable(s, m0.any(axis=1)), dynamics._reachable(s, m0.any(axis=0))
+        outside = np.ones((64, 64), dtype=bool)
+        outside[np.ix_(rows, cols)] = False
+        # The full product holds exact zeros outside the block, so the block drops nothing.
+        assert not any(oracles.regroup(state.matrix, 8)[outside].any() for state in dense.states)
+        assert (rows.size, cols.size) == ((64, 64) if kind == "dense64" else (16, 16))
+
+    def test_growth_follows_the_nonzero_pattern(self):
+        # 0 -> 1 -> 2 is a path, 3 feeds 2 but is never fed: from {0} the
+        # closure is {0, 1, 2}, and from {3} it is {2, 3}.  A link counts
+        # however small it is: only an exact zero leaves an index out.
+        s = np.eye(4)
+        s[1, 0] = s[2, 1] = 0.5
+        s[2, 3] = 1e-300
+        start = np.zeros(4, dtype=bool)
+        start[0] = True
+        assert dynamics._reachable(s, start).tolist() == [0, 1, 2]
+        assert dynamics._reachable(s, start[::-1].copy()).tolist() == [2, 3]
+
+
 class TestLiouvillian:
     @pytest.mark.parametrize(
         "build, liouvillian_of",

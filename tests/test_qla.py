@@ -118,20 +118,43 @@ class TestPartialTrace:
 
     @pytest.mark.parametrize("dims", [(2,) * 6, (2, 3, 2)])
     def test_gather_matches_einsum_reference(self, dims):
-        # Every keep subset, also listed in reverse and with a repeated site,
-        # which both forms sort and deduplicate.
+        # Every keep subset, also listed in reverse, which both forms return
+        # in the listed order; with a repeated site both raise alike.
         rng = np.random.default_rng(46)
         rho = random_density(rng, dims)
         n = len(dims)
         for size in range(1, n + 1):
             for keep in itertools.combinations(range(n), size):
-                for listed in (keep, keep[::-1], keep + keep[:1]):
+                for listed in (keep, keep[::-1]):
                     got = qla.partial_trace_matrix(rho.matrix, dims, listed)
                     want = oracles.partial_trace_einsum(rho.matrix, dims, listed)
                     assert got.shape == want.shape
                     assert np.max(np.abs(got - want)) < 1e-14, listed
+                repeated = keep + keep[:1]
+                with pytest.raises(ValueError, match="repeated") as got_error:
+                    qla.partial_trace_matrix(rho.matrix, dims, repeated)
+                with pytest.raises(ValueError) as want_error:
+                    oracles.partial_trace_einsum(rho.matrix, dims, repeated)
+                assert str(got_error.value) == str(want_error.value)
 
-    @pytest.mark.parametrize("keep", [[], [3], [-1], [0, 3]], ids=["empty", "past-end", "negative", "one-past-end"])
+    def test_keep_order_orders_the_subsystems(self):
+        # Listing (2, 1) keeps the dimension-2 and dimension-3 subsystems in
+        # that order: the sorted reduction with its two factors exchanged.
+        rng = np.random.default_rng(12)
+        rho = random_density(rng, (2, 3, 2))
+        sorted_red = brute_force_partial_trace(rho.matrix, rho.dims, [1, 2])
+        want = sorted_red.reshape(3, 2, 3, 2).transpose(1, 0, 3, 2).reshape(6, 6)
+        got = qla.partial_trace(rho, [2, 1])
+        assert got.dims == (2, 3)
+        assert np.max(np.abs(got.matrix - want)) < 1e-14
+        with pytest.raises(ValueError, match="repeated"):
+            qla.partial_trace(rho, [1, 1])
+
+    @pytest.mark.parametrize(
+        "keep",
+        [[], [3], [-1], [0, 3], [1, 0, 1]],
+        ids=["empty", "past-end", "negative", "one-past-end", "repeated"],
+    )
     def test_bad_keep_raises_like_reference(self, keep):
         mat = np.eye(8) / 8.0
         with pytest.raises(ValueError) as got:
@@ -226,6 +249,23 @@ class TestValidation:
         m[0, 1] = np.nan
         with pytest.raises(ValueError, match="not Hermitian"):
             qla.density(m)
+        # Also where the NaN is the only entry of its row and column.
+        m = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        m[2, 2] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qla.density(m)
+
+    def test_density_rejects_asymmetry_in_an_otherwise_zero_row(self):
+        # Row 2 holds one entry and column 2 none: the checked support must
+        # take rows as well as columns, and not just the diagonal.
+        m = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        m[2, 0] = 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qla.density(m)
+
+    def test_zero_matrix_rejected_by_trace(self):
+        with pytest.raises(ValueError, match="trace deviates"):
+            qla.density(np.zeros((4, 4)))
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 64])
     def test_cholesky_psd_decision_matches_spectrum(self, dim, monkeypatch):
@@ -251,15 +291,25 @@ class TestValidation:
                     m = (m + m.conj().T) / 2.0
                     expect = eigvalsh(m).min() >= -qla.PSD_ATOL
                     assert expect == (factor < 1.0)
-                    calls.clear()
-                    if expect:
-                        qla.density(m)
-                        assert not calls
-                    else:
-                        with pytest.raises(ValueError, match="positive semidefinite"):
-                            qla.density(m)
-                    checked += 1
-        assert checked == 6 * 3 * 4
+                    # The same state on scattered indices of a register twice
+                    # as large, zero elsewhere: only its support is checked,
+                    # and the decision must not change.
+                    at = np.sort(rng.choice(2 * dim, size=dim, replace=False))
+                    embedded = np.zeros((2 * dim, 2 * dim), dtype=complex)
+                    embedded[np.ix_(at, at)] = m
+                    messages = []
+                    for state in (m, embedded):
+                        calls.clear()
+                        if expect:
+                            qla.density(state)
+                            assert not calls
+                        else:
+                            with pytest.raises(ValueError, match="positive semidefinite") as error:
+                                qla.density(state)
+                            messages.append(str(error.value))
+                        checked += 1
+                    assert len(set(messages)) <= 1
+        assert checked == 6 * 3 * 4 * 2
 
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError):
