@@ -6,16 +6,20 @@ row-major vectorized density matrices.  Samples lie on one uniform grid,
 so a single propagator S = exp(L dt), a dense Pade scaling-and-squaring
 exponential (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), carries
 every trajectory from one sample to the next; no integrator or step
-control is involved.  ``evolve`` steps v <- S v on one register.
+control is involved.
 
-``evolve_factorized`` exploits the fact that the two chains never couple:
-the 64x64 one-chain propagator acts on both chain slots, turning one
-4096-dimensional problem into a 64-dimensional one.  The test suite checks
-it against a sparse evolution of the full network generator, which lives
-with the other oracles in ``tests/oracles.py``.  It steps only the rows and
-columns that the exact zeros of S let the initial state reach: 16 of 64
-on a figure state, each chain in {vacuum, one excitation}, and all 64 on a
-dense one.  Every sample's trace is renormalized under the fixed guard
+One block stepper serves both evolvers.  It lays the flattened state out
+as a matrix M and steps M <- S_row M S_col^T with one map per slot:
+``evolve`` has one slot, M = vec(rho) as a column and S_col = [[1]];
+``evolve_factorized`` has two, since the chains never couple, and applies
+the 64x64 one-chain propagator to both, turning one 4096-dimensional
+problem into a 64-dimensional one.  The test suite checks it against a
+sparse evolution of the full network generator, which lives with the
+other oracles in ``tests/oracles.py``.  Only the rows and columns that
+the exact zeros of S let the initial state reach are stepped: 10 of 64
+entries on fig9's chain states, 16 of 64 rows and columns on a two-chain
+figure state, each chain in {vacuum, one excitation}, and all on a dense
+one.  Every sample's trace is renormalized under the fixed guard
 ``TRACE_GUARD``, so numerical faults surface as errors instead of drifting
 silently; the renormalized sample is then validated against the same
 thresholds as every other ``DensityMatrix``.
@@ -79,7 +83,8 @@ def _liouvillian(spec: GeneratorSpec) -> np.ndarray:
 
 
 # Pade coefficients b_0..b_m and the largest 1-norm theta_m for which the
-# [m/m] approximant of exp meets double precision (Higham 2005, Table 2.3).
+# [m/m] approximant of exp meets double precision, for m = 3, 5, 7, 9, 13
+# (Higham 2005, Table 2.3).
 _PADE = (
     (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
     (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
@@ -89,40 +94,34 @@ _PADE = (
         (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0, 110880.0,
          3960.0, 90.0, 1.0),
     ),
-)
-_THETA_13 = 5.371920351148152e0
-_B_13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+    (
+        5.371920351148152e0,
+        (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+    ),
 )
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by Pade scaling and squaring (Higham 2005, Alg. 2.3).
 
-    The lowest degree of 3/5/7/9/13 whose theta covers ||a||_1 is used;
-    past theta_13 the matrix is halved s times before degree 13 and the
+    The lowest degree whose theta covers ||a||_1 is used; past the last
+    theta the matrix is halved s times before the last degree and the
     result squared s times.
     """
     norm = float(np.abs(a).sum(axis=0).max())
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    a2 = a @ a
+    # Tested before the logarithm, which a zero step (one sample) would not survive.
+    s = math.ceil(math.log2(norm / _PADE[-1][0])) if norm > _PADE[-1][0] else 0
+    a, norm = a * 2.0**-s, norm * 2.0**-s
     for theta, b in _PADE:
         if norm <= theta:
-            powers = [eye, a2]
-            while len(powers) < len(b) // 2:
-                powers.append(powers[-1] @ a2)
-            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-            v = sum(b[2 * k] * p for k, p in enumerate(powers))
-            return np.linalg.solve(v - u, v + u)
-    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
-    a, a2 = a * 2.0**-s, a2 * 4.0**-s
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    b = _B_13
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+            break
+    powers = [np.eye(a.shape[0], dtype=a.dtype), a @ a]
+    while len(powers) < len(b) // 2:
+        powers.append(powers[-1] @ powers[1])
+    u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+    v = sum(b[2 * k] * p for k, p in enumerate(powers))
     r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r
@@ -132,16 +131,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def _propagator(spec: GeneratorSpec, step: float) -> np.ndarray:
     """S = exp(L step), the map of vectorized states over one grid step."""
     return _expm(_liouvillian(spec) * step)
-
-
-def _sample_state(m: np.ndarray, dims, time_lambda: float) -> DensityMatrix:
-    """Renormalize one propagated sample under the trace guard."""
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > TRACE_GUARD:
-        raise TraceDriftError(f"trace drifted to {tr:.12g} at lambda*t = {time_lambda:.6g} (guard {TRACE_GUARD:g})")
-    # Scaling by the reciprocal avoids a complex division per entry, which
-    # measured several times slower in a fresh process.
-    return DensityMatrix(Operator(m * (1.0 / tr), dims))
 
 
 def _validate_sample_times(sample_times) -> tuple[np.ndarray, float]:
@@ -171,15 +160,6 @@ def sample_grid(t_max_lambda: float, samples: int, lambda_scale: float) -> np.nd
     return np.linspace(0.0, t_max_lambda / lambda_scale, samples)
 
 
-def _stepped(t: np.ndarray, lambda_scale: float, dims, x: np.ndarray, advance, view) -> Trajectory:
-    """Sample ``view(x)`` at t[0], then once after each ``x <- advance(x)`` grid step."""
-    states = [_sample_state(view(x), dims, 0.0)]
-    for k in range(1, t.size):
-        x = advance(x)
-        states.append(_sample_state(view(x), dims, t[k] * lambda_scale))
-    return Trajectory(t, t * lambda_scale, tuple(states))
-
-
 def _reachable(s: np.ndarray, live: np.ndarray) -> np.ndarray:
     """Ascending indices of the closure J <- J | {i : S[i, J] != 0} of the mask ``live``."""
     linked = s != 0
@@ -190,15 +170,45 @@ def _reachable(s: np.ndarray, live: np.ndarray) -> np.ndarray:
         live = grown
 
 
+def _block_trajectory(rho0: DensityMatrix, t, lambda_scale: float, s_row, s_col, at) -> Trajectory:
+    """Sample rho0 at t[0], then after each step M_RC <- S_row[R, R] M_RC S_col[C, C]^T.
+
+    M[a, b] is entry ``at[a, b]`` of the flattened rho0.  R and C are the
+    rows and columns of M that the exact zeros of S_row and S_col let it
+    reach; every other entry stays exactly zero, so only M_RC is stepped
+    and each sample scatters it back into a zero matrix.
+    """
+    m = rho0.matrix.astype(complex).reshape(-1)[at]
+    r, c = _reachable(s_row, m.any(axis=1)), _reachable(s_col, m.any(axis=0))
+    s_rr, s_cc_t = s_row[np.ix_(r, r)], s_col[np.ix_(c, c)].T
+    at_rc, x = at[np.ix_(r, c)], m[np.ix_(r, c)]
+    d = rho0.dim
+    states = []
+    for k, time_lambda in enumerate(t * lambda_scale):
+        if k:
+            x = s_rr @ x @ s_cc_t
+        flat = np.zeros(d * d, dtype=complex)
+        flat[at_rc] = x
+        rho = flat.reshape(d, d)
+        tr = float(np.trace(rho).real)
+        if abs(tr - 1.0) > TRACE_GUARD:
+            raise TraceDriftError(f"trace drifted to {tr:.12g} at lambda*t = {time_lambda:.6g} (guard {TRACE_GUARD:g})")
+        # Scaling by the reciprocal avoids a complex division per entry, which
+        # measured several times slower in a fresh process.
+        states.append(DensityMatrix(Operator(rho * (1.0 / tr), rho0.dims)))
+    return Trajectory(t, t * lambda_scale, tuple(states))
+
+
 def evolve(rho0: DensityMatrix, spec: GeneratorSpec, sample_times) -> Trajectory:
-    """Propagate the master equation and sample on a uniform grid of times (ns)."""
+    """Propagate the master equation and sample on a uniform grid of times (ns).
+
+    One slot: M = vec(rho) as a column, stepped as M <- S M [[1]].
+    """
     t, step = _validate_sample_times(sample_times)
     if rho0.dim != spec.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match generator {spec.dim}")
-    s = _propagator(spec, step)
-    d = rho0.dim
-    v = rho0.matrix.reshape(-1).astype(complex)
-    return _stepped(t, spec.lambda_scale, rho0.dims, v, lambda v: s @ v, lambda v: v.reshape(d, d))
+    at = np.arange(rho0.dim**2)[:, None]
+    return _block_trajectory(rho0, t, spec.lambda_scale, _propagator(spec, step), np.ones((1, 1)), at)
 
 
 def evolve_factorized(rho0: DensityMatrix, chain_spec: GeneratorSpec, sample_times) -> Trajectory:
@@ -206,8 +216,7 @@ def evolve_factorized(rho0: DensityMatrix, chain_spec: GeneratorSpec, sample_tim
 
     With rho regrouped as M[(i j), (k l)] = rho[(i k), (j l)], chain 1 on
     (i, j) and chain 2 on (k, l), one step of length dt is M <- S M S^T with
-    S = exp(L_chain dt), taken as M_RC <- S_RR M_RC S_CC^T on the reachable
-    rows R and columns C of M.
+    S = exp(L_chain dt).
     """
     t, step = _validate_sample_times(sample_times)
     d = chain_spec.dim
@@ -216,14 +225,4 @@ def evolve_factorized(rho0: DensityMatrix, chain_spec: GeneratorSpec, sample_tim
     s = _propagator(chain_spec, step)
     # M[a, b] is entry at[a, b] of the flattened rho; the regroup only permutes.
     at = np.arange(d**4).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    m = rho0.matrix.astype(complex).reshape(-1)[at]
-    r, c = _reachable(s, m.any(axis=1)), _reachable(s, m.any(axis=0))
-    s_rr, s_cc_t = s[np.ix_(r, r)], s[np.ix_(c, c)].T
-    at_rc = at[np.ix_(r, c)]
-
-    def view(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(d**4, dtype=complex)
-        out[at_rc] = x
-        return out.reshape(d * d, d * d)
-
-    return _stepped(t, chain_spec.lambda_scale, rho0.dims, m[np.ix_(r, c)], lambda x: s_rr @ x @ s_cc_t, view)
+    return _block_trajectory(rho0, t, chain_spec.lambda_scale, s, s, at)

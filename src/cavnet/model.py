@@ -159,13 +159,6 @@ def effective_coupling(cfg: NetworkConfig) -> float:
     return cfg.J**2 / (2.0 * delta)
 
 
-def _chain_qubit_operator(locals_by_site: dict[int, np.ndarray], nsites: int) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for site in range(nsites):
-        out = np.kron(out, locals_by_site.get(site, np.eye(2, dtype=complex)))
-    return out
-
-
 def build_effective_chain_hamiltonian(cfg: NetworkConfig) -> Operator:
     """Single-chain polariton Hamiltonian after fiber elimination.
 
@@ -175,14 +168,15 @@ def build_effective_chain_hamiltonian(cfg: NetworkConfig) -> Operator:
     """
     lam = effective_coupling(cfg)
     n = cfg.sites_per_chain
+    dims = (2,) * n
     h = np.zeros((2**n, 2**n), dtype=complex)
     for site in range(n):
         weight = 1.0 if site in (0, n - 1) else 2.0
-        h += lam * weight * _chain_qubit_operator({site: qla.PROJ_E}, n)
+        h += lam * weight * qla.embed(qla.PROJ_E, site, dims).matrix
     for site in range(n - 1):
-        hop = _chain_qubit_operator({site: qla.RAISING, site + 1: qla.LOWERING}, n)
+        hop = qla.embed(qla.RAISING, site, dims).matrix @ qla.embed(qla.LOWERING, site + 1, dims).matrix
         h += lam * (hop + hop.conj().T)
-    return Operator(h, (2,) * n)
+    return Operator(h, dims)
 
 
 def interleaved_qubit_order(sites_per_chain: int = 3, num_chains: int = 2) -> tuple[int, ...]:
@@ -239,33 +233,17 @@ def build_initial_state(spec: InitialStateSpec, cfg: NetworkConfig) -> DensityMa
     the single-chain kinds are 8-dimensional.
     """
     n = cfg.sites_per_chain
+    vacuum, pair = "G" * cfg.total_sites, "EE" + "G" * (cfg.total_sites - 2)
     if spec.kind == "psi_a":
         excite_1 = "E" + "G" * (cfg.total_sites - 1)
         excite_1p = "GE" + "G" * (cfg.total_sites - 2)
-        state = _network_pure(
-            {excite_1: math.cos(spec.theta), excite_1p: math.sin(spec.theta)}, cfg
-        )
-        return state.density()
+        return _network_pure({excite_1: math.cos(spec.theta), excite_1p: math.sin(spec.theta)}, cfg).density()
     if spec.kind == "psi_b":
-        vacuum = "G" * cfg.total_sites
-        pair = "EE" + "G" * (cfg.total_sites - 2)
-        state = _network_pure(
-            {vacuum: math.sin(spec.theta), pair: math.cos(spec.theta)}, cfg
-        )
-        return state.density()
+        return _network_pure({vacuum: math.sin(spec.theta), pair: math.cos(spec.theta)}, cfg).density()
     if spec.kind == "rho_eq20":
-        # Equal 1/2 weights on |EE><EE|, |GG><GG| and both cross terms for
-        # the 1,1' pair; written out verbatim, this is the Bell projector.
-        total = cfg.total_sites
-        vacuum = "G" * total
-        pair = "EE" + "G" * (total - 2)
-        i_gg = map_interleaved_index(vacuum, n, cfg.num_chains)
-        i_ee = map_interleaved_index(pair, n, cfg.num_chains)
-        rho = np.zeros((2**total, 2**total), dtype=complex)
-        for a in (i_gg, i_ee):
-            for b in (i_gg, i_ee):
-                rho[a, b] = 0.5
-        return DensityMatrix(Operator(rho, (2,) * total))
+        # The Bell projector of the 1,1' pair: weights 1/2 on |EE><EE|,
+        # |GG><GG| and both cross terms.
+        return _network_pure({vacuum: math.sqrt(0.5), pair: math.sqrt(0.5)}, cfg).density()
     if spec.kind == "psi1_chain":
         first = qla.ket("E" + "G" * (n - 1)).amplitudes
         last = qla.ket("G" * (n - 1) + "E").amplitudes

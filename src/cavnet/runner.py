@@ -239,8 +239,11 @@ def transmission_details(
     """Peak concurrence of ``dst`` relative to the initial concurrence of ``src``.
 
     ``ratio`` is max_t C_dst(t) / C_src(0), the peak located by quadratic
-    interpolation; ``ratio_at_transfer`` samples C_dst at lambda*t = 2*pi/3.
+    interpolation; ``ratio_at_transfer`` samples C_dst at lambda*t = 2*pi/3,
+    so the window must reach it.
     """
+    if t_max_lambda < TRANSFER_TIME_LAMBDA:
+        raise ValueError(f"t_max_lambda = {t_max_lambda:g} ends before the transfer time lambda*t = 2*pi/3")
     traj = network_trajectory(cfg, initial, t_max_lambda, samples)
     c0 = _concurrence(traj.states[0], src)
     if c0 <= 1e-12:

@@ -12,6 +12,10 @@ The discord references are Luo's closed form for Bell-diagonal states and
 a dense search over projective measurements that shares nothing with the
 production grid, objective or simplex.
 
+The closed form is the no-jump picture of one chain in {vacuum, one
+excitation}: its amplitudes come from the three one-excitation modes alone,
+with no Liouvillian, exponential, Davies construction or partial trace.
+
 The remaining references are the forms production code used before it
 stepped only the reachable block of a two-chain trajectory and read
 two-qubit marginals and partial traces more directly: the full-matrix
@@ -203,13 +207,47 @@ def regroup(m: np.ndarray, d: int) -> np.ndarray:
 def evolve_factorized_dense(
     rho0: qla.DensityMatrix, chain_spec: davies.GeneratorSpec, sample_times
 ) -> dynamics.Trajectory:
-    """``dynamics.evolve_factorized`` stepping the whole regrouped state, M <- S M S^T."""
-    t, step = dynamics._validate_sample_times(sample_times)
+    """``dynamics.evolve_factorized`` stepping the whole regrouped state, M <- S M S^T.
+
+    Its own loop: each sample is regrouped back and divided by its trace.
+    """
+    t = np.asarray(sample_times, dtype=float)
     d = chain_spec.dim
-    s = dynamics._propagator(chain_spec, step)
+    s = dynamics._propagator(chain_spec, t[-1] / (t.size - 1) if t.size > 1 else 0.0)
     m = regroup(rho0.matrix.astype(complex), d)
-    return dynamics._stepped(
-        t, chain_spec.lambda_scale, rho0.dims, m, lambda m: s @ m @ s.T, lambda m: regroup(m, d)
+    states = []
+    for k in range(t.size):
+        if k:
+            m = s @ m @ s.T
+        rho = regroup(m, d)
+        states.append(qla.density(rho / np.trace(rho).real, rho0.dims))
+    return dynamics.Trajectory(t, t * chain_spec.lambda_scale, tuple(states))
+
+
+# One-excitation modes of a three-cavity chain, lambda [[1, 1, 0], [1, 2, 1], [0, 1, 1]]:
+# energy in units of lambda, eigenvector over the sites, and whether it decays.
+_CHAIN_MODES = (
+    (0.0, np.array([1.0, -1.0, 1.0]) / math.sqrt(3.0), False),
+    (1.0, np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0), True),
+    (3.0, np.array([1.0, 2.0, 1.0]) / math.sqrt(6.0), True),
+)
+
+
+def one_excitation_amplitudes(cfg: model.NetworkConfig, times) -> np.ndarray:
+    """No-jump amplitudes u_j(t) of a chain started in |site 1>, shape (samples, 3); times in ns.
+
+    u(t) = sum_k exp(-(i E_k + Gamma_k / 2) t) v_k v_k(1) over the modes
+    above.  At zero temperature each bright mode decays to the vacuum at
+    Gamma = kappa^2 gamma (absolute 1/ns) and the dark mode not at all, so
+    the chain is |u><u| + (1 - |u|^2) |vac><vac| (Plenio & Knight, RMP 70,
+    101 (1998)).
+    """
+    lam = model.effective_coupling(cfg)
+    rate = cfg.kappa**2 * cfg.gamma * (lam if cfg.gamma_units == "lambda" else 1.0)
+    t = np.asarray(times, dtype=float)[:, None]
+    return sum(
+        np.exp(-(1j * energy * lam + (rate / 2.0 if bright else 0.0)) * t) * v * v[0]
+        for energy, v, bright in _CHAIN_MODES
     )
 
 

@@ -144,18 +144,24 @@ class TestDirectOracle:
         assert dev < 1e-12
 
 
+_GAMMAS = pytest.mark.parametrize(
+    "gamma, units", [(0.0, "abs"), (0.01, "abs"), (0.5, "lambda"), (5.0, "lambda")],
+    ids=["lossless", "0.01abs", "0.5lambda", "5lambda"],
+)
+
+
 class TestReachableBlock:
-    """The block stepper against the full-matrix one of ``tests/oracles.py``.
+    """The block stepper against the full-matrix one of ``tests/oracles.py``
+    and, on one register, against the direct action of ``exp(L t)``.
 
     Figure states keep each chain in {vacuum, one excitation}, so the
-    regrouped state has 16 reachable rows and columns of 64; a dense state
-    reaches all of them.
+    regrouped state has 16 reachable rows and columns of 64, and a chain
+    state 10 reachable entries of its 64-entry vector (the 3 x 3
+    one-excitation block and, under loss, the vacuum population); a dense
+    state reaches all of them.
     """
 
-    @pytest.mark.parametrize(
-        "gamma, units", [(0.0, "abs"), (0.01, "abs"), (0.5, "lambda"), (5.0, "lambda")],
-        ids=["lossless", "0.01abs", "0.5lambda", "5lambda"],
-    )
+    @_GAMMAS
     @pytest.mark.parametrize("kind", ["psi_a", "psi_b", "rho_eq20", "dense64"])
     def test_block_is_exact(self, kind, gamma, units):
         cfg = model.NetworkConfig(gamma=gamma, gamma_units=units)
@@ -176,6 +182,23 @@ class TestReachableBlock:
         # The full product holds exact zeros outside the block, so the block drops nothing.
         assert not any(oracles.regroup(state.matrix, 8)[outside].any() for state in dense.states)
         assert (rows.size, cols.size) == ((64, 64) if kind == "dense64" else (16, 16))
+
+    @_GAMMAS
+    @pytest.mark.parametrize("kind", ["psi1_chain", "psi2_chain", "dense8"])
+    def test_one_register_block_is_exact(self, kind, gamma, units):
+        cfg = model.NetworkConfig(gamma=gamma, gamma_units=units)
+        gen = davies.chain_generator(cfg)
+        if kind == "dense8":
+            rho0 = random_density(np.random.default_rng(8), (2,) * 3)
+        else:
+            rho0 = model.build_initial_state(model.InitialStateSpec(kind), cfg)
+        times = chain_times(cfg, 12.0, 120)
+        got = dynamics.evolve(rho0, gen, times)
+        direct = oracles.direct_evolve(rho0, gen, times)
+        assert max(np.max(np.abs(a.matrix - b)) for a, b in zip(got.states, direct)) < 1e-12
+        entries = dynamics._reachable(dynamics._propagator(gen, times[1]), rho0.matrix.reshape(-1) != 0)
+        # Without loss nothing feeds the vacuum population.
+        assert entries.size == (64 if kind == "dense8" else 9 if gamma == 0.0 else 10)
 
     def test_growth_follows_the_nonzero_pattern(self):
         # 0 -> 1 -> 2 is a path, 3 feeds 2 but is never fed: from {0} the
@@ -224,10 +247,10 @@ class TestPadeExponential:
         a = dynamics._liouvillian(davies.chain_generator(cfg)) * chain_times(cfg, t_max_lambda, samples)[1]
         if samples == 2:
             # One step over 20 lambda*t is long enough that squaring runs.
-            assert np.abs(a).sum(axis=0).max() > dynamics._THETA_13
+            assert np.abs(a).sum(axis=0).max() > dynamics._PADE[-1][0]
         assert np.max(np.abs(dynamics._expm(a) - scipy.linalg.expm(a))) < 1e-13
 
-    @pytest.mark.parametrize("norm", [t for t, _ in dynamics._PADE] + [dynamics._THETA_13, 40.0])
+    @pytest.mark.parametrize("norm", [t for t, _ in dynamics._PADE] + [40.0])
     def test_every_degree(self, norm):
         # Just inside each degree's theta, so each Pade branch and the
         # squaring one run once.

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from cavnet import cli, correlations as corr, model, qla, runner
 
 
@@ -195,11 +196,62 @@ class TestTransmission:
         }
         assert values[math.pi / 3] > values[math.pi / 4] > values[math.pi / 8]
 
+    def test_window_must_reach_the_transfer_time(self, lossless_cfg):
+        # A shorter window has no sample at lambda*t = 2*pi/3 to report;
+        # one that ends there reports its last sample, |u_3|^2 = 3/4.
+        init = model.InitialStateSpec("psi_a", math.pi / 4)
+        with pytest.raises(ValueError, match=r"t_max_lambda = 1 .*2\*pi/3"):
+            runner.transmission_details(init, lossless_cfg, SRC, DST, t_max_lambda=1.0, samples=11)
+        res = runner.transmission_details(init, lossless_cfg, SRC, DST, t_max_lambda=2 * math.pi / 3, samples=11)
+        assert res.ratio_at_transfer == pytest.approx(0.75, abs=1e-12)
+
     def test_zero_initial_concurrence_rejected(self, default_cfg):
         with pytest.raises(ValueError):
             runner.transmission_details(
                 model.InitialStateSpec("psi_a", 0.0), default_cfg, SRC, DST, samples=11
             ).ratio
+
+
+class TestClosedForm:
+    """Figures against the no-jump amplitudes u(t) of ``oracles.one_excitation_amplitudes``.
+
+    A chain started in |site 1> stays |u><u| plus vacuum, so psi_a gives
+    C_33'(t) = sin 2 theta |u_3(t)|^2.
+    """
+
+    @pytest.mark.parametrize(
+        "gamma, units", [(0.0, "abs"), (0.01, "abs"), (0.5, "lambda")], ids=["lossless", "0.01abs", "0.5lambda"]
+    )
+    def test_fig2_is_sin_2theta_times_site_3_population(self, gamma, units):
+        thetas = (math.pi / 8, math.pi / 4, math.pi / 3)
+        spec = runner.ScenarioSpec.named("fig2", theta_list=thetas, gamma=(gamma,), gamma_units=units, samples=41)
+        table = runner.run_scenario(spec, model.NetworkConfig())
+        assert len(table.rows) == 3 * 41
+        cfg = model.NetworkConfig(gamma=gamma, gamma_units=units)
+        t = np.array(table.column("lambda_t")) / model.effective_coupling(cfg)
+        u3 = oracles.one_excitation_amplitudes(cfg, t)[:, 2]
+        expected = np.sin(2.0 * np.array(table.column("theta"))) * np.abs(u3) ** 2
+        assert np.max(np.abs(np.array(table.column("conc_33p")) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("gamma, units", [(0.01, "abs"), (0.5, "lambda")], ids=["0.01abs", "0.5lambda"])
+    @pytest.mark.parametrize("theta", [math.pi / 8, math.pi / 3])
+    def test_psi_a_transmission_is_site_3_population(self, theta, gamma, units):
+        cfg = model.NetworkConfig(gamma=gamma, gamma_units=units)
+        traj = runner.network_trajectory(cfg, model.InitialStateSpec("psi_a", theta), 4.0, 41)
+        c0 = corr.concurrence(corr.pair_state(traj.states[0], SRC))
+        ratios = np.array([corr.concurrence(corr.pair_state(s, DST)) for s in traj.states]) / c0
+        u3 = oracles.one_excitation_amplitudes(cfg, traj.times_ns)[:, 2]
+        assert np.max(np.abs(ratios - np.abs(u3) ** 2)) < 1e-12
+
+    def test_amplitudes_transfer_three_quarters_and_keep_the_dark_ninth(self):
+        lossless = model.NetworkConfig(gamma=0.0)
+        t_star = (2.0 * math.pi / 3.0) / model.effective_coupling(lossless)
+        assert abs(abs(oracles.one_excitation_amplitudes(lossless, [t_star])[0, 2]) ** 2 - 0.75) < 1e-12
+        for gamma, units in ((0.01, "abs"), (0.5, "lambda")):
+            cfg = model.NetworkConfig(gamma=gamma, gamma_units=units)
+            # By Gamma t = 100 the bright modes are gone; |u_3|^2 is the dark mode's (1/3)^2.
+            late = 100.0 / (cfg.kappa**2 * cfg.gamma_rates()[0])
+            assert abs(abs(oracles.one_excitation_amplitudes(cfg, [late])[0, 2]) ** 2 - 1.0 / 9.0) < 1e-12
 
 
 class TestTables:
@@ -375,7 +427,7 @@ class TestConfigAndCli:
     @pytest.mark.parametrize("command, own", [("simulate", "custom"), ("transmission", "transmission")])
     def test_cli_rejects_config_scenario_of_other_command(self, command, own, capsys, tmp_path):
         path = tmp_path / "n.ini"
-        run = [command, "--initial", "psi_a", "--samples", "3", "--tmax-lambda", "1.0", "--config", str(path)]
+        run = [command, "--initial", "psi_a", "--samples", "3", "--tmax-lambda", "2.5", "--config", str(path)]
         path.write_text("[scenario]\nname = fig5\n")
         with pytest.raises(ValueError, match="name = fig5"):
             cli.main(run)
