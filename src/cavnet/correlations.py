@@ -31,15 +31,15 @@ off the diagonal and anti-diagonal vanish, have a = a3 z, b = b3 z and a
 block-diagonal T: T33 along z and a transverse 2x2 block of larger
 singular value 2(|rho_03| + |rho_12|).  With n's transverse part along
 that singular vector only the polar angle is left: a short grid over
-it plus a bounded 1-D refinement (Ali, Rau & Alber, searched explicitly
-rather than trusting their closed form).  Every other state takes a grid
+it plus a 1-D refinement (Ali, Rau & Alber, searched explicitly rather
+than trusting their closed form).  Every other state takes a grid
 of fixed directions, the columns of a (3, 4096) array n, all evaluated at
 once as ``b @ n``, ``T @ n`` and column norms, then a 2-D refinement that
 evaluates the formula at one (polar, azimuth) in plain floats.  The
 grid's directions are 128 azimuths on the first 32 of 64 polar rows over
 [0, pi]: n and -n give the same value, since they swap the two outcomes.
-Both refinements run ``minimize``, an in-house Nelder-Mead simplex on
-plain float tuples (Lagarias et al., SIAM J. Optim. 9, 112 (1998)).
+Both refinements run ``minimize``, a compass search on plain float tuples
+that starts at the best grid point with a step of half a grid cell.
 """
 
 from __future__ import annotations
@@ -80,6 +80,8 @@ _GRID_AZIMUTH = 128
 _PURITY_GATE = 1e-8
 _TANGLE_FLOOR = 1e-9
 _DISCORD_FLOOR = -1e-8
+# The compass search of both discord refinements stops once its step falls below this.
+_SEARCH_XATOL = 1e-8
 # Polar grid of the X-state search, endpoints 0 and pi/2 included.
 _X_GRID = 9
 # Mask of the entries of a 4x4 two-qubit matrix off the diagonal and anti-diagonal.
@@ -165,64 +167,26 @@ class MinimizeResult(NamedTuple):
     nfev: int
 
 
-def _start_simplex(x0: tuple[float, ...]) -> list[tuple[float, ...]]:
-    """``x0`` plus one vertex per coordinate, scaled by 1.05 or set to 0.00025 where zero."""
-    simplex = [x0]
-    for k, v in enumerate(x0):
-        simplex.append(x0[:k] + (1.05 * v if v != 0 else 0.00025,) + x0[k + 1 :])
-    return simplex
+def minimize(fun, x0: tuple[float, ...], step: float) -> MinimizeResult:
+    """Compass search for a minimum of ``fun`` over float tuples, from ``x0``.
 
-
-def minimize(fun, simplex, *, xatol: float, fatol: float, maxiter: int, bounds=None) -> MinimizeResult:
-    """Nelder-Mead minimization of ``fun`` over float tuples from the given start simplex.
-
-    Reflection, expansion, contraction and shrink coefficients are 1, 2,
-    1/2 and 1/2; ``bounds``, one (low, high) pair per coordinate, clip every
-    vertex and trial point.  The vertices stay stably sorted by value.  The
-    search stops once every vertex lies within ``xatol`` of the best in each
-    coordinate and within ``fatol`` of it in value, or after ``maxiter``
-    iterations.
+    Each pass tries x +- ``step`` along each coordinate in turn and moves
+    to the first point with a lower value; a pass that moves nowhere
+    halves the step, and the search stops once it falls below
+    ``_SEARCH_XATOL`` (Kolda, Lewis & Torczon, SIAM Rev. 45, 385 (2003)).
+    ``nfev`` counts every evaluation of ``fun``.
     """
-    nfev = 0
-
-    def clip(x):
-        return x if bounds is None else tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(x, bounds))
-
-    def vertex(x):
-        nonlocal nfev
-        nfev += 1
-        return fun(x), x
-
-    verts = sorted((vertex(clip(tuple(x))) for x in simplex), key=lambda vert: vert[0])
-    n = len(verts) - 1
-    for _ in range(maxiter - 1):
-        f0, x0 = verts[0]
-        if (
-            max(abs(a - b) for _, x in verts[1:] for a, b in zip(x, x0)) <= xatol
-            and max(abs(f0 - f) for f, _ in verts[1:]) <= fatol
-        ):
-            break
-        xbar = [sum(c) / n for c in zip(*(x for _, x in verts[:-1]))]
-        f_worst, worst = verts[-1]
-        fr, xr = vertex(clip(tuple(2 * b - w for b, w in zip(xbar, worst))))
-        if fr < f0:
-            expanded = vertex(clip(tuple(3 * b - 2 * w for b, w in zip(xbar, worst))))
-            verts[-1] = expanded if expanded[0] < fr else (fr, xr)
-        elif fr < verts[-2][0]:
-            verts[-1] = fr, xr
+    x, best, nfev = x0, fun(x0), 1
+    while step >= _SEARCH_XATOL:
+        for trial in (x[:k] + (x[k] + d,) + x[k + 1 :] for k in range(len(x)) for d in (step, -step)):
+            value = fun(trial)
+            nfev += 1
+            if value < best:
+                x, best = trial, value
+                break
         else:
-            if fr < f_worst:
-                trial = vertex(clip(tuple(1.5 * b - 0.5 * w for b, w in zip(xbar, worst))))
-                accept = trial[0] <= fr
-            else:
-                trial = vertex(clip(tuple(0.5 * b + 0.5 * w for b, w in zip(xbar, worst))))
-                accept = trial[0] < f_worst
-            if accept:
-                verts[-1] = trial
-            else:
-                verts[1:] = [vertex(clip(tuple(a + 0.5 * (b - a) for a, b in zip(x0, x)))) for _, x in verts[1:]]
-        verts.sort(key=lambda vert: vert[0])
-    return MinimizeResult(verts[0][1], verts[0][0], nfev)
+            step *= 0.5
+    return MinimizeResult(x, best, nfev)
 
 
 def _as_density(state: DensityMatrix | PureState) -> DensityMatrix:
@@ -426,28 +390,18 @@ def _x_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
 
     The entropy is least when n's transverse part lies along the larger
     singular vector of T's transverse block, at azimuth
-    (arg rho_12 - arg rho_03)/2, and it is even about theta = 0 and pi/2,
-    so a grid over [0, pi/2] locates the minimum.
+    (arg rho_12 - arg rho_03)/2.  In the polar angle it has period pi and is
+    even about theta = 0 and pi/2, so a grid over [0, pi/2] locates the
+    minimum and a compass search from the best grid point refines it.
     """
     entropy = _x_objective(m)
     step = 0.5 * math.pi / (_X_GRID - 1)
     value, polar = min((entropy(k * step), k * step) for k in range(_X_GRID))
-    # Refine within the two grid cells around the best point.  The cells of
-    # an endpoint reach past it, where the evenness mirrors the inside, so
-    # the simplex never collapses onto a bound: an endpoint that is a local
-    # maximum still lets the search walk into the dip beside it.
-    res = minimize(
-        lambda x: entropy(x[0]),
-        [(polar,), (polar + step / 2.0,)],
-        bounds=[(polar - step, polar + step)],
-        xatol=1e-6,
-        fatol=1e-12,
-        maxiter=200,
-    )
-    if res.fun < value:
-        # A polar angle past pi/2 is still a valid one; a negative one
-        # measures the mirrored direction, which attains the same value.
-        value, polar = res.fun, abs(res.x[0])
+    res = minimize(lambda x: entropy(x[0]), (polar,), step / 2.0)
+    # Fold the refined angle back into [0, pi/2] by the period and the evenness.
+    value, polar = res.fun, res.x[0] % math.pi
+    if polar > math.pi / 2.0:
+        polar = math.pi - polar
     # Azimuths phi and phi + pi reach the same singular value.
     azimuth = 0.5 * (cmath.phase(m[1, 2]) - cmath.phase(m[0, 3]))
     if azimuth < 0.0:
@@ -482,15 +436,15 @@ def _wrap_angle(angle: float) -> float:
 
 
 def _general_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
-    """Grid scan plus simplex refinement over projective B measurements of a 4x4 matrix."""
+    """Grid scan plus compass refinement over projective B measurements of a 4x4 matrix.
+
+    The search starts at the grid's best direction with half an azimuth
+    cell as its step; its (polar, azimuth) is folded back onto the sphere.
+    """
     bloch = _bloch(m)
     angles, n = _direction_grid()
-    values = _grid_entropies(bloch, n)
-    best = int(np.argmin(values))
-    x0 = tuple(angles[best].tolist())
-    res = minimize(_general_objective(bloch), _start_simplex(x0), xatol=1e-6, fatol=1e-10, maxiter=400)
-    value = min(float(values[best]), res.fun)
-    x = res.x if res.fun <= values[best] else x0
+    best = int(np.argmin(_grid_entropies(bloch, n)))
+    x, value, _ = minimize(_general_objective(bloch), tuple(angles[best].tolist()), math.pi / _GRID_AZIMUTH)
     polar_opt = _wrap_angle(x[0])
     azimuth_opt = _wrap_angle(x[1])
     if polar_opt > math.pi:

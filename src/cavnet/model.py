@@ -66,15 +66,18 @@ class NetworkConfig:
             raise ValueError("sites_per_chain must be at least 2")
         if self.num_chains < 1:
             raise ValueError("num_chains must be at least 1")
+        if not np.isscalar(self.gamma):
+            raise ValueError("gamma takes one rate for all sites: per-site rates are not supported")
+        object.__setattr__(self, "gamma", float(self.gamma))
+        for name in ("omega", "nu", "omega_f", "J", "gamma", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.J > 0.0:
             raise ValueError("cavity-fiber coupling J must be positive")
         units = _GAMMA_UNIT_ALIASES.get(str(self.gamma_units).lower())
         if units is None:
             raise ValueError(f"unknown gamma_units {self.gamma_units!r}")
         object.__setattr__(self, "gamma_units", units)
-        if not np.isscalar(self.gamma):
-            raise ValueError("gamma takes one rate for all sites: per-site rates are not supported")
-        object.__setattr__(self, "gamma", float(self.gamma))
         if self.gamma < 0:
             raise ValueError("decay rates must be nonnegative")
         if self.kappa <= 0:

@@ -74,8 +74,8 @@ class ScenarioSpec:
             raise ValueError(f"unknown scenario {self.name!r}")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
-        if not self.t_max_lambda > 0:
-            raise ValueError("t_max_lambda must be positive")
+        if not 0 < self.t_max_lambda < math.inf:
+            raise ValueError(f"t_max_lambda must be positive and finite, got {self.t_max_lambda}")
         object.__setattr__(self, "initial", tuple(self.initial))
         object.__setattr__(self, "theta_list", tuple(float(t) for t in self.theta_list))
         g = self.gamma
@@ -388,7 +388,7 @@ def _one_rate(text: str) -> float:
     rates = _numbers(text)
     if len(rates) != 1:
         raise ValueError(
-            f"[network] gamma takes one rate, got {len(rates)}: per-site rates are not "
+            f"one rate expected, got {len(rates)}: per-site rates are not "
             "supported, since a sweep sets one gamma for all sites"
         )
     return rates[0]
@@ -429,7 +429,8 @@ def load_config(path) -> dict:
     """Parse an INI-style config with [network] and [scenario] sections.
 
     Returns one dict of settings per section.  An unknown section or key
-    raises ``ValueError`` naming it instead of being ignored.
+    raises ``ValueError`` naming it instead of being ignored, and so does a
+    value that does not parse, with its section, key and raw text.
     """
     parser = configparser.ConfigParser()
     if not parser.read(path):
@@ -445,5 +446,8 @@ def load_config(path) -> dict:
         for key, value in parser[section].items():
             if key not in keys:
                 raise ValueError(f"unknown key {key!r} in config section [{section}]; known: {', '.join(keys)}")
-            out[section][_SETTING_NAMES.get(key, key)] = keys[key](value)
+            try:
+                out[section][_SETTING_NAMES.get(key, key)] = keys[key](value)
+            except ValueError as err:
+                raise ValueError(f"[{section}] {key} = {value!r}: {err}") from err
     return out

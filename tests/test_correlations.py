@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize as scipy_minimize
 
 import oracles
 from cavnet import correlations as corr
@@ -362,7 +361,7 @@ class TestBlochMatrix:
 
 
 class TestConditionalEntropyKernel:
-    """The grid kernel and the simplex objective against projection by hand."""
+    """The grid kernel and the scalar search objective against projection by hand."""
 
     @staticmethod
     def assert_matches_reference(rho, bases):
@@ -370,9 +369,9 @@ class TestConditionalEntropyKernel:
         want = np.array([reference_conditional_entropy(rho, b) for b in bases])
         grid = corr._grid_entropies(bloch, unit_vectors(bases))
         objective = corr._general_objective(bloch)
-        simplex = np.array([objective(np.array([b.polar, b.azimuth])) for b in bases])
+        scalar = np.array([objective(np.array([b.polar, b.azimuth])) for b in bases])
         assert np.max(np.abs(grid - want)) < 1e-12
-        assert np.max(np.abs(simplex - want)) < 1e-12
+        assert np.max(np.abs(scalar - want)) < 1e-12
 
     @given(seed=seeds)
     def test_random_states_and_directions(self, seed):
@@ -420,7 +419,7 @@ class TestConditionalEntropyKernel:
                 assert abs(x_objective(theta) - objective((theta, basis.azimuth))) < 1e-13
 
     def test_scalar_paths_return_plain_floats(self):
-        # A numpy scalar in a simplex objective slows every evaluation.
+        # A numpy scalar in a search objective slows every evaluation.
         rng = np.random.default_rng(7)
         x_m, general_m = random_x_state(rng).matrix, random_density(rng, (2, 2)).matrix
         assert type(corr._x_conditional_entropy(x_m)[0]) is float
@@ -457,6 +456,17 @@ class TestConditionalEntropyKernel:
         value, basis = corr._general_conditional_entropy(rho.matrix)
         assert value == -1.0
         assert (basis.polar, basis.azimuth) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("polar", [-0.3, 2.0, 3.5])
+    def test_x_polar_outside_the_grid_range_folds_back(self, monkeypatch, polar):
+        # The X search has no bracket, so its polar angle can leave [0, pi/2];
+        # the period pi and the evenness about pi/2 bring it back.
+        monkeypatch.setattr(corr, "minimize", lambda fun, x0, step: corr.MinimizeResult((polar,), fun((polar,)), 1))
+        rho = random_x_state(np.random.default_rng(6))
+        value, basis = corr._x_conditional_entropy(rho.matrix)
+        assert 0.0 <= basis.polar <= math.pi / 2
+        assert value == corr._x_objective(rho.matrix)(polar)
+        assert attained_entropy(rho, basis) == pytest.approx(value, abs=1e-12)
 
 
 # The four Bell states as (c1, c2, c3): the vertices of the tetrahedron of
@@ -519,45 +529,45 @@ class TestDiscordOracles:
         rng = np.random.default_rng(181361)
         cases += [(random_density(rng, (2, 2)), "AB"[k % 2]) for k in range(49)]
         worst = max(abs(corr.quantum_discord(rho, side) - oracles.dense_discord(rho, side)) for rho, side in cases)
-        assert worst < ORACLE_ATOL
+        assert worst < 1e-14
 
 
-class TestSimplexPort:
-    """``minimize`` reproduces scipy's Nelder-Mead in both production call shapes.
+class TestCompassSearch:
+    """``minimize`` on objectives whose minimizer is known."""
 
-    Every call the discord search makes is replayed through
-    ``scipy.optimize.minimize``: the bounded 1-D call with its own simplex,
-    and the unbounded 2-D call, which must start from scipy's default
-    simplex around its first vertex.
-    """
+    @pytest.mark.parametrize(
+        "fun, x0, step, want",
+        [
+            (lambda x: (x[0] - 0.7) ** 2, (0.0,), 0.1, (0.7,)),
+            (
+                lambda x: (x[0] + 1.3) ** 2 + 3.0 * (x[1] - 0.4) ** 2 + (x[0] + 1.3) * (x[1] - 0.4),
+                (0.5, -0.6),
+                0.2,
+                (-1.3, 0.4),
+            ),
+        ],
+        ids=["1-d", "2-d"],
+    )
+    def test_quadratic_bowls(self, fun, x0, step, want):
+        res = corr.minimize(fun, x0, step)
+        assert len(res.x) == len(want)
+        assert max(abs(a - b) for a, b in zip(res.x, want)) < 2 * corr._SEARCH_XATOL
+        assert res.fun == fun(res.x)
 
-    @pytest.mark.parametrize("path", ["x", "general"])
-    def test_matches_scipy_nelder_mead(self, monkeypatch, path):
+    def test_nfev_counts_every_call(self):
         calls = []
-        ours = corr.minimize
 
-        def spy(fun, simplex, **options):
-            calls.append((fun, simplex, options, ours(fun, simplex, **options)))
-            return calls[-1][-1]
+        def fun(x):
+            calls.append(x)
+            return math.cos(x[0]) + x[1] ** 2
 
-        monkeypatch.setattr(corr, "minimize", spy)
-        rng = np.random.default_rng(1998)
-        for _ in range(200):
-            if path == "x":
-                corr._x_conditional_entropy(random_x_state(rng).matrix)
-            else:
-                corr._general_conditional_entropy(random_density(rng, (2, 2)).matrix)
-        assert len(calls) == 200
-        for fun, simplex, options, res in calls:
-            options = dict(options)
-            bounds = options.pop("bounds", None)
-            assert (bounds is None) == (path == "general")
-            if bounds is not None:
-                options["initial_simplex"] = simplex
-            want = scipy_minimize(fun, simplex[0], method="Nelder-Mead", bounds=bounds, options=options)
-            assert res.x == tuple(want.x.tolist())
-            assert res.fun == want.fun
-            assert res.nfev == want.nfev
+        res = corr.minimize(fun, (2.0, 1.0), 0.3)
+        assert type(res.nfev) is int and res.nfev == len(calls) > 0
+
+    def test_nan_objective_stops_at_the_start(self):
+        res = corr.minimize(lambda x: math.nan, (0.25, 1.5), 0.1)
+        assert res.x == (0.25, 1.5)
+        assert math.isnan(res.fun)
 
 
 class TestOneTangle:

@@ -34,6 +34,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="per-site rates are not supported"):
             model.NetworkConfig(gamma=(-0.1, 0.0, 0.0))
 
+    @pytest.mark.parametrize("field", ["omega", "nu", "omega_f", "J", "gamma", "kappa"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            model.NetworkConfig(**{field: value})
+
     def test_rejects_finite_temperature(self):
         with pytest.raises(TypeError, match="temperature"):
             model.NetworkConfig(temperature=1.0)

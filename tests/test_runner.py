@@ -33,6 +33,11 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             runner.ScenarioSpec.named("fig2", samples=1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, value):
+        with pytest.raises(ValueError, match="t_max_lambda must be positive and finite"):
+            runner.ScenarioSpec.named("fig3", t_max_lambda=value)
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             runner.ScenarioSpec.named("custom", initial=())
@@ -337,6 +342,22 @@ class TestConfigAndCli:
     )
     def test_config_rejects_unknown_sections_and_keys(self, tmp_path, text, named):
         path = tmp_path / "unknown.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=named):
+            runner.load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[scenario]\nsamples = 2.5\n", r"\[scenario\] samples = '2\.5': invalid literal for int"),
+            ("[network]\nkappa = abc\n", r"\[network\] kappa = 'abc': could not convert"),
+            ("[scenario]\ntheta = 0.1, x\n", r"\[scenario\] theta = '0\.1, x': could not convert"),
+            ("[network]\ngamma = fast\n", r"\[network\] gamma = 'fast': could not convert"),
+        ],
+        ids=["int", "float", "numbers", "one-rate"],
+    )
+    def test_config_value_errors_name_the_key(self, tmp_path, text, named):
+        path = tmp_path / "bad.ini"
         path.write_text(text)
         with pytest.raises(ValueError, match=named):
             runner.load_config(path)
