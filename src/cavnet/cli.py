@@ -4,8 +4,9 @@ Subcommands: ``simulate`` (raw trajectory plus measures, the ``custom``
 scenario), ``scenario`` (named figure reproduction), ``transmission`` (ratio
 table).  Every flag has a config-file equivalent; explicit flags override
 the config.  A config file holds [network] and [scenario] sections; an
-unknown section or key is an error.  Every scenario runs on the network of
-two three-cavity chains.
+unknown section or key is an error.  Settings that do not resolve, from a
+flag or the config, are usage errors: one line on stderr and exit status 2.
+Every scenario runs on the network of two three-cavity chains.
 """
 
 from __future__ import annotations
@@ -92,22 +93,27 @@ def _emit(table: Table, args, scenario_kwargs) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg, scenario_kwargs = _merged_settings(args)
-    out_fmt_keys = {"out", "format", "name"}
-    spec_kwargs = {k: v for k, v in scenario_kwargs.items() if k not in out_fmt_keys}
-    if args.command == "scenario":
-        name = getattr(args, "scenario", None) or scenario_kwargs.get("name")
-        if not name:
-            raise SystemExit("scenario name required (--scenario or config [scenario] name)")
-    else:
-        name = "custom" if args.command == "simulate" else "transmission"
-        if scenario_kwargs.get("name", name) != name:
-            raise ValueError(
-                f"config [scenario] name = {scenario_kwargs['name']} does not fit "
-                f"'{args.command}', which runs {name}; use 'cavnet scenario' for it"
-            )
-    table = run_scenario(ScenarioSpec.named(name, **spec_kwargs), cfg)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg, scenario_kwargs = _merged_settings(args)
+        out_fmt_keys = {"out", "format", "name"}
+        spec_kwargs = {k: v for k, v in scenario_kwargs.items() if k not in out_fmt_keys}
+        if args.command == "scenario":
+            name = getattr(args, "scenario", None) or scenario_kwargs.get("name")
+            if not name:
+                raise ValueError("scenario name required (--scenario or config [scenario] name)")
+        else:
+            name = "custom" if args.command == "simulate" else "transmission"
+            if scenario_kwargs.get("name", name) != name:
+                raise ValueError(
+                    f"config [scenario] name = {scenario_kwargs['name']} does not fit "
+                    f"'{args.command}', which runs {name}; use 'cavnet scenario' for it"
+                )
+        spec = ScenarioSpec.named(name, **spec_kwargs)
+    except (OSError, ValueError) as err:
+        parser.error(str(err))
+    table = run_scenario(spec, cfg)
     _emit(table, args, scenario_kwargs)
     return 0
 

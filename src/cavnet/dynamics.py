@@ -15,14 +15,13 @@ as a matrix M and steps M <- S_row M S_col^T with one map per slot:
 the 64x64 one-chain propagator to both, turning one 4096-dimensional
 problem into a 64-dimensional one.  The test suite checks it against a
 sparse evolution of the full network generator, which lives with the
-other oracles in ``tests/oracles.py``.  Only the rows and columns that
-the exact zeros of S let the initial state reach are stepped: 10 of 64
-entries on fig9's chain states, 16 of 64 rows and columns on a two-chain
-figure state, each chain in {vacuum, one excitation}, and all on a dense
-one.  Every sample's trace is renormalized under the fixed guard
-``TRACE_GUARD``, so numerical faults surface as errors instead of drifting
-silently; the renormalized sample is then validated against the same
-thresholds as every other ``DensityMatrix``.
+other oracles in ``tests/oracles.py``.  Only the block of rows and columns
+that the exact zeros of L let the initial state reach is exponentiated and
+stepped: 10 of 64 entries on fig9's chain states, 16 of 64 rows and columns
+on a two-chain figure state, and all on a dense one.  Traces are checked
+against the fixed guard ``TRACE_GUARD`` before renormalizing, so faults
+surface as errors instead of drifting silently; samples are then built and
+validated in chunks, by the function that validates every ``DensityMatrix``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .davies import GeneratorSpec
-from .qla import DensityMatrix, Operator
+from .qla import DensityMatrix, _first_invalid, _wrap_checked
 
 __all__ = [
     "TRACE_GUARD",
@@ -55,7 +54,7 @@ class TraceDriftError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled density matrices with times in both ns and lambda*t."""
+    """Sampled density matrices, from the evolvers read-only views of their chunk, and times in ns and lambda*t."""
 
     times_ns: np.ndarray
     times_lambda: np.ndarray
@@ -129,7 +128,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _propagator(spec: GeneratorSpec, step: float) -> np.ndarray:
-    """S = exp(L step), the map of vectorized states over one grid step."""
+    """S = exp(L step), the map of vectorized states over one grid step, in full."""
     return _expm(_liouvillian(spec) * step)
 
 
@@ -160,9 +159,9 @@ def sample_grid(t_max_lambda: float, samples: int, lambda_scale: float) -> np.nd
     return np.linspace(0.0, t_max_lambda / lambda_scale, samples)
 
 
-def _reachable(s: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Ascending indices of the closure J <- J | {i : S[i, J] != 0} of the mask ``live``."""
-    linked = s != 0
+def _reachable(l: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Ascending indices of the closure J <- J | {i : L[i, J] != 0} of the mask ``live``."""
+    linked = l != 0
     while True:
         grown = live | linked[:, live].any(axis=1)
         if np.array_equal(grown, live):
@@ -170,32 +169,45 @@ def _reachable(s: np.ndarray, live: np.ndarray) -> np.ndarray:
         live = grown
 
 
-def _block_trajectory(rho0: DensityMatrix, t, lambda_scale: float, s_row, s_col, at) -> Trajectory:
-    """Sample rho0 at t[0], then after each step M_RC <- S_row[R, R] M_RC S_col[C, C]^T.
+# Samples built and validated at once; one array per trajectory raises peak RSS.
+_CHUNK = 16
+
+
+def _block_trajectory(rho0: DensityMatrix, t, step: float, lambda_scale: float, l_row, l_col, at) -> Trajectory:
+    """Sample rho0 at t[0], then after each step M_RC <- S_RR M_RC S_CC^T.
 
     M[a, b] is entry ``at[a, b]`` of the flattened rho0.  R and C are the
-    rows and columns of M that the exact zeros of S_row and S_col let it
-    reach; every other entry stays exactly zero, so only M_RC is stepped
-    and each sample scatters it back into a zero matrix.
+    closures of M's nonzero rows and columns under the nonzero patterns of
+    the generators ``l_row`` and ``l_col``.  Each is invariant under its
+    generator, so S_RR = exp(L_row[R, R] step), and likewise S_CC, is the
+    propagator's block exactly, and every entry outside M_RC stays zero.
     """
-    m = rho0.matrix.astype(complex).reshape(-1)[at]
-    r, c = _reachable(s_row, m.any(axis=1)), _reachable(s_col, m.any(axis=0))
-    s_rr, s_cc_t = s_row[np.ix_(r, r)], s_col[np.ix_(c, c)].T
-    at_rc, x = at[np.ix_(r, c)], m[np.ix_(r, c)]
+    m = rho0.matrix.reshape(-1)[at]
+    r, c = _reachable(l_row, m.any(axis=1)), _reachable(l_col, m.any(axis=0))
+    s_rr, s_cc_t = _expm(l_row[np.ix_(r, r)] * step), _expm(l_col[np.ix_(c, c)] * step).T
+    blocks = np.empty((t.size, r.size, c.size), dtype=complex)
+    blocks[0] = m[np.ix_(r, c)]
+    for k in range(1, t.size):
+        blocks[k] = s_rr @ blocks[k - 1] @ s_cc_t
     d = rho0.dim
+    rows, cols = np.divmod(at[np.ix_(r, c)], d)
+    tr = blocks[:, rows == cols].sum(axis=1).real
+    if (drift := np.abs(tr - 1.0) > TRACE_GUARD).any():
+        k = int(drift.argmax())
+        raise TraceDriftError(f"trace drifted to {tr[k]:.12g} at lambda*t = {t[k] * lambda_scale:.6g} (guard {TRACE_GUARD:g})")
+    # Scaling by the reciprocal avoids a complex division per entry.
+    blocks *= (1.0 / tr)[:, None, None]
+    # The rows and columns the block touches; every entry outside them is zero.
+    support = np.flatnonzero(np.bincount(np.concatenate((rows, cols), axis=None), minlength=d))
     states = []
-    for k, time_lambda in enumerate(t * lambda_scale):
-        if k:
-            x = s_rr @ x @ s_cc_t
-        flat = np.zeros(d * d, dtype=complex)
-        flat[at_rc] = x
-        rho = flat.reshape(d, d)
-        tr = float(np.trace(rho).real)
-        if abs(tr - 1.0) > TRACE_GUARD:
-            raise TraceDriftError(f"trace drifted to {tr:.12g} at lambda*t = {time_lambda:.6g} (guard {TRACE_GUARD:g})")
-        # Scaling by the reciprocal avoids a complex division per entry, which
-        # measured several times slower in a fresh process.
-        states.append(DensityMatrix(Operator(rho * (1.0 / tr), rho0.dims)))
+    for k in range(0, t.size, _CHUNK):
+        chunk = np.zeros((min(_CHUNK, t.size - k), d, d), dtype=complex)
+        chunk[:, rows, cols] = blocks[k : k + _CHUNK]
+        chunk.setflags(write=False)
+        if failure := _first_invalid(chunk[:, support[:, None], support]):
+            i = k + failure[0]
+            raise ValueError(f"sample {i} at lambda*t = {t[i] * lambda_scale:.6g}: {failure[1]}")
+        states += _wrap_checked(chunk, rho0.dims)
     return Trajectory(t, t * lambda_scale, tuple(states))
 
 
@@ -208,7 +220,7 @@ def evolve(rho0: DensityMatrix, spec: GeneratorSpec, sample_times) -> Trajectory
     if rho0.dim != spec.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match generator {spec.dim}")
     at = np.arange(rho0.dim**2)[:, None]
-    return _block_trajectory(rho0, t, spec.lambda_scale, _propagator(spec, step), np.ones((1, 1)), at)
+    return _block_trajectory(rho0, t, step, spec.lambda_scale, _liouvillian(spec), np.zeros((1, 1)), at)
 
 
 def evolve_factorized(rho0: DensityMatrix, chain_spec: GeneratorSpec, sample_times) -> Trajectory:
@@ -222,7 +234,7 @@ def evolve_factorized(rho0: DensityMatrix, chain_spec: GeneratorSpec, sample_tim
     d = chain_spec.dim
     if d * d != rho0.dim:
         raise ValueError(f"generator dimension {d} does not match state dimension {rho0.dim}")
-    s = _propagator(chain_spec, step)
+    l_chain = _liouvillian(chain_spec)
     # M[a, b] is entry at[a, b] of the flattened rho; the regroup only permutes.
     at = np.arange(d**4).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return _block_trajectory(rho0, t, chain_spec.lambda_scale, s, s, at)
+    return _block_trajectory(rho0, t, step, chain_spec.lambda_scale, l_chain, l_chain, at)

@@ -9,12 +9,12 @@ container types are immutable once constructed and every function is pure,
 which makes values safe to share across threads.  Every ``DensityMatrix``,
 whether built by hand, reduced or propagated, is validated on its support
 against the same ``HERMITICITY_ATOL``, ``TRACE_ATOL`` and ``PSD_ATOL``
-thresholds.  Positivity is tested by a Cholesky factorization of the
-Hermitian part shifted by ``PSD_ATOL``, which exists exactly when the least
-eigenvalue exceeds ``-PSD_ATOL``; the spectrum is computed only to report a
-rejection.  A partial trace is one gather of the flattened matrix at index
-arrays cached per (dims, keep), in that order, then one sum over the traced
-digits.
+thresholds by ``_first_invalid``, as a stack of one or, for trajectory
+samples, one stack per chunk that ``_wrap_checked`` then wraps uncopied.
+Positivity is tested by a Cholesky factorization; the spectrum is computed
+only to report a rejection.  A partial trace is one gather of the flattened
+matrix at index arrays cached per (dims, keep), in that order, then one sum
+over the traced digits.
 
 Conventions
 -----------
@@ -133,11 +133,6 @@ class DensityMatrix:
 
     The checks run on the support, the indices with a nonzero in their row
     or column; all else is zero, so each decision is the whole matrix's.
-    Positivity is checked without a spectrum: the Hermitian part plus
-    ``PSD_ATOL`` times the identity has a Cholesky factor exactly when its
-    least eigenvalue is positive, that is when the state's least eigenvalue
-    is above ``-PSD_ATOL``.  Only a failed factorization computes the
-    eigenvalues, so that the error names the least one.
     """
 
     op: Operator
@@ -147,22 +142,8 @@ class DensityMatrix:
         live = m.any(axis=0) | m.any(axis=1)
         if not live.all():
             m = m[live][:, live]
-        m_dag = m.conj().T
-        herm = float(np.abs(m - m_dag).max(initial=0.0))
-        # Written so that a NaN, which a Cholesky factorization passes
-        # through silently, fails here.
-        if not herm <= HERMITICITY_ATOL:
-            raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace deviates from one: tr = {tr}")
-        shifted = (m + m_dag) / 2.0
-        shifted.flat[:: m.shape[0] + 1] += PSD_ATOL
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            wmin = float(np.linalg.eigvalsh((m + m_dag) / 2.0).min())
-            raise ValueError(f"not positive semidefinite: min eigenvalue = {wmin:.3e}") from None
+        if failure := _first_invalid(m[None]):
+            raise ValueError(failure[1])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -175,6 +156,48 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.op.dim
+
+
+def _first_invalid(m: np.ndarray) -> tuple[int, str] | None:
+    """Index of the first matrix of the (n, k, k) stack ``m`` that is no density matrix, and why.
+
+    Positivity is a Cholesky factor of the Hermitian part plus ``PSD_ATOL``
+    times the identity, which exists exactly when the least eigenvalue is
+    above ``-PSD_ATOL``; only a failure computes eigenvalues, to name one.
+    """
+    n, k = m.shape[:2]
+    m_dag = m.conj().swapaxes(1, 2)
+    herm = np.abs(m - m_dag).reshape(n, k * k).max(axis=1, initial=0.0)
+    tr = m.trace(axis1=1, axis2=2)
+    # Written so that a NaN, which a Cholesky factorization passes, fails here.
+    hermitian = herm <= HERMITICITY_ATOL
+    passed = hermitian & (np.abs(tr - 1.0) <= TRACE_ATOL)
+    first = n if passed.all() else int(passed.argmin())
+    shifted = (m[:first] + m_dag[:first]) / 2.0
+    shifted.reshape(first, k * k)[:, :: k + 1] += PSD_ATOL
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        for i, a in enumerate(shifted):
+            try:
+                np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                wmin = float(np.linalg.eigvalsh((m[i] + m_dag[i]) / 2.0).min())
+                return i, f"not positive semidefinite: min eigenvalue = {wmin:.3e}"
+    if first == n:
+        return None
+    if not hermitian[first]:
+        return first, f"not Hermitian: max |rho - rho^dag| = {herm[first]:.3e}"
+    return first, f"trace deviates from one: tr = {complex(tr[first])}"
+
+
+def _wrap_checked(stack: np.ndarray, dims: tuple[int, ...]) -> list[DensityMatrix]:
+    """The matrices of a read-only stack that ``_first_invalid`` passed, as states sharing its memory."""
+    states = [object.__new__(DensityMatrix) for _ in stack]
+    for rho, m in zip(states, stack):
+        rho.__dict__["op"] = op = object.__new__(Operator)
+        op.__dict__.update(matrix=m, dims=dims)
+    return states
 
 
 def operator(matrix, dims=None) -> Operator:

@@ -158,8 +158,29 @@ class TestReachableBlock:
     regrouped state has 16 reachable rows and columns of 64, and a chain
     state 10 reachable entries of its 64-entry vector (the 3 x 3
     one-excitation block and, under loss, the vacuum population); a dense
-    state reaches all of them.
+    state reaches all of them.  The stepper closes the start under the
+    pattern of L and exponentiates only that block of L.
     """
+
+    @_GAMMAS
+    @pytest.mark.parametrize("kind", ["psi_a", "psi_b", "rho_eq20", "psi1_chain", "psi2_chain"])
+    def test_block_exponential_is_the_propagator_block(self, kind, gamma, units):
+        cfg = model.NetworkConfig(gamma=gamma, gamma_units=units)
+        gen = davies.chain_generator(cfg)
+        if kind.endswith("_chain"):
+            rho0 = model.build_initial_state(model.InitialStateSpec(kind), cfg)
+            starts = [rho0.matrix.reshape(-1) != 0]
+        else:
+            rho0 = model.build_initial_state(model.InitialStateSpec(kind, 0.3), cfg)
+            m0 = oracles.regroup(rho0.matrix, 8)
+            starts = [m0.any(axis=1), m0.any(axis=0)]
+        step = chain_times(cfg, 12.0, 120)[1]
+        l = dynamics._liouvillian(gen)
+        s = dynamics._expm(l * step)
+        for live in starts:
+            block = dynamics._reachable(l, live)
+            assert block.tolist() == dynamics._reachable(s, live).tolist()
+            assert np.max(np.abs(dynamics._expm(l[np.ix_(block, block)] * step) - s[np.ix_(block, block)])) < 1e-15
 
     @_GAMMAS
     @pytest.mark.parametrize("kind", ["psi_a", "psi_b", "rho_eq20", "dense64"])
@@ -343,16 +364,79 @@ class TestPhysicalInvariants:
             assert np.linalg.eigvalsh(state.matrix).min() > -1e-7
 
 
+class TestChunks:
+    """Samples are materialised and validated in chunks of ``_CHUNK``."""
+
+    @pytest.mark.parametrize("samples", [1, 16, 17, 81])
+    def test_chunk_edges_are_exact(self, default_cfg, monkeypatch, samples):
+        first_invalid = dynamics._first_invalid
+        checked = []
+        monkeypatch.setattr(dynamics, "_first_invalid", lambda m: checked.append(m) or first_invalid(m))
+        gen = davies.chain_generator(default_cfg)
+        rho0 = model.build_initial_state(model.InitialStateSpec("psi_a", 0.3), default_cfg)
+        times = chain_times(default_cfg, 6.0, samples)
+        got = dynamics.evolve_factorized(rho0, gen, times)
+        dense = oracles.evolve_factorized_dense(rho0, gen, times)
+        assert len(got) == samples
+        assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(got.states, dense.states)) < 1e-14
+        # Every sample is checked once, in order, on its support: each chain
+        # in its vacuum (index 0) or one excitation (1, 2, 4).
+        assert [len(m) for m in checked] == [min(dynamics._CHUNK, samples - k) for k in range(0, samples, dynamics._CHUNK)]
+        support = [8 * i + j for i in (0, 1, 2, 4) for j in (0, 1, 2, 4)]
+        assert np.array_equal(np.concatenate(checked), np.stack([a.matrix[np.ix_(support, support)] for a in got.states]))
+
+    @pytest.mark.parametrize("path, kind", [("evolve", "psi2_chain"), ("evolve_factorized", "psi_a")])
+    def test_samples_are_read_only(self, default_cfg, path, kind):
+        gen = davies.chain_generator(default_cfg)
+        rho0 = model.build_initial_state(model.InitialStateSpec(kind), default_cfg)
+        traj = getattr(dynamics, path)(rho0, gen, chain_times(default_cfg, 1.0, 20))
+        for state in traj.states:
+            assert not state.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                state.matrix[0, 0] = 0.0
+        # The states of one chunk share its array: no sample is copied again.
+        assert traj.states[0].matrix.base is traj.states[dynamics._CHUNK - 1].matrix.base
+        assert traj.states[0].matrix.base is not traj.states[dynamics._CHUNK].matrix.base
+
+    def test_a_sample_off_the_checked_columns_is_rejected(self, lossless_cfg, monkeypatch):
+        # A link that feeds rho[0, a] from rho[a, a] and nothing back: row 0
+        # holds entries while column 0 stays zero, so only a support taken
+        # from rows and columns sees the asymmetry, from the first step on.
+        gen = davies.chain_generator(lossless_cfg)
+        rho0 = model.build_initial_state(model.InitialStateSpec("psi2_chain"), lossless_cfg)
+        a = int(np.argmax(np.diagonal(rho0.matrix).real))
+        liouvillian = dynamics._liouvillian
+
+        def leaky(spec):
+            out = liouvillian(spec)
+            out[a, a * spec.dim + a] += 1e-3
+            return out
+
+        monkeypatch.setattr(dynamics, "_liouvillian", leaky)
+        times = chain_times(lossless_cfg, 1.0, 20)
+        lam = model.effective_coupling(lossless_cfg)
+        with pytest.raises(ValueError, match=rf"^sample 1 at lambda\*t = {times[1] * lam:.6g}: not Hermitian"):
+            dynamics.evolve(rho0, gen, times)
+
+
 class TestTraceGuard:
     @pytest.mark.parametrize("path, kind", [("evolve", "psi2_chain"), ("evolve_factorized", "psi_a")])
     def test_trace_drift_raises(self, default_cfg, monkeypatch, path, kind):
         # A c*I term in the generator scales the trace by exp(c t), or by
-        # exp(2 c t) on two chains: at least 1e-4 off at the last sample here.
+        # exp(2 c t) on two chains; c is set so that the trace leaves the
+        # guard band at sample 3 of 9, and that first drifting sample must
+        # be named.
+        chains = 2 if path == "evolve_factorized" else 1
+        times = chain_times(default_cfg, 1.0, 9)
+        c = 1.5 * dynamics.TRACE_GUARD / (chains * times[4])
         liouvillian = dynamics._liouvillian
-        monkeypatch.setattr(
-            dynamics, "_liouvillian", lambda spec: liouvillian(spec) + 1e-3 * np.eye(spec.dim**2)
-        )
+        monkeypatch.setattr(dynamics, "_liouvillian", lambda spec: liouvillian(spec) + c * np.eye(spec.dim**2))
         gen = davies.chain_generator(default_cfg)
         rho0 = model.build_initial_state(model.InitialStateSpec(kind), default_cfg)
-        with pytest.raises(dynamics.TraceDriftError, match=r"\(guard 1e-07\)"):
-            getattr(dynamics, path)(rho0, gen, chain_times(default_cfg, 1.0, 5))
+        drift = np.expm1(chains * c * times)
+        k = int(np.argmax(drift > dynamics.TRACE_GUARD))
+        assert k == 3
+        lam = model.effective_coupling(default_cfg)
+        match = rf"trace drifted to {1.0 + drift[k]:.12g} at lambda\*t = {times[k] * lam:.6g} \(guard 1e-07\)"
+        with pytest.raises(dynamics.TraceDriftError, match=match):
+            getattr(dynamics, path)(rho0, gen, times)

@@ -36,6 +36,22 @@ def basis_sum_partial_trace(mat, dims, keep):
     return out
 
 
+def boundary_states(rng, dim):
+    """(state, accepted) for states whose least eigenvalue sits just inside or
+    just outside -PSD_ATOL, full rank and rank deficient: 6 x 3 x 4 of them."""
+    for factor in (0.5, 0.99, 0.999, 1.001, 1.01, 2.0):
+        for rank in (dim, max(dim // 2, 1), 1):
+            for _ in range(4):
+                w = np.zeros(dim)
+                w[:rank] = rng.uniform(0.05, 1.0, size=rank)
+                w[dim - 1] = 0.0
+                w *= (1.0 + factor * qla.PSD_ATOL) / w.sum()
+                w[dim - 1] = -factor * qla.PSD_ATOL
+                u = haar_unitary(rng, dim)
+                m = (u * w) @ u.conj().T
+                yield (m + m.conj().T) / 2.0, factor < 1.0
+
+
 class TestTensor:
     def test_identity_product(self):
         out = qla.tensor(qla.identity((2,)), qla.identity((2,)))
@@ -269,47 +285,83 @@ class TestValidation:
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 64])
     def test_cholesky_psd_decision_matches_spectrum(self, dim, monkeypatch):
-        # States whose least eigenvalue sits just inside or just outside
-        # -PSD_ATOL, full rank and rank deficient.  The Cholesky test alone
-        # must accept exactly the states the spectrum accepts: an accepted
-        # state never reaches eigvalsh, a rejected one raises.
+        # The Cholesky test alone must accept exactly the states the
+        # spectrum accepts: an accepted state never reaches eigvalsh, a
+        # rejected one raises.
         eigvalsh = np.linalg.eigvalsh
         calls = []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
         rng = np.random.default_rng(dim)
         checked = 0
-        for factor in (0.5, 0.99, 0.999, 1.001, 1.01, 2.0):
-            for rank in (dim, max(dim // 2, 1), 1):
-                for _ in range(4):
-                    w = np.zeros(dim)
-                    w[:rank] = rng.uniform(0.05, 1.0, size=rank)
-                    w[dim - 1] = 0.0
-                    w *= (1.0 + factor * qla.PSD_ATOL) / w.sum()
-                    w[dim - 1] = -factor * qla.PSD_ATOL
-                    u = haar_unitary(rng, dim)
-                    m = (u * w) @ u.conj().T
-                    m = (m + m.conj().T) / 2.0
-                    expect = eigvalsh(m).min() >= -qla.PSD_ATOL
-                    assert expect == (factor < 1.0)
-                    # The same state on scattered indices of a register twice
-                    # as large, zero elsewhere: only its support is checked,
-                    # and the decision must not change.
-                    at = np.sort(rng.choice(2 * dim, size=dim, replace=False))
-                    embedded = np.zeros((2 * dim, 2 * dim), dtype=complex)
-                    embedded[np.ix_(at, at)] = m
-                    messages = []
-                    for state in (m, embedded):
-                        calls.clear()
-                        if expect:
-                            qla.density(state)
-                            assert not calls
-                        else:
-                            with pytest.raises(ValueError, match="positive semidefinite") as error:
-                                qla.density(state)
-                            messages.append(str(error.value))
-                        checked += 1
-                    assert len(set(messages)) <= 1
+        for m, expect in boundary_states(rng, dim):
+            assert (eigvalsh(m).min() >= -qla.PSD_ATOL) == expect
+            # The same state on scattered indices of a register twice
+            # as large, zero elsewhere: only its support is checked,
+            # and the decision must not change.
+            at = np.sort(rng.choice(2 * dim, size=dim, replace=False))
+            embedded = np.zeros((2 * dim, 2 * dim), dtype=complex)
+            embedded[np.ix_(at, at)] = m
+            messages = []
+            for state in (m, embedded):
+                calls.clear()
+                if expect:
+                    qla.density(state)
+                    assert not calls
+                else:
+                    with pytest.raises(ValueError, match="positive semidefinite") as error:
+                        qla.density(state)
+                    messages.append(str(error.value))
+                checked += 1
+            assert len(set(messages)) <= 1
         assert checked == 6 * 3 * 4 * 2
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 64])
+    def test_stacked_decisions_match_single(self, dim, monkeypatch):
+        # A stack of the boundary states names the state that fails alone,
+        # with the message it fails with alone, and accepts a stack of the
+        # accepted ones without a spectrum.
+        states = list(boundary_states(np.random.default_rng(dim), dim))
+        single = [qla._first_invalid(m[None]) for m, _ in states]
+        for (m, expect), failure in zip(states, single):
+            assert (failure is None) == expect
+            if failure:
+                with pytest.raises(ValueError) as error:
+                    qla.density(m)
+                assert failure == (0, str(error.value))
+        first = next(i for i, failure in enumerate(single) if failure)
+        assert qla._first_invalid(np.stack([m for m, _ in states])) == (first, single[first][1])
+        accepted = [m for m, expect in states if expect]
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        assert qla._first_invalid(np.stack(accepted)) is None
+        assert not calls
+        for (m, _), failure in zip(states, single):
+            if failure:
+                assert qla._first_invalid(np.stack(accepted[:3] + [m] + accepted[3:6])) == (3, failure[1])
+
+    @pytest.mark.parametrize("k", [0, 7, 15])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("asymmetry", "not Hermitian"), ("trace", "trace deviates"), ("negative", "not positive semidefinite"),
+         ("nan", "not Hermitian")],
+    )
+    def test_the_failing_sample_of_a_stack_is_named(self, fault, message, k):
+        rng = np.random.default_rng(k)
+        stack = np.stack([random_density(rng, (2, 2)).matrix for _ in range(16)])
+        if fault == "asymmetry":
+            stack[k, 0, 1] += 1e-6
+        elif fault == "trace":
+            stack[k] *= 1.0 + 1e-6
+        elif fault == "negative":
+            stack[k] = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0])
+        else:
+            stack[k, 1, 1] = np.nan
+        index, text = qla._first_invalid(stack)
+        assert index == k and text.startswith(message)
+        with pytest.raises(ValueError) as error:
+            qla.density(stack[k])
+        assert str(error.value) == text
 
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError):

@@ -416,10 +416,12 @@ class TestConfigAndCli:
         assert via_config == capsys.readouterr().out
         assert ",0.5,11',33'," in via_config
         path.write_text("[network]\ngamma = 0.01 0.02 0.03\n")
-        with pytest.raises(ValueError, match="per-site"):
-            cli.main(run + ["--config", str(path)])
-        with pytest.raises(ValueError, match="per-site"):
-            cli.main(["simulate", "--samples", "3", "--tmax-lambda", "1.0", "--config", str(path)])
+        for argv in (run + ["--config", str(path)], ["simulate", "--samples", "3", "--tmax-lambda", "1.0", "--config", str(path)]):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(argv)
+            assert exit_.value.code == 2
+            err = capsys.readouterr().err
+            assert "cavnet: error: [network] gamma = '0.01 0.02 0.03'" in err and "per-site" in err
 
     def test_cli_simulate_stdout(self, capsys, tmp_path):
         rc = cli.main(
@@ -450,11 +452,30 @@ class TestConfigAndCli:
         path = tmp_path / "n.ini"
         run = [command, "--initial", "psi_a", "--samples", "3", "--tmax-lambda", "2.5", "--config", str(path)]
         path.write_text("[scenario]\nname = fig5\n")
-        with pytest.raises(ValueError, match="name = fig5"):
+        with pytest.raises(SystemExit) as exit_:
             cli.main(run)
-        assert capsys.readouterr().out == ""
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cavnet: error: config [scenario] name = fig5 does not fit '{command}'" in captured.err
         path.write_text(f"[scenario]\nname = {own}\n")
         assert cli.main(run) == 0
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gamma", "nan"], "gamma must be finite, got nan"),
+            (["--samples", "1"], "samples must be at least 2"),
+            (["--config", "absent.ini"], "config file absent.ini not found"),
+        ],
+    )
+    def test_cli_bad_settings_are_one_line_usage_errors(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["scenario", "--scenario", "fig3", "--samples", "4"] + flags)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"cavnet: error: {message}"
+        assert "Traceback" not in err
 
     def test_cli_transmission(self, tmp_path):
         out = tmp_path / "ratios.csv"
