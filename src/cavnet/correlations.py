@@ -275,15 +275,14 @@ def _bloch(m: np.ndarray) -> np.ndarray:
     return np.dot(_PAULI_TABLE, m.ravel()).real.reshape(4, 4)
 
 
-def _marginal_entropy(m: np.ndarray, side: int) -> float:
-    """Base-2 entropy of qubit ``side`` (0 = A, 1 = B) of a 4x4 two-qubit matrix.
+def _marginal_entropy(bloch: np.ndarray, side: int) -> float:
+    """Base-2 entropy of qubit ``side`` (0 = A, 1 = B) of a two-qubit state with Bloch matrix ``bloch``.
 
     The marginal (t I + v.sigma)/2, with v the Bloch vector a or b, has the
     eigenvalues (t -+ |v|)/2.  The floor and the negativity limit are those
     of ``qla.von_neumann_entropy``.
     """
-    r = _bloch(m)
-    t, *v = (r[:, 0] if side == 0 else r[0]).tolist()
+    t, *v = (bloch[:, 0] if side == 0 else bloch[0]).tolist()
     norm = math.hypot(*v)
     low = 0.5 * (t - norm)
     if low < qla.ENTROPY_NEGATIVE_LIMIT:
@@ -297,8 +296,8 @@ def _marginal_entropy(m: np.ndarray, side: int) -> float:
 
 def _pair_entropies(rho_ab: DensityMatrix) -> tuple[float, float, float]:
     """S(A), S(B) and S(AB) in bits of a two-qubit state."""
-    m = rho_ab.matrix
-    return _marginal_entropy(m, 0), _marginal_entropy(m, 1), qla.von_neumann_entropy(rho_ab)
+    r = _bloch(rho_ab.matrix)
+    return _marginal_entropy(r, 0), _marginal_entropy(r, 1), qla.von_neumann_entropy(rho_ab)
 
 
 def mutual_information(rho_ab: DensityMatrix) -> float:
@@ -357,23 +356,14 @@ def _general_objective(bloch: np.ndarray):
     return entropy
 
 
-def _minimize_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
-    """Minimal conditional entropy of A over projective B measurements of a 4x4 matrix.
-
-    X-form states take the exact polar search, all others the general one.
-    """
-    if _is_x_form(m):
-        return _x_conditional_entropy(m)
-    return _general_conditional_entropy(m)
-
-
-def _x_objective(m: np.ndarray):
+def _x_objective(m: np.ndarray, bloch: np.ndarray):
     """S(A | n) of an X-form 4x4 matrix at the polar angle theta of n, in plain floats.
 
-    n's transverse part lies along the larger singular vector of T's
-    transverse block, so r = hypot(a3 +- T33 cos, 2(|rho_03| + |rho_12|) sin).
+    ``bloch`` is the Bloch matrix of ``m``.  n's transverse part lies along
+    the larger singular vector of T's transverse block, so
+    r = hypot(a3 +- T33 cos, 2(|rho_03| + |rho_12|) sin).
     """
-    (t, _, _, b3), _, _, (a3, _, _, t33) = _bloch(m).tolist()
+    (t, _, _, b3), _, _, (a3, _, _, t33) = bloch.tolist()
     c_perp = 2.0 * (abs(complex(m[0, 3])) + abs(complex(m[1, 2])))
 
     def entropy(theta: float) -> float:
@@ -385,8 +375,8 @@ def _x_objective(m: np.ndarray):
     return entropy
 
 
-def _x_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
-    """Polar-angle search for an X-form state.
+def _x_conditional_entropy(m: np.ndarray, bloch: np.ndarray) -> tuple[float, MeasurementBasis]:
+    """Polar-angle search for an X-form 4x4 matrix ``m`` with Bloch matrix ``bloch``.
 
     The entropy is least when n's transverse part lies along the larger
     singular vector of T's transverse block, at azimuth
@@ -394,7 +384,7 @@ def _x_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
     even about theta = 0 and pi/2, so a grid over [0, pi/2] locates the
     minimum and a compass search from the best grid point refines it.
     """
-    entropy = _x_objective(m)
+    entropy = _x_objective(m, bloch)
     step = 0.5 * math.pi / (_X_GRID - 1)
     value, polar = min((entropy(k * step), k * step) for k in range(_X_GRID))
     res = minimize(lambda x: entropy(x[0]), (polar,), step / 2.0)
@@ -435,13 +425,12 @@ def _wrap_angle(angle: float) -> float:
     return wrapped if wrapped < 2.0 * math.pi else 0.0
 
 
-def _general_conditional_entropy(m: np.ndarray) -> tuple[float, MeasurementBasis]:
-    """Grid scan plus compass refinement over projective B measurements of a 4x4 matrix.
+def _general_conditional_entropy(bloch: np.ndarray) -> tuple[float, MeasurementBasis]:
+    """Grid scan plus compass refinement over projective B measurements, from the Bloch matrix.
 
     The search starts at the grid's best direction with half an azimuth
     cell as its step; its (polar, azimuth) is folded back onto the sphere.
     """
-    bloch = _bloch(m)
     angles, n = _direction_grid()
     best = int(np.argmin(_grid_entropies(bloch, n)))
     x, value, _ = minimize(_general_objective(bloch), tuple(angles[best].tolist()), math.pi / _GRID_AZIMUTH)
@@ -459,14 +448,16 @@ def classical_correlation(
     """Maximal classical correlation under projective measurement of one side.
 
     Measures the side named by ``measured`` ("A" or "B"); the value is the
-    entropy of the other side minus the optimized conditional entropy.
+    entropy of the other side minus the optimized conditional entropy:
+    X-form states take the exact polar search, all others the general one.
     """
     _require_two_qubits(rho_ab)
     if measured not in ("A", "B"):
         raise ValueError("measured side must be 'A' or 'B'")
     work = rho_ab.matrix if measured == "B" else _swap_qubits(rho_ab.matrix)
-    cond, basis = _minimize_conditional_entropy(work)
-    return _marginal_entropy(work, 0) - cond, basis
+    r = _bloch(work)
+    cond, basis = _x_conditional_entropy(work, r) if _is_x_form(work) else _general_conditional_entropy(r)
+    return _marginal_entropy(r, 0) - cond, basis
 
 
 def _classical_and_discord(

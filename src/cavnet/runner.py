@@ -12,7 +12,6 @@ dimensionless as lambda*t.
 
 from __future__ import annotations
 
-import configparser
 import json
 import math
 from dataclasses import dataclass, replace
@@ -35,26 +34,29 @@ __all__ = [
     "transmission_details",
     "peak_sequence",
     "network_trajectory",
-    "load_config",
 ]
-
-SCENARIO_NAMES = (
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "transmission",
-    "custom",
-)
 
 _THETA_SET = (math.pi / 4, math.pi / 3, math.pi / 8)
 PEAK_THRESHOLD = 1e-4
 PEAK_GROUP_WINDOW = 0.02
 TRANSFER_TIME_LAMBDA = 2.0 * math.pi / 3.0
+
+# The figure defaults of each named scenario, over ScenarioSpec's own.
+_NAMED = {
+    "fig2": dict(initial=("psi_a",), theta_list=_THETA_SET, gamma=(0.01,), t_max_lambda=20.0),
+    "fig3": dict(initial=("psi_a",), theta_list=(math.pi / 4,), gamma=(0.0,)),
+    "fig4": dict(initial=("psi_a",), theta_list=(math.pi / 4,), gamma=(0.0,)),
+    "fig5": dict(initial=("psi_b",), theta_list=(math.pi / 4,), gamma=(0.05, 0.5), t_max_lambda=20.0),
+    "fig6": dict(initial=("rho_eq20",), theta_list=(math.pi / 4,), gamma=(0.01,), t_max_lambda=20.0),
+    "fig7": dict(initial=("psi_b",), theta_list=_THETA_SET, gamma=(0.0,)),
+    "fig8": dict(initial=("psi_b",), theta_list=(math.pi / 4,), gamma=(0.01,)),
+    "fig9": dict(initial=("psi1_chain", "psi2_chain"), theta_list=(math.pi / 4,), gamma=(0.01,)),
+    "transmission": dict(
+        initial=("psi_a", "psi_b"), theta_list=_THETA_SET, gamma=(0.01,), t_max_lambda=4.0, samples=801
+    ),
+    "custom": {},
+}
+SCENARIO_NAMES = tuple(_NAMED)
 
 
 @dataclass(frozen=True)
@@ -87,25 +89,7 @@ class ScenarioSpec:
 
     @classmethod
     def named(cls, name: str, **overrides) -> "ScenarioSpec":
-        defaults = {
-            "fig2": dict(initial=("psi_a",), theta_list=_THETA_SET, gamma=(0.01,), t_max_lambda=20.0),
-            "fig3": dict(initial=("psi_a",), theta_list=(math.pi / 4,), gamma=(0.0,)),
-            "fig4": dict(initial=("psi_a",), theta_list=(math.pi / 4,), gamma=(0.0,)),
-            "fig5": dict(initial=("psi_b",), theta_list=(math.pi / 4,), gamma=(0.05, 0.5), t_max_lambda=20.0),
-            "fig6": dict(initial=("rho_eq20",), theta_list=(math.pi / 4,), gamma=(0.01,), t_max_lambda=20.0),
-            "fig7": dict(initial=("psi_b",), theta_list=_THETA_SET, gamma=(0.0,)),
-            "fig8": dict(initial=("psi_b",), theta_list=(math.pi / 4,), gamma=(0.01,)),
-            "fig9": dict(initial=("psi1_chain", "psi2_chain"), theta_list=(math.pi / 4,), gamma=(0.01,)),
-            "transmission": dict(
-                initial=("psi_a", "psi_b"), theta_list=_THETA_SET, gamma=(0.01,), t_max_lambda=4.0, samples=801
-            ),
-            "custom": dict(),
-        }
-        if name not in defaults:
-            raise ValueError(f"unknown scenario {name!r}")
-        kwargs = dict(defaults[name])
-        kwargs.update(overrides)
-        return cls(name=name, **kwargs)
+        return cls(name=name, **{**_NAMED.get(name, {}), **overrides})
 
 
 @dataclass(frozen=True)
@@ -328,36 +312,38 @@ def _register_measures(nq: int):
     return columns, measure
 
 
-def _sweep(spec: ScenarioSpec, cfg: NetworkConfig):
-    """Sweep points as (gamma, network config, initial state).
+def _sweep(spec: ScenarioSpec, cfg: NetworkConfig) -> list[tuple[float, NetworkConfig, InitialStateSpec]]:
+    """Validated sweep points as (gamma, network config, initial state).
 
-    Kinds that ignore theta run once per gamma, labelled with the sweep's
-    first theta, instead of once per theta with identical rows.
-    """
-    for gamma in spec.gamma:
-        scenario_cfg = replace(cfg, gamma=gamma, gamma_units=spec.gamma_units)
-        for kind in spec.initial:
-            thetas = spec.theta_list if kind in InitialStateSpec.THETA_KINDS else spec.theta_list[:1]
-            for theta in thetas:
-                yield gamma, scenario_cfg, InitialStateSpec(kind, theta)
-
-
-def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig) -> Table:
-    """Produce the tabular records of one named scenario.
-
-    ``transmission`` reduces each sweep point to its 11' -> 33' ratios.
-    The other scenarios evolve one trajectory per point and evaluate their
-    measures on every sample; ``fig4`` then reduces its concurrence series
-    to peak events.  Scenarios are defined on two three-cavity chains: their
-    columns name cavities 1..3 and 1'..3', so any other network is rejected.
-    Each sweep point runs with the spec's gamma and gamma units in place of
-    ``cfg.gamma`` and ``cfg.gamma_units``.
+    Scenarios are defined on two three-cavity chains: their columns name
+    cavities 1..3 and 1'..3', so any other network is rejected.  Each point
+    runs with the spec's gamma and gamma units in place of ``cfg.gamma``
+    and ``cfg.gamma_units``.  Kinds that ignore theta run once per gamma,
+    labelled with the sweep's first theta, instead of once per theta with
+    identical rows.
     """
     if (cfg.sites_per_chain, cfg.num_chains) != (3, 2):
         raise ValueError(
             f"scenarios run on two chains of three cavities, got num_chains = {cfg.num_chains}, "
             f"sites_per_chain = {cfg.sites_per_chain}"
         )
+    points = []
+    for gamma in spec.gamma:
+        scenario_cfg = replace(cfg, gamma=gamma, gamma_units=spec.gamma_units)
+        for kind in spec.initial:
+            thetas = spec.theta_list if kind in InitialStateSpec.THETA_KINDS else spec.theta_list[:1]
+            points.extend((gamma, scenario_cfg, InitialStateSpec(kind, theta)) for theta in thetas)
+    return points
+
+
+def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig) -> Table:
+    """Produce the tabular records of one named scenario.
+
+    ``transmission`` reduces each sweep point of ``_sweep`` to its
+    11' -> 33' ratios.  The other scenarios evolve one trajectory per point
+    and evaluate their measures on every sample; ``fig4`` then reduces its
+    concurrence series to peak events.
+    """
     columns, rows = None, []
     for gamma, c, init in _sweep(spec, cfg):
         point = (init.kind, init.theta, gamma)
@@ -379,75 +365,3 @@ def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig) -> Table:
             rows.extend(point + (float(lt),) + v for lt, v in zip(traj.times_lambda, values))
     return Table(_SWEEP_COLUMNS + (_REDUCED_COLUMNS.get(spec.name) or ("lambda_t",) + columns), tuple(rows))
 
-
-def _numbers(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.replace(",", " ").split())
-
-
-def _one_rate(text: str) -> float:
-    rates = _numbers(text)
-    if len(rates) != 1:
-        raise ValueError(
-            f"one rate expected, got {len(rates)}: per-site rates are not "
-            "supported, since a sweep sets one gamma for all sites"
-        )
-    return rates[0]
-
-
-# The keys each config section accepts, with the parser of each value.
-_CONFIG_KEYS = {
-    "network": {
-        "sites_per_chain": int,
-        "num_chains": int,
-        "omega": float,
-        "nu": float,
-        "omega_f": float,
-        "j": float,
-        "kappa": float,
-        "fiber_length_l": float,
-        "fiber_continuum_decay_mu": float,
-        "gamma": _one_rate,
-        "gamma_units": str.strip,
-    },
-    "scenario": {
-        "name": str.strip,
-        "initial": lambda text: tuple(text.replace(",", " ").split()),
-        "theta": _numbers,
-        "gamma": _numbers,
-        "gamma_units": str.strip,
-        "tmax_lambda": float,
-        "samples": int,
-        "out": str.strip,
-        "format": str.strip,
-    },
-}
-# Config keys whose setting has another name.
-_SETTING_NAMES = {"j": "J", "theta": "theta_list", "tmax_lambda": "t_max_lambda"}
-
-
-def load_config(path) -> dict:
-    """Parse an INI-style config with [network] and [scenario] sections.
-
-    Returns one dict of settings per section.  An unknown section or key
-    raises ``ValueError`` naming it instead of being ignored, and so does a
-    value that does not parse, with its section, key and raw text.
-    """
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"config file {path} not found")
-    out: dict = {section: {} for section in _CONFIG_KEYS}
-    # configparser copies [DEFAULT] keys into every section and drops them when
-    # no section follows, so [DEFAULT] is checked as an unknown section first.
-    for section in (["DEFAULT"] if parser.defaults() else []) + parser.sections():
-        keys = _CONFIG_KEYS.get(section)
-        if keys is None:
-            why = ": propagation is exact and takes no integrator settings" if section == "integrator" else ""
-            raise ValueError(f"unknown config section [{section}] (keys: {', '.join(parser[section])}){why}")
-        for key, value in parser[section].items():
-            if key not in keys:
-                raise ValueError(f"unknown key {key!r} in config section [{section}]; known: {', '.join(keys)}")
-            try:
-                out[section][_SETTING_NAMES.get(key, key)] = keys[key](value)
-            except ValueError as err:
-                raise ValueError(f"[{section}] {key} = {value!r}: {err}") from err
-    return out

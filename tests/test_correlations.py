@@ -298,8 +298,8 @@ class TestXStateSearch:
     @given(seed=seeds)
     def test_matches_general_optimizer(self, seed):
         rho = random_x_state(np.random.default_rng(seed))
-        value, basis = corr._minimize_conditional_entropy(rho.matrix)
-        general, _ = corr._general_conditional_entropy(rho.matrix)
+        value, basis = corr._x_conditional_entropy(rho.matrix, corr._bloch(rho.matrix))
+        general, _ = corr._general_conditional_entropy(corr._bloch(rho.matrix))
         assert value == pytest.approx(general, abs=1e-9)
         assert attained_entropy(rho, basis) == pytest.approx(value, abs=1e-10)
 
@@ -315,8 +315,8 @@ class TestXStateSearch:
         ids=["mid-cell", "endpoint-dip"],
     )
     def test_interior_optimum_beats_both_endpoints(self, rho):
-        value, basis = corr._minimize_conditional_entropy(rho.matrix)
-        general, _ = corr._general_conditional_entropy(rho.matrix)
+        value, basis = corr._x_conditional_entropy(rho.matrix, corr._bloch(rho.matrix))
+        general, _ = corr._general_conditional_entropy(corr._bloch(rho.matrix))
         assert 1e-3 < basis.polar < math.pi / 2 - 1e-3
         for polar in (0.0, math.pi / 2):
             endpoint = attained_entropy(rho, corr.MeasurementBasis(polar, basis.azimuth))
@@ -328,9 +328,9 @@ class TestXStateSearch:
         calls = []
         general = corr._general_conditional_entropy
 
-        def spy(m):
-            calls.append(m)
-            return general(m)
+        def spy(bloch):
+            calls.append(bloch)
+            return general(bloch)
 
         monkeypatch.setattr(corr, "_general_conditional_entropy", spy)
         rng = np.random.default_rng(11)
@@ -339,7 +339,7 @@ class TestXStateSearch:
         assert calls == []
         non_x = random_density(rng, (2, 2))
         corr.quantum_discord(non_x)
-        assert len(calls) == 1 and calls[0] is non_x.matrix
+        assert len(calls) == 1 and np.array_equal(calls[0], corr._bloch(non_x.matrix))
 
 
 class TestBlochMatrix:
@@ -413,8 +413,8 @@ class TestConditionalEntropyKernel:
         rng = np.random.default_rng(4210)
         for _ in range(200):
             m = random_x_state(rng).matrix
-            _, basis = corr._x_conditional_entropy(m)
-            x_objective, objective = corr._x_objective(m), corr._general_objective(corr._bloch(m))
+            _, basis = corr._x_conditional_entropy(m, corr._bloch(m))
+            x_objective, objective = corr._x_objective(m, corr._bloch(m)), corr._general_objective(corr._bloch(m))
             for theta in rng.uniform(0.0, math.pi, size=5):
                 assert abs(x_objective(theta) - objective((theta, basis.azimuth))) < 1e-13
 
@@ -422,9 +422,9 @@ class TestConditionalEntropyKernel:
         # A numpy scalar in a search objective slows every evaluation.
         rng = np.random.default_rng(7)
         x_m, general_m = random_x_state(rng).matrix, random_density(rng, (2, 2)).matrix
-        assert type(corr._x_conditional_entropy(x_m)[0]) is float
-        assert type(corr._general_conditional_entropy(general_m)[0]) is float
-        assert type(corr._x_objective(x_m)(0.3)) is float
+        assert type(corr._x_conditional_entropy(x_m, corr._bloch(x_m))[0]) is float
+        assert type(corr._general_conditional_entropy(corr._bloch(general_m))[0]) is float
+        assert type(corr._x_objective(x_m, corr._bloch(x_m))(0.3)) is float
         assert type(corr._general_objective(corr._bloch(general_m))((0.3, 1.2))) is float
 
     def test_product_state_in_its_own_basis(self):
@@ -453,7 +453,7 @@ class TestConditionalEntropyKernel:
         fake = corr.MinimizeResult(x=(1.0, -1e-17), fun=-1.0, nfev=1)
         monkeypatch.setattr(corr, "minimize", lambda *args, **kwargs: fake)
         rho = random_density(np.random.default_rng(3), (2, 2))
-        value, basis = corr._general_conditional_entropy(rho.matrix)
+        value, basis = corr._general_conditional_entropy(corr._bloch(rho.matrix))
         assert value == -1.0
         assert (basis.polar, basis.azimuth) == (1.0, 0.0)
 
@@ -463,9 +463,9 @@ class TestConditionalEntropyKernel:
         # the period pi and the evenness about pi/2 bring it back.
         monkeypatch.setattr(corr, "minimize", lambda fun, x0, step: corr.MinimizeResult((polar,), fun((polar,)), 1))
         rho = random_x_state(np.random.default_rng(6))
-        value, basis = corr._x_conditional_entropy(rho.matrix)
+        value, basis = corr._x_conditional_entropy(rho.matrix, corr._bloch(rho.matrix))
         assert 0.0 <= basis.polar <= math.pi / 2
-        assert value == corr._x_objective(rho.matrix)(polar)
+        assert value == corr._x_objective(rho.matrix, corr._bloch(rho.matrix))(polar)
         assert attained_entropy(rho, basis) == pytest.approx(value, abs=1e-12)
 
 
@@ -664,7 +664,7 @@ class TestMarginalEntropy:
         for rho in states:
             for side in (0, 1):
                 want = qla.von_neumann_entropy(qla.partial_trace(rho, [side]))
-                assert abs(corr._marginal_entropy(rho.matrix, side) - want) < 1e-12
+                assert abs(corr._marginal_entropy(corr._bloch(rho.matrix), side) - want) < 1e-12
 
     def test_full_rank_states(self):
         rng = np.random.default_rng(2401)
@@ -687,7 +687,9 @@ class TestMarginalEntropy:
             rho = oracles.bell_diagonal_state(rng.dirichlet(np.ones(4)) @ BELL_VERTICES)
             states += [rho, locally_rotated(rng, rho)]
         self.assert_matches_partial_trace(states)
-        assert all(abs(corr._marginal_entropy(rho.matrix, side) - 1.0) < 1e-12 for rho in states for side in (0, 1))
+        assert all(
+            abs(corr._marginal_entropy(corr._bloch(rho.matrix), side) - 1.0) < 1e-12 for rho in states for side in (0, 1)
+        )
 
     def test_x_states(self):
         rng = np.random.default_rng(2404)
@@ -698,13 +700,13 @@ class TestMarginalEntropy:
         # qubit B's is diag(1, 0) up to round-off.
         m = np.diag([1.0 + 2e-9, 0.0, -2e-9, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="too negative"):
-            corr._marginal_entropy(m, 0)
-        assert abs(corr._marginal_entropy(m, 1)) < 1e-12
+            corr._marginal_entropy(corr._bloch(m), 0)
+        assert abs(corr._marginal_entropy(corr._bloch(m), 1)) < 1e-12
         # Above the limit the negative eigenvalue is dropped, as in
         # von_neumann_entropy, which accepts this marginal as a state.
         m = np.diag([1.0 + 5e-10, 0.0, -5e-10, 0.0]).astype(complex)
         want = qla.von_neumann_entropy(qla.density(np.diag([1.0 + 5e-10, -5e-10])))
-        assert abs(corr._marginal_entropy(m, 0) - want) < 1e-15
+        assert abs(corr._marginal_entropy(corr._bloch(m), 0) - want) < 1e-15
 
 
 class TestDelta:
@@ -729,7 +731,7 @@ class TestDelta:
                 delta += corr.eof_from_concurrence(corr.concurrence(pair))
                 delta -= corr.quantum_discord(pair)
             s_12, s_13 = (qla.von_neumann_entropy(pair) for pair in pairs)
-            s_2, s_3 = (corr._marginal_entropy(pair.matrix, 1) for pair in pairs)
+            s_2, s_3 = (corr._marginal_entropy(corr._bloch(pair.matrix), 1) for pair in pairs)
             calls = []
             entropy = qla.von_neumann_entropy
             monkeypatch.setattr(qla, "von_neumann_entropy", lambda r: calls.append(r.dim) or entropy(r))

@@ -85,7 +85,7 @@ class TestFig6:
         # An optimizer that overshoots the minimal conditional entropy makes
         # Q = I - J negative; the figure must fail, not clip it to zero.
         basis = corr.MeasurementBasis(0.0, 0.0)
-        monkeypatch.setattr(corr, "_minimize_conditional_entropy", lambda m: (-1.0, basis))
+        monkeypatch.setattr(corr, "_x_conditional_entropy", lambda m, bloch: (-1.0, basis))
         with pytest.raises(RuntimeError, match="discord optimizer failure"):
             runner.run_scenario(small("fig6", t_max_lambda=1.0, samples=3), default_cfg)
 
@@ -96,8 +96,8 @@ class TestDiscordPath:
         # The dynamics conserves excitation parity, so every pair state is an
         # X state; one that reached the general optimizer would cost about
         # twenty times more per discord.
-        def general(m):
-            raise AssertionError(f"{name} pair state is not X-form:\n{m}")
+        def general(bloch):
+            raise AssertionError(f"{name} pair state is not X-form; its Bloch matrix:\n{bloch}")
 
         monkeypatch.setattr(corr, "_general_conditional_entropy", general)
         spec = small(name, theta_list=(math.pi / 4, 0.4), samples=6)
@@ -321,14 +321,14 @@ class TestConfigAndCli:
                 ]
             )
         )
-        parsed = runner.load_config(path)
+        parsed = cli.load_config(path)
         assert parsed["network"]["gamma"] == 0.02
         assert parsed["network"]["kappa"] == 1.0
         assert parsed["scenario"]["name"] == "fig3"
         assert parsed["scenario"]["samples"] == 24
         path.write_text("[integrator]\nrel_tol = 1e-8\n")
         with pytest.raises(ValueError, match="rel_tol.*exact"):
-            runner.load_config(path)
+            cli.load_config(path)
 
     @pytest.mark.parametrize(
         "text, named",
@@ -344,7 +344,7 @@ class TestConfigAndCli:
         path = tmp_path / "unknown.ini"
         path.write_text(text)
         with pytest.raises(ValueError, match=named):
-            runner.load_config(path)
+            cli.load_config(path)
 
     @pytest.mark.parametrize(
         "text, named",
@@ -360,17 +360,17 @@ class TestConfigAndCli:
         path = tmp_path / "bad.ini"
         path.write_text(text)
         with pytest.raises(ValueError, match=named):
-            runner.load_config(path)
+            cli.load_config(path)
 
     def test_config_rejects_per_site_network_gamma(self, tmp_path):
         path = tmp_path / "sites.ini"
         path.write_text("[network]\ngamma = 0.01, 0.02, 0.03\n")
         with pytest.raises(ValueError, match=r"\[network\] gamma.*per-site"):
-            runner.load_config(path)
+            cli.load_config(path)
 
     def test_missing_config_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            runner.load_config(tmp_path / "absent.ini")
+            cli.load_config(tmp_path / "absent.ini")
 
     def test_cli_scenario_writes_csv(self, tmp_path):
         out = tmp_path / "fig3.csv"
@@ -462,20 +462,77 @@ class TestConfigAndCli:
         assert cli.main(run) == 0
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "flags, message, config",
         [
-            (["--gamma", "nan"], "gamma must be finite, got nan"),
-            (["--samples", "1"], "samples must be at least 2"),
-            (["--config", "absent.ini"], "config file absent.ini not found"),
+            (["--gamma", "nan"], "gamma must be finite, got nan", None),
+            (["--samples", "1"], "samples must be at least 2", None),
+            (["--config", "absent.ini"], "config file absent.ini not found", None),
+            ([], "unknown format 'xml'; known: csv, jsonl", "[scenario]\nformat = xml\n"),
+            # Settings that only the sweep points check.
+            (["--theta", "3"], "theta must lie in [0, pi/2]", None),
+            ([], "decay rates must be nonnegative", "[scenario]\ngamma = -1\n"),
+            ([], "unknown gamma_units 'furlongs'", "[scenario]\ngamma_units = furlongs\n"),
+            (
+                [],
+                "scenarios run on two chains of three cavities, got num_chains = 2, sites_per_chain = 4",
+                "[network]\nsites_per_chain = 4\n",
+            ),
         ],
     )
-    def test_cli_bad_settings_are_one_line_usage_errors(self, capsys, flags, message):
+    def test_cli_bad_settings_are_one_line_usage_errors(self, capsys, tmp_path, flags, message, config):
+        if config is not None:
+            path = tmp_path / "bad.ini"
+            path.write_text(config)
+            flags = flags + ["--config", str(path)]
         with pytest.raises(SystemExit) as exit_:
             cli.main(["scenario", "--scenario", "fig3", "--samples", "4"] + flags)
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == f"cavnet: error: {message}"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "setting, flag, config, default, from_config, from_flag",
+        [
+            ("gamma", "--gamma 0.3", "[scenario]\ngamma = 0.2", (0.05, 0.5), (0.2,), (0.3,)),
+            ("gamma_units", "--gamma-units abs", "[scenario]\ngamma_units = lambda", "abs", "lambda", "abs"),
+            ("kappa", "--kappa 0.9", "[network]\nkappa = 0.8", 1 / math.sqrt(2), 0.8, 0.9),
+            ("theta_list", "--theta 0.5 --theta 0.6", "[scenario]\ntheta = 0.3", (math.pi / 4,), (0.3,), (0.5, 0.6)),
+            ("t_max_lambda", "--tmax-lambda 7", "[scenario]\ntmax_lambda = 5", 20.0, 5.0, 7.0),
+            ("samples", "--samples 40", "[scenario]\nsamples = 30", 800, 30, 40),
+            (
+                "initial",
+                "--initial rho_eq20 --initial psi_a",
+                "[scenario]\ninitial = psi_a",
+                ("psi_b",),
+                ("psi_a",),
+                ("rho_eq20", "psi_a"),
+            ),
+            ("out", "--out f.csv", "[scenario]\nout = c.csv", None, "c.csv", "f.csv"),
+            ("format", "--format csv", "[scenario]\nformat = jsonl", "csv", "jsonl", "csv"),
+            ("name", "--scenario fig2", "[scenario]\nname = fig7", None, "fig7", "fig2"),
+        ],
+        ids=["gamma", "gamma_units", "kappa", "theta", "tmax_lambda", "samples", "initial", "out", "format", "name"],
+    )
+    def test_resolve_precedence(self, tmp_path, setting, flag, config, default, from_config, from_flag):
+        # The scenario's default (fig5's, else ScenarioSpec's or NetworkConfig's),
+        # then the config file, then the flag; no trajectory runs.
+        path = tmp_path / "p.ini"
+        path.write_text(config + "\n")
+        base = ["scenario"] + ([] if setting == "name" else ["--scenario", "fig5"])
+
+        def resolved(*extra):
+            cfg, spec, out, fmt = cli.resolve(cli.build_parser().parse_args(base + list(extra)))
+            return {"kappa": cfg.kappa, "out": out, "format": fmt, **vars(spec)}[setting]
+
+        if setting == "name":
+            # A scenario name has no default: without one the command is refused.
+            with pytest.raises(ValueError, match="scenario name required"):
+                resolved()
+        else:
+            assert resolved() == default
+        assert resolved("--config", str(path)) == from_config
+        assert resolved("--config", str(path), *flag.split()) == from_flag
 
     def test_cli_transmission(self, tmp_path):
         out = tmp_path / "ratios.csv"
@@ -498,6 +555,16 @@ class TestConfigAndCli:
         assert len(lines) == 2
         ratio = float(lines[1].split(",")[5])
         assert ratio == pytest.approx(0.7494, abs=5e-3)
+
+
+def test_import_loads_no_config_parser():
+    # Settings resolve in the CLI alone: importing the package loads
+    # neither it nor configparser.
+    code = "import sys, cavnet; print(sorted({'configparser', 'cavnet.cli'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=300)
+    assert out.stdout.strip() == "[]"
 
 
 def test_runtime_imports_no_scipy():
