@@ -22,20 +22,21 @@ def main() -> int:
     parser.add_argument("--only", nargs="*", choices=SCENARIOS, help="subset to run")
     args = parser.parse_args()
 
+    overrides = {} if args.samples is None else {"samples": args.samples}
+    try:
+        specs = [ScenarioSpec.named(name, **overrides) for name in args.only or SCENARIOS]
+    except ValueError as err:
+        parser.error(str(err))
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = NetworkConfig()
-    for name in args.only or SCENARIOS:
-        overrides = {}
-        if args.samples is not None:
-            overrides["samples"] = args.samples
-        spec = ScenarioSpec.named(name, **overrides)
+    for spec in specs:
         start = time.time()
         table = run_scenario(spec, cfg)
-        path = outdir / f"{name}.csv"
+        path = outdir / f"{spec.name}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             table.to_csv(fh)
-        print(f"{name}: {len(table.rows)} rows -> {path} ({time.time() - start:.1f}s)")
+        print(f"{spec.name}: {len(table.rows)} rows -> {path} ({time.time() - start:.1f}s)")
     return 0
 
 

@@ -7,9 +7,9 @@ equivalent.  ``resolve`` is the one place where settings resolve: the
 scenario's defaults, then the config file's [network] and [scenario]
 sections, then the flags, each layer a dict keyed by setting name.  An
 unknown config section or key is an error.  Settings that do not resolve,
-from a flag or the config, and sweep points the model rejects are usage
-errors: one line on stderr and exit status 2.  Every scenario runs on the
-network of two three-cavity chains.
+from a flag or the config, and sweeps the model or scenario rejects are
+usage errors before anything runs: one line on stderr and exit status 2.
+Every scenario runs on the network of two three-cavity chains.
 """
 
 from __future__ import annotations

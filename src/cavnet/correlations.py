@@ -47,6 +47,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -112,22 +113,11 @@ class PairSelector:
         The first character group addresses the unprimed chain, a trailing
         prime the second chain; "21'" is chain-1 site 2 with chain-2 site 1.
         """
-        label = label.strip()
-        # Split into two site tokens, each one digit plus optional prime.
-        tokens = []
-        i = 0
-        while i < len(label):
-            j = i + 1
-            while j < len(label) and label[j] in ("'", "′"):
-                j += 1
-            tokens.append(label[i:j])
-            i = j
-        if len(tokens) != 2:
+        # Two site tokens, each one digit plus an optional prime.
+        tokens = re.fullmatch(r"(\d['′]?)(\d['′]?)", label.strip())
+        if tokens is None:
             raise ValueError(f"malformed pair label {label!r}")
-        return cls(
-            cavity_label_to_qubit(tokens[0], sites_per_chain),
-            cavity_label_to_qubit(tokens[1], sites_per_chain),
-        )
+        return cls(*(cavity_label_to_qubit(token, sites_per_chain) for token in tokens.groups()))
 
 
 @dataclass(frozen=True)
@@ -256,18 +246,13 @@ def _general_concurrence(m: np.ndarray) -> float:
     return float(max(0.0, alphas[0] - alphas[1] - alphas[2] - alphas[3]))
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
-
-
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation as a function of concurrence."""
     if not -1e-12 <= c <= 1.0 + 1e-12:
         raise ValueError(f"concurrence {c} outside [0, 1]")
     c = min(max(c, 0.0), 1.0)
-    return _binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+    p = (1.0 + math.sqrt(1.0 - c * c)) / 2.0
+    return -_xlog2x(p) - _xlog2x(1.0 - p)
 
 
 def _bloch(m: np.ndarray) -> np.ndarray:
@@ -332,9 +317,14 @@ def _outcome_term(w, r, xlog2x=_xlog2x):
 def _grid_entropies(bloch: np.ndarray, n: np.ndarray) -> np.ndarray:
     """S(A | n) of the Bloch matrix ``bloch`` for every column of a (3, k) array of unit vectors."""
     sign = np.array([[1.0], [-1.0]])
+    # a +- T n is built in place and reduced to its norms before w exists: heap growth past
+    # the allocator's trim threshold would be handed back and faulted in again every call.
+    r = sign * (bloch[1:, 1:] @ n)[:, None]
+    r += bloch[1:, 0, None, None]
+    r *= r
+    r = np.sqrt(r.sum(axis=0))
     w = bloch[0, 0] + sign * (bloch[0, 1:] @ n)
-    v = bloch[1:, 0, None, None] + sign * (bloch[1:, 1:] @ n)[:, None]
-    return _outcome_term(w, np.sqrt((v * v).sum(axis=0)), _xlog2x_array).sum(axis=0)
+    return _outcome_term(w, r, _xlog2x_array).sum(axis=0)
 
 
 def _general_objective(bloch: np.ndarray):
@@ -493,20 +483,6 @@ def one_tangle(rho: DensityMatrix, site: int) -> float:
     return float(4.0 * det)
 
 
-def _pairwise_csq(rho: DensityMatrix, ref_site: int, partners) -> float:
-    total = 0.0
-    for partner in partners:
-        c = concurrence(pair_state(rho, PairSelector(ref_site, partner)))
-        total += c * c
-    return total
-
-
-def _require_pure(rho: DensityMatrix, what: str) -> DensityMatrix:
-    if qla.purity(rho) < 1.0 - _PURITY_GATE:
-        raise ValueError(f"{what} requires a pure state, purity = {qla.purity(rho):.6g}")
-    return rho
-
-
 def tangle_pure(state: PureState | DensityMatrix, ref_site: int) -> float:
     """Residual multipartite correlation of a pure state.
 
@@ -518,20 +494,18 @@ def tangle_pure(state: PureState | DensityMatrix, ref_site: int) -> float:
 def tangle_bounds(rho: DensityMatrix, ref_site: int) -> TangleBounds:
     """Mixed-state bracket for the tangle.
 
-    The upper bound replaces the convex-roof one-tangle with
-    2*(1 - Tr[rho_i^2]) of a pure state; the lower uses
-    2*(Tr[rho^2] - Tr[rho_i^2]).  Both subtract the same pairwise sum.
-    Raw values are kept alongside clamped-at-zero variants.
+    The upper bound is the one-tangle 4 det rho_i of the reference site,
+    which on a qubit marginal equals 2*(1 - Tr[rho_i^2]), the convex-roof
+    one-tangle of a pure state; the lower replaces it with
+    2*(Tr[rho^2] - Tr[rho_i^2]), that is the upper term less
+    2*(1 - Tr[rho^2]).  Both subtract the same sum of squared pairwise
+    concurrences.  Raw values are kept alongside clamped-at-zero variants.
     """
-    partners = [k for k in range(len(rho.dims)) if k != ref_site]
-    pairwise = _pairwise_csq(rho, ref_site, partners)
-    site_purity = qla.purity(qla.partial_trace(rho, [ref_site]))
-    upper_csq = 2.0 * (1.0 - site_purity)
+    csq = (concurrence(pair_state(rho, PairSelector(ref_site, k))) for k in range(len(rho.dims)) if k != ref_site)
+    upper_raw = one_tangle(rho, ref_site) - sum(c * c for c in csq)
     # Round-off can push Tr[rho^2] a hair past one; the lower bound must
     # never exceed the upper.
-    lower_csq = 2.0 * (min(qla.purity(rho), 1.0) - site_purity)
-    upper_raw = upper_csq - pairwise
-    lower_raw = lower_csq - pairwise
+    lower_raw = upper_raw - 2.0 * (1.0 - min(qla.purity(rho), 1.0))
     return TangleBounds(lower_raw, upper_raw, max(lower_raw, 0.0), max(upper_raw, 0.0))
 
 
@@ -539,11 +513,13 @@ def monogamy_residual(state: PureState | DensityMatrix, ref_site: int) -> float:
     """Slack of the squared-concurrence sharing inequality; must be >= 0.
 
     One-tangle of the reference site minus all squared pairwise concurrences
-    with its partners; a deficit beyond 1e-9 is an error.
+    with its partners, the upper term of ``tangle_bounds``; a deficit beyond
+    1e-9 is an error.
     """
-    rho = _require_pure(_as_density(state), "monogamy residual")
-    partners = [k for k in range(len(rho.dims)) if k != ref_site]
-    residual = one_tangle(rho, ref_site) - _pairwise_csq(rho, ref_site, partners)
+    rho = _as_density(state)
+    if (purity := qla.purity(rho)) < 1.0 - _PURITY_GATE:
+        raise ValueError(f"monogamy residual requires a pure state, purity = {purity:.6g}")
+    residual = tangle_bounds(rho, ref_site).upper_raw
     if residual < -_TANGLE_FLOOR:
         raise ValueError(f"monogamy inequality violated by {residual:.3e}")
     return residual

@@ -132,15 +132,6 @@ def site_lowering_operator(cfg: NetworkConfig, site: int, nsites: int | None = N
     return qla.embed(cfg.kappa * qla.LOWERING, site, (2,) * nsites)
 
 
-def _site_rates(cfg: NetworkConfig, nsites: int) -> tuple[float, ...]:
-    rates = cfg.gamma_rates()
-    if nsites == cfg.sites_per_chain:
-        return rates
-    if nsites == cfg.total_sites:
-        return rates * cfg.num_chains
-    raise ValueError(f"no per-site rates defined for a {nsites}-site register")
-
-
 def build_davies_channels(h: Operator, cfg: NetworkConfig) -> list[DaviesChannel]:
     """Downward jump channels of ``h`` for every site and Bohr frequency.
 
@@ -148,18 +139,18 @@ def build_davies_channels(h: Operator, cfg: NetworkConfig) -> list[DaviesChannel
     V (V^dag A V o [label == k]) V^dag: the sum of |a><a|A|b><b| over every
     eigenvector pair whose gap E_b - E_a falls in group k, so degenerate
     gaps from different excitation sectors merge into one channel.
-    Channels with an all-zero jump or a zero rate are dropped.  The rate is
-    frequency-flat.
+    Channels with an all-zero jump are dropped, and at a zero rate there
+    are none.  The rate is one for every site and frequency-flat.
     """
     if any(d != 2 for d in h.dims):
         raise ValueError("Davies construction expects a qubit register")
     nsites = len(h.dims)
-    rates = _site_rates(cfg, nsites)
     v, labels, freqs = _bohr_grouping(h)
+    rate = cfg.decay_rate()
+    if rate == 0.0:
+        return []
     channels: list[DaviesChannel] = []
     for site in range(nsites):
-        if rates[site] == 0.0:
-            continue
         coupling = v.conj().T @ site_lowering_operator(cfg, site, nsites).matrix @ v
         for k, omega in enumerate(freqs):
             jump = v @ np.where(labels == k, coupling, 0.0) @ v.conj().T
@@ -170,7 +161,7 @@ def build_davies_channels(h: Operator, cfg: NetworkConfig) -> list[DaviesChannel
                     site=site,
                     bohr_frequency=float(omega),
                     jump=Operator(jump, h.dims),
-                    rate=rates[site],
+                    rate=rate,
                 )
             )
     return channels

@@ -3,10 +3,10 @@
 The generator is time independent, so a state evolves as
 vec(rho(t)) = exp(L t) vec(rho(0)), with L the Liouvillian acting on
 row-major vectorized density matrices.  Samples lie on one uniform grid,
-so a single propagator S = exp(L dt), a dense Pade scaling-and-squaring
-exponential (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), carries
-every trajectory from one sample to the next; no integrator or step
-control is involved.
+so a single propagator S = exp(L dt), a dense [13/13] Pade
+scaling-and-squaring exponential (Higham, SIAM J. Matrix Anal. Appl. 26,
+1179 (2005)), carries every trajectory from one sample to the next; no
+integrator or step control is involved.
 
 One block stepper serves both evolvers.  It lays the flattened state out
 as a matrix M and steps M <- S_row M S_col^T with one map per slot:
@@ -81,41 +81,28 @@ def _liouvillian(spec: GeneratorSpec) -> np.ndarray:
     return out
 
 
-# Pade coefficients b_0..b_m and the largest 1-norm theta_m for which the
-# [m/m] approximant of exp meets double precision, for m = 3, 5, 7, 9, 13
-# (Higham 2005, Table 2.3).
-_PADE = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
-    (
-        2.097847961257068e0,
-        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0, 110880.0,
-         3960.0, 90.0, 1.0),
-    ),
-    (
-        5.371920351148152e0,
-        (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-    ),
+# Pade coefficients b_0..b_13 of the [13/13] approximant of exp, and the
+# largest 1-norm theta_13 for which it meets double precision (Higham 2005,
+# Table 2.3).
+_THETA_13 = 5.371920351148152
+_PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by Pade scaling and squaring (Higham 2005, Alg. 2.3).
+    """Matrix exponential by [13/13] Pade scaling and squaring (Higham 2005, Alg. 2.3).
 
-    The lowest degree whose theta covers ||a||_1 is used; past the last
-    theta the matrix is halved s times before the last degree and the
-    result squared s times.
+    Past theta_13 the matrix is halved s times before the approximant and
+    the result squared s times.
     """
     norm = float(np.abs(a).sum(axis=0).max())
     # Tested before the logarithm, which a zero step (one sample) would not survive.
-    s = math.ceil(math.log2(norm / _PADE[-1][0])) if norm > _PADE[-1][0] else 0
-    a, norm = a * 2.0**-s, norm * 2.0**-s
-    for theta, b in _PADE:
-        if norm <= theta:
-            break
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    a = a * 2.0**-s
+    b = _PADE_13
     powers = [np.eye(a.shape[0], dtype=a.dtype), a @ a]
     while len(powers) < len(b) // 2:
         powers.append(powers[-1] @ powers[1])
@@ -125,11 +112,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
-
-
-def _propagator(spec: GeneratorSpec, step: float) -> np.ndarray:
-    """S = exp(L step), the map of vectorized states over one grid step, in full."""
-    return _expm(_liouvillian(spec) * step)
 
 
 def _validate_sample_times(sample_times) -> tuple[np.ndarray, float]:

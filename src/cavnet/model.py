@@ -116,10 +116,9 @@ class NetworkConfig:
     def total_sites(self) -> int:
         return self.sites_per_chain * self.num_chains
 
-    def gamma_rates(self) -> tuple[float, ...]:
-        """Per-site decay rates in absolute 1/ns, units flag applied."""
-        scale = effective_coupling(self) if self.gamma_units == "lambda" else 1.0
-        return (self.gamma * scale,) * self.sites_per_chain
+    def decay_rate(self) -> float:
+        """The decay rate of every site in absolute 1/ns, units flag applied."""
+        return self.gamma * (effective_coupling(self) if self.gamma_units == "lambda" else 1.0)
 
 
 @dataclass(frozen=True)
@@ -144,6 +143,8 @@ class InitialStateSpec:
     _KINDS = ("psi_a", "psi_b", "rho_eq20", "psi1_chain", "psi2_chain", "custom")
     # The kinds that depend on theta; every other kind ignores it.
     THETA_KINDS = ("psi_a", "psi_b")
+    # The kinds on one chain's register; every other named kind is on the network's.
+    CHAIN_KINDS = ("psi1_chain", "psi2_chain")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:

@@ -212,6 +212,11 @@ def peak_sequence(series_by_pair, times_lambda) -> list[PeakEvent]:
     return events
 
 
+def _require_transfer_window(t_max_lambda: float) -> None:
+    if t_max_lambda < TRANSFER_TIME_LAMBDA:
+        raise ValueError(f"t_max_lambda = {t_max_lambda:g} ends before the transfer time lambda*t = 2*pi/3")
+
+
 def transmission_details(
     initial: InitialStateSpec,
     cfg: NetworkConfig,
@@ -226,8 +231,7 @@ def transmission_details(
     interpolation; ``ratio_at_transfer`` samples C_dst at lambda*t = 2*pi/3,
     so the window must reach it.
     """
-    if t_max_lambda < TRANSFER_TIME_LAMBDA:
-        raise ValueError(f"t_max_lambda = {t_max_lambda:g} ends before the transfer time lambda*t = 2*pi/3")
+    _require_transfer_window(t_max_lambda)
     traj = network_trajectory(cfg, initial, t_max_lambda, samples)
     c0 = _concurrence(traj.states[0], src)
     if c0 <= 1e-12:
@@ -316,9 +320,12 @@ def _sweep(spec: ScenarioSpec, cfg: NetworkConfig) -> list[tuple[float, NetworkC
     """Validated sweep points as (gamma, network config, initial state).
 
     Scenarios are defined on two three-cavity chains: their columns name
-    cavities 1..3 and 1'..3', so any other network is rejected.  Each point
-    runs with the spec's gamma and gamma units in place of ``cfg.gamma``
-    and ``cfg.gamma_units``.  Kinds that ignore theta run once per gamma,
+    cavities 1..3 and 1'..3', so any other network is rejected.  The
+    initial states must share one register, and a named scenario's must be
+    on the register of its own defaults, whose columns it fills; a
+    ``transmission`` window must reach the transfer time.  Each point runs
+    with the spec's gamma and gamma units in place of ``cfg.gamma`` and
+    ``cfg.gamma_units``.  Kinds that ignore theta run once per gamma,
     labelled with the sweep's first theta, instead of once per theta with
     identical rows.
     """
@@ -333,6 +340,14 @@ def _sweep(spec: ScenarioSpec, cfg: NetworkConfig) -> list[tuple[float, NetworkC
         for kind in spec.initial:
             thetas = spec.theta_list if kind in InitialStateSpec.THETA_KINDS else spec.theta_list[:1]
             points.extend((gamma, scenario_cfg, InitialStateSpec(kind, theta)) for theta in thetas)
+    on_chain = {kind in InitialStateSpec.CHAIN_KINDS for kind in spec.initial}
+    if len(on_chain) > 1:
+        raise ValueError(f"sweep mixes incompatible registers: {', '.join(spec.initial)}")
+    own = _NAMED[spec.name].get("initial")
+    if own and on_chain != {own[0] in InitialStateSpec.CHAIN_KINDS}:
+        raise ValueError(f"{spec.name} measures states on the register of {', '.join(own)}, not {', '.join(spec.initial)}")
+    if spec.name == "transmission":
+        _require_transfer_window(spec.t_max_lambda)
     return points
 
 
@@ -344,7 +359,7 @@ def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig) -> Table:
     and evaluate their measures on every sample; ``fig4`` then reduces its
     concurrence series to peak events.
     """
-    columns, rows = None, []
+    rows = []
     for gamma, c, init in _sweep(spec, cfg):
         point = (init.kind, init.theta, gamma)
         if spec.name == "transmission":
@@ -353,13 +368,10 @@ def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig) -> Table:
             continue
         traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples)
         nq = len(traj.states[0].dims)
-        names, measure = _register_measures(nq) if spec.name == "custom" else _MEASURES[spec.name]
-        if columns not in (None, names):
-            raise ValueError("custom sweep mixes incompatible registers")
-        columns = names
+        columns, measure = _register_measures(nq) if spec.name == "custom" else _MEASURES[spec.name]
         values = [measure(state) for state in traj.states]
         if spec.name == "fig4":
-            events = peak_sequence(dict(zip(names, zip(*values))), traj.times_lambda)
+            events = peak_sequence(dict(zip(columns, zip(*values))), traj.times_lambda)
             rows.extend(point + (ev.pair, ev.time_lambda, ev.value, ev.simultaneous_group) for ev in events)
         else:
             rows.extend(point + (float(lt),) + v for lt, v in zip(traj.times_lambda, values))

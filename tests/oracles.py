@@ -213,7 +213,7 @@ def evolve_factorized_dense(
     """
     t = np.asarray(sample_times, dtype=float)
     d = chain_spec.dim
-    s = dynamics._propagator(chain_spec, t[-1] / (t.size - 1) if t.size > 1 else 0.0)
+    s = dynamics._expm(dynamics._liouvillian(chain_spec) * (t[-1] / (t.size - 1) if t.size > 1 else 0.0))
     m = regroup(rho0.matrix.astype(complex), d)
     states = []
     for k in range(t.size):
@@ -420,11 +420,11 @@ def build_local_channels(h: qla.Operator, cfg: model.NetworkConfig) -> list[Deca
     if any(d != 2 for d in h.dims):
         raise ValueError("local channels expect a qubit register")
     nsites = len(h.dims)
-    rates = davies._site_rates(cfg, nsites)
+    rate = cfg.decay_rate()
     return [
-        DecayChannel(site=site, jump=davies.site_lowering_operator(cfg, site, nsites), rate=rates[site])
+        DecayChannel(site=site, jump=davies.site_lowering_operator(cfg, site, nsites), rate=rate)
         for site in range(nsites)
-        if rates[site] > 0.0
+        if rate > 0.0
     ]
 
 

@@ -646,6 +646,24 @@ class TestTangleBounds:
             assert purity > 1.0 - 1e-8
 
 
+class TestOneTangleForm:
+    """``tangle_bounds`` reads the one-tangle; ``monogamy_residual`` is its upper term."""
+
+    @given(seed=seeds)
+    def test_upper_term_is_the_monogamy_residual(self, seed):
+        rng = np.random.default_rng(seed)
+        psi = random_pure(rng, (2, 2, 2))
+        ref = int(rng.integers(0, 3))
+        assert abs(corr.tangle_bounds(psi.density(), ref).upper_raw - corr.monogamy_residual(psi, ref)) < 1e-12
+
+    @given(seed=seeds)
+    def test_bounds_differ_by_the_mixedness(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, (2, 2, 2), rank=int(rng.integers(1, 9)))
+        b = corr.tangle_bounds(rho, int(rng.integers(0, 3)))
+        assert abs((b.upper_raw - b.lower_raw) - 2.0 * (1.0 - qla.purity(rho))) < 1e-12
+
+
 class TestEntanglementSum:
     def test_initial_bell_pair(self, default_cfg):
         rho = model.build_initial_state(model.InitialStateSpec("psi_b", math.pi / 4), default_cfg)
@@ -765,7 +783,7 @@ class TestPairSelector:
         assert corr.PairSelector.from_label("12") == corr.PairSelector(0, 1)
 
     def test_malformed_labels(self):
-        for bad in ("", "1", "123", "4'1", "x2"):
+        for bad in ("", "1", "123", "4'1", "x2", "1''2", "1 2", "11'x"):
             with pytest.raises(ValueError):
                 corr.PairSelector.from_label(bad)
 

@@ -195,7 +195,7 @@ class TestReachableBlock:
         got = dynamics.evolve_factorized(rho0, gen, times)
         dense = oracles.evolve_factorized_dense(rho0, gen, times)
         assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(got.states, dense.states)) < 1e-14
-        s = dynamics._propagator(gen, times[1])
+        s = dynamics._expm(dynamics._liouvillian(gen) * times[1])
         m0 = oracles.regroup(rho0.matrix, 8)
         rows, cols = dynamics._reachable(s, m0.any(axis=1)), dynamics._reachable(s, m0.any(axis=0))
         outside = np.ones((64, 64), dtype=bool)
@@ -217,7 +217,7 @@ class TestReachableBlock:
         got = dynamics.evolve(rho0, gen, times)
         direct = oracles.direct_evolve(rho0, gen, times)
         assert max(np.max(np.abs(a.matrix - b)) for a, b in zip(got.states, direct)) < 1e-12
-        entries = dynamics._reachable(dynamics._propagator(gen, times[1]), rho0.matrix.reshape(-1) != 0)
+        entries = dynamics._reachable(dynamics._expm(dynamics._liouvillian(gen) * times[1]), rho0.matrix.reshape(-1) != 0)
         # Without loss nothing feeds the vacuum population.
         assert entries.size == (64 if kind == "dense8" else 9 if gamma == 0.0 else 10)
 
@@ -254,6 +254,11 @@ class TestLiouvillian:
             assert np.max(np.abs(liouvillian @ rho.matrix.reshape(-1) - expected)) < 1e-12
 
 
+# theta_m of the [m/m] approximants for m = 3, 5, 7, 9 (Higham 2005, Table
+# 2.3): the norms up to which a lower degree used to be chosen.
+_FORMER_THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068e0)
+
+
 class TestPadeExponential:
     """``dynamics._expm`` against ``scipy.linalg.expm``."""
 
@@ -268,13 +273,14 @@ class TestPadeExponential:
         a = dynamics._liouvillian(davies.chain_generator(cfg)) * chain_times(cfg, t_max_lambda, samples)[1]
         if samples == 2:
             # One step over 20 lambda*t is long enough that squaring runs.
-            assert np.abs(a).sum(axis=0).max() > dynamics._PADE[-1][0]
+            assert np.abs(a).sum(axis=0).max() > dynamics._THETA_13
         assert np.max(np.abs(dynamics._expm(a) - scipy.linalg.expm(a))) < 1e-13
 
-    @pytest.mark.parametrize("norm", [t for t, _ in dynamics._PADE] + [40.0])
+    @pytest.mark.parametrize("norm", _FORMER_THETAS + (dynamics._THETA_13, 6.0, 40.0))
     def test_every_degree(self, norm):
-        # Just inside each degree's theta, so each Pade branch and the
-        # squaring one run once.
+        # Scaled to 0.99 of each norm: the [13/13] approximant alone where a
+        # lower degree used to run and just inside theta_13, then one and
+        # three squarings past it.
         rng = np.random.default_rng(int(norm * 1000))
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         a *= 0.99 * norm / np.abs(a).sum(axis=0).max()

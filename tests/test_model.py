@@ -47,8 +47,8 @@ class TestConfig:
     def test_gamma_units_conversion(self, default_cfg):
         lam = model.effective_coupling(default_cfg)
         cfg = model.NetworkConfig(gamma=0.05, gamma_units="lambda")
-        assert cfg.gamma_rates() == pytest.approx((0.05 * lam,) * 3)
-        assert default_cfg.gamma_rates() == (0.01, 0.01, 0.01)
+        assert cfg.decay_rate() == pytest.approx(0.05 * lam)
+        assert default_cfg.decay_rate() == 0.01
 
     def test_short_fiber_warning(self):
         with pytest.warns(UserWarning):

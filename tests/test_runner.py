@@ -255,7 +255,7 @@ class TestClosedForm:
         for gamma, units in ((0.01, "abs"), (0.5, "lambda")):
             cfg = model.NetworkConfig(gamma=gamma, gamma_units=units)
             # By Gamma t = 100 the bright modes are gone; |u_3|^2 is the dark mode's (1/3)^2.
-            late = 100.0 / (cfg.kappa**2 * cfg.gamma_rates()[0])
+            late = 100.0 / (cfg.kappa**2 * cfg.decay_rate())
             assert abs(abs(oracles.one_excitation_amplitudes(cfg, [late])[0, 2]) ** 2 - 1.0 / 9.0) < 1e-12
 
 
@@ -441,11 +441,32 @@ class TestConfigAndCli:
         assert via_config == capsys.readouterr().out
         assert via_config.splitlines()[1].startswith("psi2_chain,0.785398163397,0.5,0,")
 
-    def test_cli_simulate_rejects_mixed_registers(self, tmp_path):
+    def test_cli_simulate_rejects_mixed_registers(self, tmp_path, capsys):
         path = tmp_path / "mix.ini"
         path.write_text("[scenario]\ninitial = psi_a psi2_chain\n")
-        with pytest.raises(ValueError, match="incompatible registers"):
+        with pytest.raises(SystemExit) as exit_:
             cli.main(["simulate", "--config", str(path), "--samples", "3", "--tmax-lambda", "1"])
+        assert exit_.value.code == 2
+        assert "incompatible registers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--initial", "psi_a", "--initial", "psi2_chain"],
+            ["scenario", "--scenario", "fig9", "--initial", "psi_a"],
+            ["scenario", "--scenario", "fig5", "--initial", "psi1_chain"],
+            ["transmission", "--tmax-lambda", "1"],
+        ],
+        ids=["mixed", "fig9-network", "fig5-chain", "short-window"],
+    )
+    def test_rejected_sweeps_evolve_nothing(self, argv, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "network_trajectory", lambda *args: calls.append(args))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv + ["--samples", "3"])
+        assert exit_.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("command, own", [("simulate", "custom"), ("transmission", "transmission")])
     def test_cli_rejects_config_scenario_of_other_command(self, command, own, capsys, tmp_path):
@@ -476,6 +497,22 @@ class TestConfigAndCli:
                 [],
                 "scenarios run on two chains of three cavities, got num_chains = 2, sites_per_chain = 4",
                 "[network]\nsites_per_chain = 4\n",
+            ),
+            # Initial states off the scenario's register, and a short transmission window.
+            (
+                ["--scenario", "fig9", "--initial", "psi_a"],
+                "fig9 measures states on the register of psi1_chain, psi2_chain, not psi_a",
+                None,
+            ),
+            (
+                ["--scenario", "fig5", "--initial", "psi1_chain"],
+                "fig5 measures states on the register of psi_b, not psi1_chain",
+                None,
+            ),
+            (
+                ["--scenario", "transmission", "--tmax-lambda", "1"],
+                "t_max_lambda = 1 ends before the transfer time lambda*t = 2*pi/3",
+                None,
             ),
         ],
     )
@@ -586,3 +623,18 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=300)
     assert out.stdout.strip() == "[]"
+
+
+def test_reproduce_figures_rejects_bad_samples_before_writing(tmp_path):
+    # Every scenario is checked before the first runs or the output
+    # directory is made: a usage error, exit status 2, no traceback.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    outdir = tmp_path / "figures"
+    script = str(root / "scripts" / "reproduce_figures.py")
+    argv = [sys.executable, script, "--samples", "1", "--outdir", str(outdir)]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 2
+    assert out.stderr.splitlines()[-1] == "reproduce_figures.py: error: samples must be at least 2"
+    assert "Traceback" not in out.stderr
+    assert not outdir.exists()
