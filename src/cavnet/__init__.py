@@ -14,7 +14,6 @@ from .qla import (
     ket,
     partial_trace,
     purity,
-    tensor,
     von_neumann_entropy,
 )
 from .model import (

@@ -22,7 +22,6 @@ from .model import InitialStateSpec, NetworkConfig
 from .runner import SCENARIO_NAMES, ScenarioSpec, _sweep, run_scenario
 
 _FORMATS = ("csv", "jsonl")
-_INITIAL_CHOICES = tuple(kind for kind in InitialStateSpec._KINDS if kind != "custom")
 # The scenario each command other than ``scenario`` runs.
 _COMMAND_SCENARIO = {"simulate": "custom", "transmission": "transmission"}
 
@@ -104,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The three subcommands; each flag's ``dest`` is the name of its setting."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config with [network] and [scenario] sections")
-    common.add_argument("--initial", action="append", choices=_INITIAL_CHOICES, help="initial condition, repeatable (default: the scenario's own)")
+    common.add_argument("--initial", action="append", choices=InitialStateSpec._KINDS, help="initial condition, repeatable (default: the scenario's own)")
     common.add_argument("--theta", dest="theta_list", metavar="THETA", type=float, action="append", help="initial-state angle in radians, repeatable; applies only to psi_a and psi_b, the other initial states run once")
     common.add_argument("--gamma", type=float, help="cavity decay rate")
     common.add_argument("--gamma-units", choices=("abs", "lambda"), dest="gamma_units", help="decay-rate units: 1/ns or multiples of the effective coupling")

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import qla
 from .model import cavity_label_to_qubit
-from .qla import DensityMatrix, PureState
+from .qla import DensityMatrix
 
 __all__ = [
     "PairSelector",
@@ -144,6 +144,7 @@ class TangleBounds(NamedTuple):
     upper_raw: float
     lower: float
     upper: float
+    purity: float
 
 
 class DeltaResult(NamedTuple):
@@ -177,12 +178,6 @@ def minimize(fun, x0: tuple[float, ...], step: float) -> MinimizeResult:
         else:
             step *= 0.5
     return MinimizeResult(x, best, nfev)
-
-
-def _as_density(state: DensityMatrix | PureState) -> DensityMatrix:
-    if isinstance(state, PureState):
-        return state.density()
-    return state
 
 
 def _require_two_qubits(rho: DensityMatrix):
@@ -286,14 +281,9 @@ def _pair_entropies(rho_ab: DensityMatrix) -> tuple[float, float, float]:
 
 
 def mutual_information(rho_ab: DensityMatrix) -> float:
-    """S(A) + S(B) - S(AB) in bits for a bipartite state."""
-    if len(rho_ab.dims) != 2:
-        raise ValueError("mutual information needs a bipartite split")
-    if rho_ab.dims == (2, 2):
-        s_a, s_b, s_ab = _pair_entropies(rho_ab)
-    else:
-        s_a, s_b = (qla.von_neumann_entropy(qla.partial_trace(rho_ab, [k])) for k in (0, 1))
-        s_ab = qla.von_neumann_entropy(rho_ab)
+    """S(A) + S(B) - S(AB) in bits for a two-qubit state."""
+    _require_two_qubits(rho_ab)
+    s_a, s_b, s_ab = _pair_entropies(rho_ab)
     return s_a + s_b - s_ab
 
 
@@ -483,12 +473,12 @@ def one_tangle(rho: DensityMatrix, site: int) -> float:
     return float(4.0 * det)
 
 
-def tangle_pure(state: PureState | DensityMatrix, ref_site: int) -> float:
+def tangle_pure(rho: DensityMatrix, ref_site: int) -> float:
     """Residual multipartite correlation of a pure state.
 
     The monogamy residual of the reference site, clipped at zero.
     """
-    return max(monogamy_residual(state, ref_site), 0.0)
+    return max(monogamy_residual(rho, ref_site), 0.0)
 
 
 def tangle_bounds(rho: DensityMatrix, ref_site: int) -> TangleBounds:
@@ -499,27 +489,29 @@ def tangle_bounds(rho: DensityMatrix, ref_site: int) -> TangleBounds:
     one-tangle of a pure state; the lower replaces it with
     2*(Tr[rho^2] - Tr[rho_i^2]), that is the upper term less
     2*(1 - Tr[rho^2]).  Both subtract the same sum of squared pairwise
-    concurrences.  Raw values are kept alongside clamped-at-zero variants.
+    concurrences.  Raw values are kept alongside clamped-at-zero variants,
+    followed by the purity Tr[rho^2].
     """
     csq = (concurrence(pair_state(rho, PairSelector(ref_site, k))) for k in range(len(rho.dims)) if k != ref_site)
     upper_raw = one_tangle(rho, ref_site) - sum(c * c for c in csq)
     # Round-off can push Tr[rho^2] a hair past one; the lower bound must
     # never exceed the upper.
-    lower_raw = upper_raw - 2.0 * (1.0 - min(qla.purity(rho), 1.0))
-    return TangleBounds(lower_raw, upper_raw, max(lower_raw, 0.0), max(upper_raw, 0.0))
+    purity = qla.purity(rho)
+    lower_raw = upper_raw - 2.0 * (1.0 - min(purity, 1.0))
+    return TangleBounds(lower_raw, upper_raw, max(lower_raw, 0.0), max(upper_raw, 0.0), purity)
 
 
-def monogamy_residual(state: PureState | DensityMatrix, ref_site: int) -> float:
+def monogamy_residual(rho: DensityMatrix, ref_site: int) -> float:
     """Slack of the squared-concurrence sharing inequality; must be >= 0.
 
     One-tangle of the reference site minus all squared pairwise concurrences
     with its partners, the upper term of ``tangle_bounds``; a deficit beyond
     1e-9 is an error.
     """
-    rho = _as_density(state)
-    if (purity := qla.purity(rho)) < 1.0 - _PURITY_GATE:
-        raise ValueError(f"monogamy residual requires a pure state, purity = {purity:.6g}")
-    residual = tangle_bounds(rho, ref_site).upper_raw
+    bounds = tangle_bounds(rho, ref_site)
+    if bounds.purity < 1.0 - _PURITY_GATE:
+        raise ValueError(f"monogamy residual requires a pure state, purity = {bounds.purity:.6g}")
+    residual = bounds.upper_raw
     if residual < -_TANGLE_FLOOR:
         raise ValueError(f"monogamy inequality violated by {residual:.3e}")
     return residual

@@ -32,12 +32,6 @@ __all__ = [
 
 SPEED_OF_LIGHT_M_PER_NS = 0.299792458
 
-_GAMMA_UNIT_ALIASES = {
-    "abs": "abs",
-    "absolute": "abs",
-    "lambda": "lambda",
-}
-
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -74,10 +68,8 @@ class NetworkConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.J > 0.0:
             raise ValueError("cavity-fiber coupling J must be positive")
-        units = _GAMMA_UNIT_ALIASES.get(str(self.gamma_units).lower())
-        if units is None:
+        if self.gamma_units not in ("abs", "lambda"):
             raise ValueError(f"unknown gamma_units {self.gamma_units!r}")
-        object.__setattr__(self, "gamma_units", units)
         if self.gamma < 0:
             raise ValueError("decay rates must be nonnegative")
         if self.kappa <= 0:
@@ -133,14 +125,12 @@ class InitialStateSpec:
     |EE><EE|, |GG><GG| and the cross terms (a Bell projector).
     ``psi1_chain`` / ``psi2_chain``: single-chain states
     (|EGG> + |GGE>)/sqrt(2) and |EGG>.
-    ``custom``: caller-provided density matrix.
     """
 
     kind: str
     theta: float = math.pi / 4
-    custom: DensityMatrix | None = None
 
-    _KINDS = ("psi_a", "psi_b", "rho_eq20", "psi1_chain", "psi2_chain", "custom")
+    _KINDS = ("psi_a", "psi_b", "rho_eq20", "psi1_chain", "psi2_chain")
     # The kinds that depend on theta; every other kind ignores it.
     THETA_KINDS = ("psi_a", "psi_b")
     # The kinds on one chain's register; every other named kind is on the network's.
@@ -151,16 +141,11 @@ class InitialStateSpec:
             raise ValueError(f"unknown initial state kind {self.kind!r}")
         if self.kind in self.THETA_KINDS and not 0.0 <= self.theta <= math.pi / 2:
             raise ValueError("theta must lie in [0, pi/2]")
-        if self.kind == "custom" and self.custom is None:
-            raise ValueError("custom initial state requires a payload")
 
 
 def effective_coupling(cfg: NetworkConfig) -> float:
     """Effective hopping rate J^2 / (2*delta) in rad/ns."""
-    delta = cfg.delta
-    if delta <= 0.0:
-        raise ValueError(f"detuning must be positive, got {delta}")
-    return cfg.J**2 / (2.0 * delta)
+    return cfg.J**2 / (2.0 * cfg.delta)
 
 
 def build_effective_chain_hamiltonian(cfg: NetworkConfig) -> Operator:
@@ -255,7 +240,5 @@ def build_initial_state(spec: InitialStateSpec, cfg: NetworkConfig) -> DensityMa
         return PureState(vec, (2,) * n).density()
     if spec.kind == "psi2_chain":
         return qla.ket("E" + "G" * (n - 1)).density()
-    if spec.kind == "custom":
-        return spec.custom
     raise ValueError(f"unknown initial state kind {spec.kind!r}")
 

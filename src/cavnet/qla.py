@@ -7,10 +7,10 @@ clever.  The Hamiltonian eigenbasis is computed where it is used, by the
 Davies channel construction in ``davies``.  All
 container types are immutable once constructed and every function is pure,
 which makes values safe to share across threads.  Every ``DensityMatrix``,
-whether built by hand, reduced or propagated, is validated on its support
-against the same ``HERMITICITY_ATOL``, ``TRACE_ATOL`` and ``PSD_ATOL``
-thresholds by ``_first_invalid``, as a stack of one or, for trajectory
-samples, one stack per chunk that ``_wrap_checked`` then wraps uncopied.
+whether built by hand, reduced or propagated, is validated against the
+same ``HERMITICITY_ATOL``, ``TRACE_ATOL`` and ``PSD_ATOL`` thresholds by
+``_first_invalid``, as a stack of one or, for trajectory samples, one
+stack per chunk that ``_wrap_checked`` then wraps uncopied.
 Positivity is tested by a Cholesky factorization; the spectrum is computed
 only to report a rejection.  A partial trace is one gather of the flattened
 matrix at index arrays cached per (dims, keep), in that order, then one sum
@@ -41,8 +41,6 @@ __all__ = [
     "LOWERING",
     "RAISING",
     "operator",
-    "identity",
-    "tensor",
     "embed",
     "ket",
     "density",
@@ -129,20 +127,12 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator.
-
-    The checks run on the support, the indices with a nonzero in their row
-    or column; all else is zero, so each decision is the whole matrix's.
-    """
+    """Hermitian, unit-trace, positive-semidefinite operator."""
 
     op: Operator
 
     def __post_init__(self):
-        m = self.op.matrix
-        live = m.any(axis=0) | m.any(axis=1)
-        if not live.all():
-            m = m[live][:, live]
-        if failure := _first_invalid(m[None]):
+        if failure := _first_invalid(self.op.matrix[None]):
             raise ValueError(failure[1])
 
     @property
@@ -206,16 +196,6 @@ def operator(matrix, dims=None) -> Operator:
     if dims is None:
         dims = (m.shape[0],)
     return Operator(m, tuple(dims))
-
-
-def identity(dims) -> Operator:
-    dims = tuple(int(d) for d in dims)
-    return Operator(np.eye(math.prod(dims), dtype=complex), dims)
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with a's subsystems ordered before b's."""
-    return Operator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
 def embed(local, site: int, dims) -> Operator:

@@ -151,11 +151,9 @@ def network_trajectory(cfg: NetworkConfig, init: InitialStateSpec, t_max_lambda:
     times = dynamics.sample_grid(t_max_lambda, samples, lam)
     rho0 = build_initial_state(init, cfg)
     chain = davies.chain_generator(cfg)
-    if rho0.dim == chain.dim**2:
-        return dynamics.evolve_factorized(rho0, chain, times)
     if rho0.dim == chain.dim:
         return dynamics.evolve(rho0, chain, times)
-    raise ValueError(f"initial state dimension {rho0.dim} fits neither register")
+    return dynamics.evolve_factorized(rho0, chain, times)
 
 
 def _pair(label: str) -> corr.PairSelector:
@@ -179,19 +177,15 @@ def _quadratic_peak(times: np.ndarray, values: np.ndarray, i: int) -> tuple[floa
     return float(times[i] + offset * step), float(y1 - 0.25 * (y0 - y2) * offset)
 
 
-def peak_sequence(series_by_pair, times_lambda) -> list[PeakEvent]:
+def peak_sequence(series_by_pair: dict, times_lambda) -> list[PeakEvent]:
     """Interpolated local maxima above ``PEAK_THRESHOLD``, time-ordered and grouped.
 
     Events whose refined times fall within ``PEAK_GROUP_WINDOW`` (in
     lambda*t) of the first event of a group share a ``simultaneous_group`` id.
     """
     times_lambda = np.asarray(times_lambda, dtype=float)
-    if isinstance(series_by_pair, dict):
-        items = list(series_by_pair.items())
-    else:
-        items = list(series_by_pair)
     raw: list[tuple[float, str, float]] = []
-    for label, values in items:
+    for label, values in series_by_pair.items():
         values = np.asarray(values, dtype=float)
         if values.shape != times_lambda.shape:
             raise ValueError("series must share the trajectory time grid")
@@ -271,7 +265,7 @@ _MEASURES = {
     "fig7": (("tangle",), lambda s: (corr.tangle_pure(s, 0),)),
     "fig8": (
         ("tangle_lower_raw", "tangle_upper_raw", "tangle_lower", "tangle_upper", "purity"),
-        lambda s: (*corr.tangle_bounds(s, 0), qla.purity(s)),
+        lambda s: tuple(corr.tangle_bounds(s, 0)),
     ),
     "fig9": (("delta", "ssa_slack"), lambda s: tuple(corr.delta_fanchini(s))),
 }

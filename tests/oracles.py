@@ -53,8 +53,8 @@ def build_network_hamiltonian(cfg: model.NetworkConfig) -> qla.Operator:
     if cfg.num_chains != 2:
         raise ValueError("network Hamiltonian is defined for num_chains = 2")
     hc = model.build_effective_chain_hamiltonian(cfg)
-    eye = qla.identity(hc.dims)
-    h = np.kron(hc.matrix, eye.matrix) + np.kron(eye.matrix, hc.matrix)
+    eye = np.eye(hc.dim)
+    h = np.kron(hc.matrix, eye) + np.kron(eye, hc.matrix)
     return qla.Operator(h, hc.dims + hc.dims)
 
 

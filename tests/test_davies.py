@@ -139,7 +139,7 @@ class TestChannelConstruction:
 
     def test_channel_validation(self, default_cfg):
         with pytest.raises(ValueError):
-            davies.DaviesChannel(0, -1.0, qla.identity((2,)), 0.1)
+            davies.DaviesChannel(0, -1.0, qla.operator(np.eye(2)), 0.1)
         with pytest.raises(ValueError):
             davies.DaviesChannel(0, 1.0, qla.operator(np.zeros((2, 2))), 0.1)
 
@@ -241,7 +241,7 @@ class TestGeneratorInvariants:
 
     def test_generator_spec_rejects_dim_mismatch(self, default_cfg):
         h = model.build_effective_chain_hamiltonian(default_cfg)
-        bad = oracles.DecayChannel(0, qla.identity((2,)), 0.1)
+        bad = oracles.DecayChannel(0, qla.operator(np.eye(2)), 0.1)
         with pytest.raises(ValueError):
             davies.GeneratorSpec(h, (bad,))
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cavnet import cli, correlations as corr, model, qla, runner
+from cavnet import cli, correlations as corr, davies, dynamics, model, qla, runner
 
 
 SRC = corr.PairSelector.from_label("11'")
@@ -154,9 +154,9 @@ class TestPeaks:
         vec = np.zeros(64, dtype=complex)
         vec[model.map_interleaved_index("GGGGGG")] = 1 / math.sqrt(2)
         vec[model.map_interleaved_index("GGEEGG")] = 1 / math.sqrt(2)
-        payload = qla.PureState(vec, (2,) * 6).density()
-        init = model.InitialStateSpec("custom", custom=payload)
-        traj = runner.network_trajectory(cfg, init, 4.0, 500)
+        rho0 = qla.PureState(vec, (2,) * 6).density()
+        chain = davies.chain_generator(cfg)
+        traj = dynamics.evolve_factorized(rho0, chain, dynamics.sample_grid(4.0, 500, chain.lambda_scale))
         series = {
             lbl: np.array(
                 [corr.concurrence(corr.pair_state(s, corr.PairSelector.from_label(lbl))) for s in traj.states]
@@ -257,6 +257,26 @@ class TestClosedForm:
             # By Gamma t = 100 the bright modes are gone; |u_3|^2 is the dark mode's (1/3)^2.
             late = 100.0 / (cfg.kappa**2 * cfg.decay_rate())
             assert abs(abs(oracles.one_excitation_amplitudes(cfg, [late])[0, 2]) ** 2 - 1.0 / 9.0) < 1e-12
+
+    def test_fig7_tangle_closed_form(self):
+        # Lossless psi_b is s|vac> + c|u>|u'>.  Cavity 1's one-tangle is
+        # 4 c^2 u1^2 (1 - c^2 u1^2); its pair with site j of its own chain
+        # has C = 2 c^2 u1 uj, and with site j' the X-state arm
+        # 2 u1 uj (s c - c^2 sqrt((1 - u1^2)(1 - uj^2))).
+        spec = runner.ScenarioSpec.named("fig7", samples=101)
+        table = runner.run_scenario(spec, model.NetworkConfig())
+        assert len(table.rows) == 3 * 101
+        cfg = model.NetworkConfig(gamma=0.0)
+        t = np.array(table.column("lambda_t")) / model.effective_coupling(cfg)
+        u = np.abs(oracles.one_excitation_amplitudes(cfg, t))
+        theta = np.array(table.column("theta"))
+        s, c = np.sin(theta)[:, None], np.cos(theta)[:, None]
+        u1 = u[:, :1]
+        cross = 2.0 * np.maximum(0.0, u1 * u * (s * c - c**2 * np.sqrt((1.0 - u1**2) * (1.0 - u**2))))
+        pu1 = (c * u1)[:, 0] ** 2
+        tau = 4.0 * pu1 * (1.0 - pu1) - 4.0 * c[:, 0] ** 2 * pu1 * (u[:, 1] ** 2 + u[:, 2] ** 2)
+        expected = np.maximum(0.0, tau - (cross**2).sum(axis=1))
+        assert np.max(np.abs(np.array(table.column("tangle")) - expected)) < 1e-12
 
 
 class TestTables:
@@ -514,6 +534,8 @@ class TestConfigAndCli:
                 "t_max_lambda = 1 ends before the transfer time lambda*t = 2*pi/3",
                 None,
             ),
+            # The units take no alias and no other case.
+            ([], "unknown gamma_units 'absolute'", "[scenario]\ngamma_units = absolute\n"),
         ],
     )
     def test_cli_bad_settings_are_one_line_usage_errors(self, capsys, tmp_path, flags, message, config):
