@@ -31,12 +31,12 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = NetworkConfig()
     for spec in specs:
-        start = time.time()
+        start = time.perf_counter()
         table = run_scenario(spec, cfg)
         path = outdir / f"{spec.name}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             table.to_csv(fh)
-        print(f"{spec.name}: {len(table.rows)} rows -> {path} ({time.time() - start:.1f}s)")
+        print(f"{spec.name}: {len(table.rows)} rows -> {path} ({time.perf_counter() - start:.1f}s)")
     return 0
 
 

@@ -9,10 +9,10 @@ bounds and monogamy diagnostics.
 from .qla import (
     DensityMatrix,
     Operator,
-    PureState,
     density,
     ket,
     partial_trace,
+    pure,
     purity,
     von_neumann_entropy,
 )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qla
-from .qla import DensityMatrix, Operator, PureState
+from .qla import DensityMatrix, Operator
 
 __all__ = [
     "NetworkConfig",
@@ -207,12 +207,12 @@ def cavity_label_to_qubit(site_label: str, sites_per_chain: int = 3) -> int:
     return site + (sites_per_chain if primed else 0)
 
 
-def _network_pure(amplitudes_by_label: dict[str, float | complex], cfg: NetworkConfig) -> PureState:
-    n = cfg.total_sites
+def _pure(amplitudes_by_label: dict[str, float], sites_per_chain: int, chains: int) -> DensityMatrix:
+    n = sites_per_chain * chains
     vec = np.zeros(2**n, dtype=complex)
     for label, amp in amplitudes_by_label.items():
-        vec[map_interleaved_index(label, cfg.sites_per_chain, cfg.num_chains)] = amp
-    return PureState(vec, (2,) * n)
+        vec[map_interleaved_index(label, sites_per_chain, chains)] = amp
+    return qla.pure(vec, (2,) * n)
 
 
 def build_initial_state(spec: InitialStateSpec, cfg: NetworkConfig) -> DensityMatrix:
@@ -221,24 +221,18 @@ def build_initial_state(spec: InitialStateSpec, cfg: NetworkConfig) -> DensityMa
     Network states come out on the 64-dimensional chain-blocked register;
     the single-chain kinds are 8-dimensional.
     """
-    n = cfg.sites_per_chain
-    vacuum, pair = "G" * cfg.total_sites, "EE" + "G" * (cfg.total_sites - 2)
-    if spec.kind == "psi_a":
-        excite_1 = "E" + "G" * (cfg.total_sites - 1)
-        excite_1p = "GE" + "G" * (cfg.total_sites - 2)
-        return _network_pure({excite_1: math.cos(spec.theta), excite_1p: math.sin(spec.theta)}, cfg).density()
-    if spec.kind == "psi_b":
-        return _network_pure({vacuum: math.sin(spec.theta), pair: math.cos(spec.theta)}, cfg).density()
-    if spec.kind == "rho_eq20":
+    n, rest = cfg.sites_per_chain, "G" * (cfg.total_sites - 2)
+    vacuum, pair = "GG" + rest, "EE" + rest
+    first, last = "E" + "G" * (n - 1), "G" * (n - 1) + "E"
+    # Amplitudes by interleaved G/E label, and the number of chains they span.
+    amplitudes, chains = {
+        "psi_a": ({"EG" + rest: math.cos(spec.theta), "GE" + rest: math.sin(spec.theta)}, cfg.num_chains),
+        "psi_b": ({vacuum: math.sin(spec.theta), pair: math.cos(spec.theta)}, cfg.num_chains),
         # The Bell projector of the 1,1' pair: weights 1/2 on |EE><EE|,
         # |GG><GG| and both cross terms.
-        return _network_pure({vacuum: math.sqrt(0.5), pair: math.sqrt(0.5)}, cfg).density()
-    if spec.kind == "psi1_chain":
-        first = qla.ket("E" + "G" * (n - 1)).amplitudes
-        last = qla.ket("G" * (n - 1) + "E").amplitudes
-        vec = (first + last) / math.sqrt(2.0)
-        return PureState(vec, (2,) * n).density()
-    if spec.kind == "psi2_chain":
-        return qla.ket("E" + "G" * (n - 1)).density()
-    raise ValueError(f"unknown initial state kind {spec.kind!r}")
-
+        "rho_eq20": ({vacuum: math.sqrt(0.5), pair: math.sqrt(0.5)}, cfg.num_chains),
+        # 1/sqrt(2), one ulp below sqrt(0.5), as the figures were made with.
+        "psi1_chain": ({first: 1.0 / math.sqrt(2.0), last: 1.0 / math.sqrt(2.0)}, 1),
+        "psi2_chain": ({first: 1.0}, 1),
+    }[spec.kind]
+    return _pure(amplitudes, n, chains)

@@ -6,11 +6,13 @@ anywhere in the package is 64-dimensional, so nothing here is sparse or
 clever.  The Hamiltonian eigenbasis is computed where it is used, by the
 Davies channel construction in ``davies``.  All
 container types are immutable once constructed and every function is pure,
-which makes values safe to share across threads.  Every ``DensityMatrix``,
-whether built by hand, reduced or propagated, is validated against the
-same ``HERMITICITY_ATOL``, ``TRACE_ATOL`` and ``PSD_ATOL`` thresholds by
-``_first_invalid``, as a stack of one or, for trajectory samples, one
-stack per chunk that ``_wrap_checked`` then wraps uncopied.
+which makes values safe to share across threads.  A pure state |a><a|
+from ``pure`` is valid by construction and checked by its norm only.
+Every other ``DensityMatrix``, whether built by hand, reduced or
+propagated, is validated against the same ``HERMITICITY_ATOL``,
+``TRACE_ATOL`` and ``PSD_ATOL`` thresholds by ``_first_invalid``, as a
+stack of one or, for trajectory samples, one stack per chunk that
+``_wrap_checked`` then wraps uncopied.
 Positivity is tested by a Cholesky factorization; the spectrum is computed
 only to report a rejection.  A partial trace is one gather of the flattened
 matrix at index arrays cached per (dims, keep), in that order, then one sum
@@ -33,16 +35,15 @@ import numpy as np
 __all__ = [
     "Operator",
     "DensityMatrix",
-    "PureState",
     "KET_G",
     "KET_E",
     "SIGMA_Y",
     "PROJ_E",
     "LOWERING",
     "RAISING",
-    "operator",
     "embed",
     "ket",
+    "pure",
     "density",
     "partial_trace",
     "partial_trace_matrix",
@@ -95,34 +96,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Unit-norm complex amplitude vector over a labeled register."""
-
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in self.dims)
-        if math.prod(dims) != a.size:
-            raise ValueError(f"dims {dims} do not multiply to vector size {a.size}")
-        nrm = float(np.vdot(a, a).real)
-        if abs(nrm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state not normalized: |amplitudes|^2 = {nrm}")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def density(self) -> "DensityMatrix":
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(Operator(rho, self.dims))
 
 
 @dataclass(frozen=True)
@@ -182,20 +155,12 @@ def _first_invalid(m: np.ndarray) -> tuple[int, str] | None:
 
 
 def _wrap_checked(stack: np.ndarray, dims: tuple[int, ...]) -> list[DensityMatrix]:
-    """The matrices of a read-only stack that ``_first_invalid`` passed, as states sharing its memory."""
+    """The matrices of a read-only stack that ``_first_invalid`` passed or ``pure`` built, as states sharing its memory."""
     states = [object.__new__(DensityMatrix) for _ in stack]
     for rho, m in zip(states, stack):
         rho.__dict__["op"] = op = object.__new__(Operator)
         op.__dict__.update(matrix=m, dims=dims)
     return states
-
-
-def operator(matrix, dims=None) -> Operator:
-    """Wrap a matrix as an Operator; ``dims`` defaults to one subsystem."""
-    m = np.asarray(matrix, dtype=complex)
-    if dims is None:
-        dims = (m.shape[0],)
-    return Operator(m, tuple(dims))
 
 
 def embed(local, site: int, dims) -> Operator:
@@ -212,18 +177,42 @@ def embed(local, site: int, dims) -> Operator:
     return Operator(out, dims)
 
 
-def ket(label: str) -> PureState:
-    """Computational basis state of a qubit register from a G/E label."""
+def ket(label: str) -> np.ndarray:
+    """Read-only computational basis vector of a qubit register from a G/E label."""
     if not label or any(c not in "GE" for c in label):
         raise ValueError(f"malformed basis label {label!r}")
     vec = np.array([1.0 + 0.0j])
     for c in label:
         vec = np.kron(vec, KET_E if c == "E" else KET_G)
-    return PureState(vec, (2,) * len(label))
+    vec.setflags(write=False)
+    return vec
+
+
+def pure(amplitudes, dims) -> DensityMatrix:
+    """The state |a><a| of a unit vector ``a`` over the register ``dims``.
+
+    Only the norm is checked, to ``NORM_ATOL``: the outer product of a unit
+    vector is Hermitian, has unit trace within ``NORM_ATOL`` < ``TRACE_ATOL``
+    and is positive semidefinite, so it skips ``_first_invalid``.
+    """
+    a = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    dims = tuple(int(d) for d in dims)
+    if not dims or min(dims) < 1:
+        raise ValueError(f"invalid subsystem dimensions {dims}")
+    if math.prod(dims) != a.size:
+        raise ValueError(f"dims {dims} do not multiply to vector size {a.size}")
+    nrm = float(np.vdot(a, a).real)
+    if abs(nrm - 1.0) > NORM_ATOL:
+        raise ValueError(f"state not normalized: |amplitudes|^2 = {nrm}")
+    stack = np.outer(a, a.conj())[None]
+    stack.setflags(write=False)
+    return _wrap_checked(stack, dims)[0]
 
 
 def density(matrix, dims=None) -> DensityMatrix:
-    return DensityMatrix(operator(matrix, dims))
+    """Validated state of ``matrix`` over the register ``dims``, by default one subsystem."""
+    m = np.asarray(matrix, dtype=complex)
+    return DensityMatrix(Operator(m, (m.shape[0],) if dims is None else tuple(dims)))
 
 
 @functools.cache

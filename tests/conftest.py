@@ -16,11 +16,17 @@ settings.register_profile(
 settings.load_profile("invariants")
 
 
-def random_pure(rng, dims):
-    d = int(np.prod(dims))
+def random_ket(rng, d):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v /= np.linalg.norm(v)
-    return qla.PureState(v, tuple(dims))
+    return v / np.linalg.norm(v)
+
+
+def random_pure(rng, dims):
+    return qla.pure(random_ket(rng, int(np.prod(dims))), dims)
+
+
+def basis_state(label):
+    return qla.pure(qla.ket(label), (2,) * len(label))
 
 
 def random_density(rng, dims, rank=None):

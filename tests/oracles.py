@@ -299,10 +299,9 @@ def werner_state(p: float) -> qla.DensityMatrix:
 
 def entanglement_sum(state) -> float:
     """Sum of the squared concurrences of the first qubit with each other one, for a pure state."""
-    rho = state.density() if isinstance(state, qla.PureState) else state
-    if qla.purity(rho) < 1.0 - 1e-8:
-        raise ValueError(f"entanglement sum requires a pure state, purity = {qla.purity(rho):.6g}")
-    pairs = (correlations.pair_state(rho, correlations.PairSelector(0, k)) for k in range(1, len(rho.dims)))
+    if qla.purity(state) < 1.0 - 1e-8:
+        raise ValueError(f"entanglement sum requires a pure state, purity = {qla.purity(state):.6g}")
+    pairs = (correlations.pair_state(state, correlations.PairSelector(0, k)) for k in range(1, len(state.dims)))
     return sum(correlations.concurrence(pair) ** 2 for pair in pairs)
 
 
@@ -382,7 +381,7 @@ def full_chain_site_projector(cfg: model.NetworkConfig, excitation_cap: int, sit
     return qla.Operator(np.diag([float(s[site]) for s in basis]).astype(complex), (len(basis),))
 
 
-def full_chain_single_excitation(cfg: model.NetworkConfig, excitation_cap: int, site: int) -> qla.PureState:
+def full_chain_single_excitation(cfg: model.NetworkConfig, excitation_cap: int, site: int) -> qla.DensityMatrix:
     """Basis state with one polariton at ``site`` and everything else empty."""
     basis = full_chain_basis(cfg, excitation_cap)
     target = tuple(1 if k == site else 0 for k in range(cfg.sites_per_chain)) + (0,) * (
@@ -390,7 +389,7 @@ def full_chain_single_excitation(cfg: model.NetworkConfig, excitation_cap: int, 
     )
     vec = np.zeros(len(basis), dtype=complex)
     vec[basis.index(target)] = 1.0
-    return qla.PureState(vec, (len(basis),))
+    return qla.pure(vec, (len(basis),))
 
 
 def bohr_frequencies(h: qla.Operator) -> np.ndarray:

@@ -262,8 +262,8 @@ class TestCriterion6DaviesStructure:
 class TestCriterion7Oracles:
     def test_lossless_against_matrix_exponential(self, cfg_lossless):
         gen = davies.chain_generator(cfg_lossless)
-        psi = (qla.ket("EGG").amplitudes + 1j * qla.ket("GEG").amplitudes) / math.sqrt(2)
-        rho0 = qla.PureState(psi, (2, 2, 2)).density()
+        psi = (qla.ket("EGG") + 1j * qla.ket("GEG")) / math.sqrt(2)
+        rho0 = qla.pure(psi, (2, 2, 2))
         t_star = TRANSFER / LAMBDA
         traj = dynamics.evolve(rho0, gen, [0.0, t_star / 2, t_star])
         oracle = exact_unitary_state(gen.hamiltonian.matrix, rho0.matrix, t_star)
@@ -329,7 +329,7 @@ class TestCriterion8PropertySuites:
             joint = qla.partial_trace(rho, [0])
             assert np.max(np.abs(two_step.matrix - joint.matrix)) < 1e-12
             psi = random_pure(rng, (2, 2, 2))
-            r1 = qla.partial_trace(psi.density(), [int(rng.integers(0, 3))]).matrix
+            r1 = qla.partial_trace(psi, [int(rng.integers(0, 3))]).matrix
             det_form = 4.0 * np.real(r1[0, 0] * r1[1, 1] - r1[0, 1] * r1[1, 0])
             purity_form = 2.0 * (1.0 - np.vdot(r1, r1).real)
             assert abs(det_form - purity_form) < 1e-12

@@ -9,19 +9,19 @@ import oracles
 from cavnet import correlations as corr
 from cavnet import model, qla
 
-from conftest import haar_unitary, random_density, random_pure
+from conftest import basis_state, haar_unitary, random_density, random_ket, random_pure
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def bell_phi_plus():
-    v = (qla.ket("GG").amplitudes + qla.ket("EE").amplitudes) / math.sqrt(2)
-    return qla.PureState(v, (2, 2)).density()
+    v = (qla.ket("GG") + qla.ket("EE")) / math.sqrt(2)
+    return qla.pure(v, (2, 2))
 
 
 def two_qubit_state(theta):
-    v = math.sin(theta) * qla.ket("GE").amplitudes + math.cos(theta) * qla.ket("EG").amplitudes
-    return qla.PureState(v, (2, 2)).density()
+    v = math.sin(theta) * qla.ket("GE") + math.cos(theta) * qla.ket("EG")
+    return qla.pure(v, (2, 2))
 
 
 def werner_discord_oracle(p):
@@ -87,15 +87,15 @@ def reference_conditional_entropy(rho, basis):
 
 
 def ghz_state():
-    v = (qla.ket("GGG").amplitudes + qla.ket("EEE").amplitudes) / math.sqrt(2)
-    return qla.PureState(v, (2, 2, 2)).density()
+    v = (qla.ket("GGG") + qla.ket("EEE")) / math.sqrt(2)
+    return qla.pure(v, (2, 2, 2))
 
 
 def w_state():
     v = (
-        qla.ket("EGG").amplitudes + qla.ket("GEG").amplitudes + qla.ket("GGE").amplitudes
+        qla.ket("EGG") + qla.ket("GEG") + qla.ket("GGE")
     ) / math.sqrt(3)
-    return qla.PureState(v, (2, 2, 2)).density()
+    return qla.pure(v, (2, 2, 2))
 
 
 class TestConcurrence:
@@ -103,7 +103,7 @@ class TestConcurrence:
         assert corr.concurrence(bell_phi_plus()) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state(self):
-        assert corr.concurrence(qla.ket("GE").density()) == pytest.approx(0.0, abs=1e-12)
+        assert corr.concurrence(basis_state("GE")) == pytest.approx(0.0, abs=1e-12)
 
     def test_partially_entangled_pure(self):
         # C = sin(2 theta) for sin(theta)|GE> + cos(theta)|EG>.
@@ -117,7 +117,7 @@ class TestConcurrence:
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
-            corr.concurrence(qla.ket("GGG").density())
+            corr.concurrence(basis_state("GGG"))
 
     @given(seed=seeds)
     def test_range_and_local_unitary_invariance(self, seed):
@@ -220,7 +220,7 @@ class TestMutualInformation:
         assert corr.mutual_information(bell_phi_plus()) == pytest.approx(2.0, abs=1e-12)
 
     def test_classical_mixture(self):
-        m = (qla.ket("GG").density().matrix + qla.ket("EE").density().matrix) / 2
+        m = (basis_state("GG").matrix + basis_state("EE").matrix) / 2
         assert corr.mutual_information(qla.density(m, (2, 2))) == pytest.approx(1.0, abs=1e-12)
 
     def test_qubit_qutrit_register(self):
@@ -428,7 +428,7 @@ class TestConditionalEntropyKernel:
 
     def test_product_state_in_its_own_basis(self):
         basis = corr.MeasurementBasis(1.1, 4.0)
-        b_state = qla.PureState(basis.ket(), (2,)).density()
+        b_state = qla.pure(basis.ket(), (2,))
         rho_a = random_density(np.random.default_rng(5), (2,))
         rho = qla.density(np.kron(rho_a.matrix, b_state.matrix), (2, 2))
         orth = corr.MeasurementBasis(math.pi - basis.polar, basis.azimuth - math.pi).ket()
@@ -574,12 +574,12 @@ class TestOneTangle:
         assert corr.one_tangle(bell_phi_plus(), 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_pure(self):
-        assert corr.one_tangle(qla.ket("GEG").density(), 1) == pytest.approx(0.0, abs=1e-12)
+        assert corr.one_tangle(basis_state("GEG"), 1) == pytest.approx(0.0, abs=1e-12)
 
     @given(seed=seeds)
     def test_modes_agree_on_pure_states(self, seed):
         rng = np.random.default_rng(seed)
-        rho = random_pure(rng, (2,) * 6).density()
+        rho = random_pure(rng, (2,) * 6)
         site = int(rng.integers(0, 6))
         det_form = corr.one_tangle(rho, site)
         r = qla.partial_trace(rho, [site]).matrix
@@ -614,7 +614,7 @@ class TestTangle:
     def test_monogamy_holds_on_random_pure_states(self, seed):
         rng = np.random.default_rng(seed)
         psi = random_pure(rng, (2, 2, 2, 2))
-        assert corr.monogamy_residual(psi.density(), 0) >= -1e-9
+        assert corr.monogamy_residual(psi, 0) >= -1e-9
 
 
 class TestTangleBounds:
@@ -651,9 +651,8 @@ class TestOneTangleForm:
     @given(seed=seeds)
     def test_upper_term_is_the_monogamy_residual(self, seed):
         rng = np.random.default_rng(seed)
-        psi = random_pure(rng, (2, 2, 2))
+        rho = random_pure(rng, (2, 2, 2))
         ref = int(rng.integers(0, 3))
-        rho = psi.density()
         assert abs(corr.tangle_bounds(rho, ref).upper_raw - corr.monogamy_residual(rho, ref)) < 1e-12
 
     @given(seed=seeds)
@@ -691,10 +690,10 @@ class TestMarginalEntropy:
     def test_rank_one_states(self):
         # Products have pure marginals, whose lower eigenvalue is round-off.
         rng = np.random.default_rng(2402)
-        kets = [(random_pure(rng, (2,)).amplitudes, random_pure(rng, (2,)).amplitudes) for _ in range(100)]
-        states = [qla.PureState(np.kron(a, b), (2, 2)).density() for a, b in kets]
-        states += [random_pure(rng, (2, 2)).density() for _ in range(100)]
-        states += [qla.ket(label).density() for label in ("GG", "GE", "EG", "EE")]
+        kets = [(random_ket(rng, 2), random_ket(rng, 2)) for _ in range(100)]
+        states = [qla.pure(np.kron(a, b), (2, 2)) for a, b in kets]
+        states += [random_pure(rng, (2, 2)) for _ in range(100)]
+        states += [basis_state(label) for label in ("GG", "GE", "EG", "EE")]
         self.assert_matches_partial_trace(states)
 
     def test_maximally_mixed_marginals(self):
@@ -731,7 +730,7 @@ class TestDelta:
     def test_matches_four_partial_traces(self):
         rng = np.random.default_rng(1306)
         states = [random_density(rng, (2, 2, 2), rank=int(rng.integers(1, 9))) for _ in range(30)]
-        states += [random_pure(rng, (2, 2, 2)).density() for _ in range(10)]
+        states += [random_pure(rng, (2, 2, 2)) for _ in range(10)]
         for rho in states:
             got, want = corr.delta_fanchini(rho), oracles.delta_four_traces(rho)
             assert abs(got.delta - want.delta) < 1e-12
@@ -758,7 +757,7 @@ class TestDelta:
             monkeypatch.undo()
 
     def test_single_excitation_product_state(self):
-        res = corr.delta_fanchini(qla.ket("EGG").density())
+        res = corr.delta_fanchini(basis_state("EGG"))
         assert res.delta == pytest.approx(0.0, abs=1e-12)
         assert res.ssa_slack == pytest.approx(0.0, abs=1e-12)
 
@@ -766,7 +765,7 @@ class TestDelta:
         rng = np.random.default_rng(123)
         for _ in range(10):
             psi = random_pure(rng, (2, 2, 2))
-            res = corr.delta_fanchini(psi.density())
+            res = corr.delta_fanchini(psi)
             assert abs(res.delta) < 1e-5
             assert abs(res.ssa_slack) < 1e-5
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from cavnet import davies, model, qla
 
-from conftest import downward_terms, random_density, random_hermitian, unit_lambda_config
+from conftest import basis_state, downward_terms, random_density, random_hermitian, unit_lambda_config
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -33,10 +33,10 @@ class TestBohrFrequencies:
         assert np.allclose(got / lam, [1.0, 2.0, 3.0, 4.0], atol=1e-9)
 
     def test_zero_hamiltonian(self):
-        assert oracles.bohr_frequencies(qla.operator(np.zeros((4, 4)), (2, 2))).size == 0
+        assert oracles.bohr_frequencies(qla.Operator(np.zeros((4, 4)), (2, 2))).size == 0
 
     def test_two_level_gap(self):
-        assert np.allclose(oracles.bohr_frequencies(qla.operator(np.diag([0.0, 2.5]))), [2.5])
+        assert np.allclose(oracles.bohr_frequencies(qla.Operator(np.diag([0.0, 2.5]), (2,))), [2.5])
 
     def test_non_hermitian_rejected(self, default_cfg):
         m = model.build_effective_chain_hamiltonian(default_cfg).matrix.copy()
@@ -51,13 +51,13 @@ class TestBohrFrequencies:
 class TestSiteLowering:
     def test_lowers_single_excitation(self, default_cfg):
         op = davies.site_lowering_operator(default_cfg, 0)
-        out = op.matrix @ qla.ket("EGG").amplitudes
-        want = default_cfg.kappa * qla.ket("GGG").amplitudes
+        out = op.matrix @ qla.ket("EGG")
+        want = default_cfg.kappa * qla.ket("GGG")
         assert np.max(np.abs(out - want)) < 1e-14
 
     def test_annihilates_ground(self, default_cfg):
         op = davies.site_lowering_operator(default_cfg, 1)
-        assert np.max(np.abs(op.matrix @ qla.ket("GGG").amplitudes)) == 0.0
+        assert np.max(np.abs(op.matrix @ qla.ket("GGG"))) == 0.0
 
     def test_nilpotent(self, default_cfg):
         op = davies.site_lowering_operator(default_cfg, 2).matrix
@@ -139,15 +139,15 @@ class TestChannelConstruction:
 
     def test_channel_validation(self, default_cfg):
         with pytest.raises(ValueError):
-            davies.DaviesChannel(0, -1.0, qla.operator(np.eye(2)), 0.1)
+            davies.DaviesChannel(0, -1.0, qla.Operator(np.eye(2), (2,)), 0.1)
         with pytest.raises(ValueError):
-            davies.DaviesChannel(0, 1.0, qla.operator(np.zeros((2, 2))), 0.1)
+            davies.DaviesChannel(0, 1.0, qla.Operator(np.zeros((2, 2)), (2,)), 0.1)
 
 
 class TestLindbladRhs:
     def test_ground_state_stationary(self, default_cfg):
         gen = davies.chain_generator(default_cfg)
-        ground = qla.ket("GGG").density()
+        ground = basis_state("GGG")
         out = oracles.lindblad_rhs(ground, gen)
         assert np.max(np.abs(out.matrix)) < 1e-12
 
@@ -237,11 +237,11 @@ class TestGeneratorInvariants:
 
     def test_generator_spec_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            davies.GeneratorSpec(qla.operator([[0.0, 1.0], [0.0, 0.0]]))
+            davies.GeneratorSpec(qla.Operator([[0.0, 1.0], [0.0, 0.0]], (2,)))
 
     def test_generator_spec_rejects_dim_mismatch(self, default_cfg):
         h = model.build_effective_chain_hamiltonian(default_cfg)
-        bad = oracles.DecayChannel(0, qla.operator(np.eye(2)), 0.1)
+        bad = oracles.DecayChannel(0, qla.Operator(np.eye(2), (2,)), 0.1)
         with pytest.raises(ValueError):
             davies.GeneratorSpec(h, (bad,))
 

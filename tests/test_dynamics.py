@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 import scipy.linalg
 
 import oracles
-from cavnet import davies, dynamics, model, qla
+from cavnet import correlations as corr
+from cavnet import davies, dynamics, model, qla, runner
 
-from conftest import exact_unitary_state, random_density
+from conftest import basis_state, exact_unitary_state, random_density
 
 
 def chain_times(cfg, t_max_lambda, samples):
@@ -18,14 +20,14 @@ def chain_times(cfg, t_max_lambda, samples):
 class TestEvolveBasics:
     def test_time_zero_returns_initial(self, default_cfg):
         gen = davies.chain_generator(default_cfg)
-        rho0 = qla.ket("EGG").density()
+        rho0 = basis_state("EGG")
         traj = dynamics.evolve(rho0, gen, [0.0])
         assert len(traj) == 1
         assert np.max(np.abs(traj.states[0].matrix - rho0.matrix)) == 0.0
 
     def test_sample_times_validation(self, default_cfg):
         gen = davies.chain_generator(default_cfg)
-        rho0 = qla.ket("GGG").density()
+        rho0 = basis_state("GGG")
         with pytest.raises(ValueError):
             dynamics.evolve(rho0, gen, [0.1, 0.2])
         with pytest.raises(ValueError):
@@ -35,8 +37,8 @@ class TestEvolveBasics:
         cfg = lossless_cfg
         gen = davies.chain_generator(cfg)
         lam = model.effective_coupling(cfg)
-        psi = (qla.ket("EGG").amplitudes + 1j * qla.ket("GEG").amplitudes) / math.sqrt(2)
-        rho0 = qla.PureState(psi, (2, 2, 2)).density()
+        psi = (qla.ket("EGG") + 1j * qla.ket("GEG")) / math.sqrt(2)
+        rho0 = qla.pure(psi, (2, 2, 2))
         t_star = (2 * math.pi / 3) / lam
         traj = dynamics.evolve(rho0, gen, [0.0, t_star / 2, t_star])
         oracle = exact_unitary_state(gen.hamiltonian.matrix, rho0.matrix, t_star)
@@ -57,7 +59,7 @@ class TestEvolveBasics:
     def test_trajectory_times_dual_units(self, default_cfg):
         gen = davies.chain_generator(default_cfg)
         lam = model.effective_coupling(default_cfg)
-        rho0 = qla.ket("GGG").density()
+        rho0 = basis_state("GGG")
         times = chain_times(default_cfg, 1.0, 5)
         traj = dynamics.evolve(rho0, gen, times)
         assert np.allclose(traj.times_lambda, times * lam)
@@ -72,8 +74,8 @@ class TestFactorizedPath:
 
     def test_product_states_stay_product(self, default_cfg):
         gen = davies.chain_generator(default_cfg)
-        a = qla.ket("EGG").density().matrix
-        b = qla.ket("GGG").density().matrix
+        a = basis_state("EGG").matrix
+        b = basis_state("GGG").matrix
         rho0 = qla.density(np.kron(a, b), (2,) * 6)
         traj = dynamics.evolve_factorized(rho0, gen, chain_times(default_cfg, 2.0, 5))
         for state in traj.states:
@@ -121,7 +123,7 @@ class TestFactorizedPath:
             rho0 = model.build_initial_state(model.InitialStateSpec("psi_a", 0.5), default_cfg)
             run = dynamics.evolve_factorized
         else:
-            rho0 = qla.ket("EGG").density()
+            rho0 = basis_state("EGG")
             run = dynamics.evolve
         uniform = chain_times(default_cfg, 4.0, 13)
         run(rho0, gen, uniform)
@@ -291,7 +293,7 @@ class TestPadeExponential:
 class TestScalarSeries:
     def test_trace_series_is_one(self, default_cfg):
         gen = davies.chain_generator(default_cfg)
-        rho0 = qla.ket("EEG").density()
+        rho0 = basis_state("EEG")
         traj = dynamics.evolve(rho0, gen, chain_times(default_cfg, 2.0, 9))
         traces = np.array([np.trace(s.matrix).real for s in traj.states])
         assert np.max(np.abs(traces - 1.0)) < 1e-7
@@ -339,7 +341,7 @@ class TestPhysicalInvariants:
         # never decays: the steady state is 2/3 vacuum plus 1/3 dark state.
         cfg = model.NetworkConfig(gamma=5.0, kappa=1.0)
         gen = davies.chain_generator(cfg)
-        rho0 = qla.ket("EGG").density()
+        rho0 = basis_state("EGG")
         traj = dynamics.evolve(rho0, gen, [0.0, 10.0 / 5.0])
         final = traj.states[-1].matrix
         dark = np.zeros(8, dtype=complex)
@@ -446,3 +448,55 @@ class TestTraceGuard:
         match = rf"trace drifted to {1.0 + drift[k]:.12g} at lambda\*t = {times[k] * lam:.6g} \(guard 1e-07\)"
         with pytest.raises(dynamics.TraceDriftError, match=match):
             getattr(dynamics, path)(rho0, gen, times)
+
+
+class TestChargeSectors:
+    """Each figure initial state carries one charge Q that the dynamics conserves.
+
+    The generator is covariant under each chain's number phase, so rho(t)
+    stays block-diagonal in Q, exactly, and every pair reduction is then
+    X-form.  Q is N1 + N2 for psi_a, N1 - N2 for psi_b and rho_eq20, and N
+    for the chain states.
+    """
+
+    @pytest.mark.parametrize(
+        "kind, gamma",
+        [
+            ("psi_a", 0.0),
+            ("psi_a", 0.01),
+            ("psi_b", 0.0),
+            ("psi_b", 0.01),
+            ("psi_b", 0.05),
+            ("psi_b", 0.5),
+            ("rho_eq20", 0.01),
+            ("psi1_chain", 0.01),
+            ("psi2_chain", 0.01),
+        ],
+    )
+    def test_trajectory_stays_in_its_charge_sectors(self, kind, gamma):
+        init = model.InitialStateSpec(kind, math.pi / 3)
+        traj = runner.network_trajectory(model.NetworkConfig(gamma=gamma), init, 12.0, 200)
+        nq = len(traj.states[0].dims)
+        excited = np.array(list(itertools.product((0, 1), repeat=nq)))
+        if kind in model.InitialStateSpec.CHAIN_KINDS:
+            charge = excited.sum(axis=1)
+        else:
+            n1, n2 = excited[:, :3].sum(axis=1), excited[:, 3:].sum(axis=1)
+            charge = n1 + n2 if kind == "psi_a" else n1 - n2
+        across = charge[:, None] != charge[None, :]
+        pairs = [corr.PairSelector(i, j) for i, j in itertools.combinations(range(nq), 2)]
+        assert len(pairs) == (15 if nq == 6 else 3)
+        for k, rho in enumerate(traj.states):
+            assert not rho.matrix[across].any(), f"sample {k}"
+            for sel in pairs:
+                assert corr._is_x_form(corr.pair_state(rho, sel).matrix), f"sample {k}, pair {sel}"
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.5])
+    def test_psi1_chain_trajectory_is_mirror_symmetric(self, gamma):
+        # psi1_chain is invariant under the mirror 1 <-> 3 of the chain, and so is the generator.
+        init = model.InitialStateSpec("psi1_chain")
+        traj = runner.network_trajectory(model.NetworkConfig(gamma=gamma), init, 12.0, 800)
+        mirror = np.arange(8).reshape(2, 2, 2).transpose(2, 1, 0).reshape(-1)
+        for k, rho in enumerate(traj.states):
+            m = rho.matrix
+            assert np.abs(m[np.ix_(mirror, mirror)] - m).max() <= 1e-13, f"sample {k}"

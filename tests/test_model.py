@@ -8,7 +8,7 @@ import oracles
 from cavnet import correlations as corr
 from cavnet import model, qla
 
-from conftest import exact_unitary_state
+from conftest import basis_state, exact_unitary_state
 
 
 class TestConfig:
@@ -83,7 +83,7 @@ class TestChainHamiltonian:
     def test_fully_excited_is_eigenstate(self, default_cfg):
         lam = model.effective_coupling(default_cfg)
         h = model.build_effective_chain_hamiltonian(default_cfg)
-        eee = qla.ket("EEE").amplitudes
+        eee = qla.ket("EEE")
         assert np.max(np.abs(h.matrix @ eee - 4 * lam * eee)) < 1e-10 * lam
 
     def test_commutes_with_excitation_number(self, default_cfg):
@@ -101,7 +101,7 @@ class TestChainHamiltonian:
         # Singly excited basis states pick up the diagonal weights 1,2,2,1.
         for site, weight in enumerate((1.0, 2.0, 2.0, 1.0)):
             label = "".join("E" if k == site else "G" for k in range(4))
-            amp = qla.ket(label).amplitudes
+            amp = qla.ket(label)
             assert np.vdot(amp, h.matrix @ amp).real == pytest.approx(weight * lam)
 
 
@@ -116,7 +116,7 @@ class TestNetworkHamiltonian:
 
     def test_ground_energy_zero(self, default_cfg):
         hn = oracles.build_network_hamiltonian(default_cfg)
-        vac = qla.ket("G" * 6).amplitudes
+        vac = qla.ket("G" * 6)
         assert abs(np.vdot(vac, hn.matrix @ vac)) < 1e-12
 
     def test_chain_swap_symmetry(self, default_cfg):
@@ -133,8 +133,8 @@ class TestNetworkHamiltonian:
         # keeps chain-product states product.
         hn = oracles.build_network_hamiltonian(lossless_cfg)
         lam = model.effective_coupling(lossless_cfg)
-        a = qla.ket("EGG").density()
-        b = qla.ket("GEG").density()
+        a = basis_state("EGG")
+        b = basis_state("GEG")
         rho0 = np.kron(a.matrix, b.matrix)
         evolved = exact_unitary_state(hn.matrix, rho0, 1.3 / lam)
         rho = qla.density(evolved, (2,) * 6)
@@ -171,12 +171,12 @@ class TestFullChainModel:
         h_eff = model.build_effective_chain_hamiltonian(cfg)
         psi_full = oracles.full_chain_single_excitation(cfg, 1, 0)
         proj3 = oracles.full_chain_site_projector(cfg, 1, 2).matrix
-        psi_eff = qla.ket("EGG")
+        psi_eff = basis_state("EGG")
         full, eff = [], []
         for lt in times_lambda:
             t = lt / lam
-            mf = exact_unitary_state(h_full.matrix, psi_full.density().matrix, t)
-            me = exact_unitary_state(h_eff.matrix, psi_eff.density().matrix, t)
+            mf = exact_unitary_state(h_full.matrix, psi_full.matrix, t)
+            me = exact_unitary_state(h_eff.matrix, psi_eff.matrix, t)
             full.append(np.real(np.trace(proj3 @ mf)))
             eff.append(np.real(me[1, 1]))
         return np.array(full), np.array(eff)

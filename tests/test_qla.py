@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cavnet import qla
+from cavnet import model, qla
 
-from conftest import brute_force_partial_trace, haar_unitary, random_density, random_pure
+from conftest import basis_state, brute_force_partial_trace, haar_unitary, random_density, random_ket, random_pure
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -58,8 +58,8 @@ class TestTensor:
         sysy = np.kron(qla.SIGMA_Y, qla.SIGMA_Y)
         direct = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
         assert np.max(np.abs(sysy - direct)) == 0.0
-        gg = qla.ket("GG").amplitudes
-        ee = qla.ket("EE").amplitudes
+        gg = qla.ket("GG")
+        ee = qla.ket("EE")
         assert np.max(np.abs(sysy @ gg - (-ee))) < 1e-14
 
     def test_dims_mismatch_rejected(self):
@@ -77,8 +77,8 @@ class TestPartialTrace:
         assert np.max(np.abs(reduced.matrix - a.matrix)) < 1e-12
 
     def test_bell_reduction_is_maximally_mixed(self):
-        bell = (qla.ket("GG").amplitudes + qla.ket("EE").amplitudes) / math.sqrt(2)
-        rho = qla.PureState(bell, (2, 2)).density()
+        bell = (qla.ket("GG") + qla.ket("EE")) / math.sqrt(2)
+        rho = qla.pure(bell, (2, 2))
         for keep in ([0], [1]):
             reduced = qla.partial_trace(rho, keep)
             assert np.max(np.abs(reduced.matrix - np.eye(2) / 2)) < 1e-12
@@ -176,7 +176,7 @@ class TestPartialTrace:
 
 class TestEntropyPurity:
     def test_pure_state_entropy_zero(self):
-        rho = qla.ket("GE").density()
+        rho = basis_state("GE")
         assert qla.von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
@@ -189,7 +189,7 @@ class TestEntropyPurity:
         assert got == pytest.approx(0.468996, abs=1e-6)
 
     def test_purity_examples(self):
-        assert qla.purity(qla.ket("GG").density()) == pytest.approx(1.0)
+        assert qla.purity(basis_state("GG")) == pytest.approx(1.0)
         assert qla.purity(qla.density(np.eye(4) / 4, (2, 2))) == pytest.approx(0.25)
         assert qla.purity(qla.density(np.diag([0.9, 0.1]))) == pytest.approx(0.82)
 
@@ -216,8 +216,7 @@ class TestInvariants:
     def test_one_tangle_identities_match(self, seed):
         # 4 det rho_i == 2 (1 - Tr[rho_i^2]) exactly on qubits.
         rng = np.random.default_rng(seed)
-        psi = random_pure(rng, (2,) * 6)
-        rho = psi.density()
+        rho = random_pure(rng, (2,) * 6)
         site = int(rng.integers(0, 6))
         r = qla.partial_trace(rho, [site]).matrix
         det_form = 4.0 * np.real(r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0])
@@ -354,8 +353,64 @@ class TestValidation:
 
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError):
-            qla.PureState(np.array([1.0, 1.0]), (2,))
+            qla.pure(np.array([1.0, 1.0]), (2,))
 
     def test_ket_label_validation(self):
         with pytest.raises(ValueError):
             qla.ket("GX")
+
+
+# Each initial kind's amplitudes on the chain-blocked register (1, 2, 3 | 1', 2', 3'),
+# built from basis kets without the interleaved-label map that the model uses.
+def _initial_amplitudes(kind, theta):
+    cos, sin = math.cos(theta), math.sin(theta)
+    vacuum, pair = qla.ket("GGGGGG"), qla.ket("EGGEGG")
+    return {
+        "psi_a": cos * qla.ket("EGGGGG") + sin * qla.ket("GGGEGG"),
+        "psi_b": sin * vacuum + cos * pair,
+        "rho_eq20": math.sqrt(0.5) * (vacuum + pair),
+        "psi1_chain": (qla.ket("EGG") + qla.ket("GGE")) / math.sqrt(2.0),
+        "psi2_chain": qla.ket("EGG"),
+    }[kind]
+
+
+class TestPure:
+    """``pure`` skips ``_first_invalid``; the oracle here runs it on every result."""
+
+    def assert_is_outer_product(self, rho, a, dims):
+        want = np.outer(a, a.conj())
+        assert rho.dims == dims
+        assert qla._first_invalid(rho.matrix[None]) is None
+        assert not rho.matrix.flags.writeable
+        assert rho.matrix.dtype == want.dtype and rho.matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 8, math.pi / 4, math.pi / 3, math.pi / 2])
+    @pytest.mark.parametrize("kind", model.InitialStateSpec._KINDS)
+    def test_initial_states(self, kind, theta):
+        rho = model.build_initial_state(model.InitialStateSpec(kind, theta), model.NetworkConfig())
+        a = _initial_amplitudes(kind, theta)
+        self.assert_is_outer_product(rho, a, (2,) * int(math.log2(a.size)))
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2), (2,) * 6])
+    def test_random_unit_vectors(self, dims):
+        rng = np.random.default_rng(math.prod(dims))
+        for _ in range(20):
+            a = random_ket(rng, math.prod(dims))
+            self.assert_is_outer_product(qla.pure(a, dims), a, dims)
+
+    def test_norm_off_by_twice_the_tolerance_rejected(self):
+        a = random_ket(np.random.default_rng(3), 8)
+        for scale in (1.0 + 2 * qla.NORM_ATOL, 1.0 - 2 * qla.NORM_ATOL):
+            with pytest.raises(ValueError, match=r"^state not normalized: \|amplitudes\|\^2 = "):
+                qla.pure(a * math.sqrt(scale), (2, 2, 2))
+        qla.pure(a * math.sqrt(1.0 + qla.NORM_ATOL / 2), (2, 2, 2))
+
+    def test_dims_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^dims \(2, 2, 2\) do not multiply to vector size 4$"):
+            qla.pure(qla.ket("GE"), (2, 2, 2))
+        with pytest.raises(ValueError, match=r"^invalid subsystem dimensions \(-2, -2\)$"):
+            qla.pure(qla.ket("GE"), (-2, -2))
+
+    def test_ket_is_read_only(self):
+        with pytest.raises(ValueError):
+            qla.ket("EG")[0] = 1.0

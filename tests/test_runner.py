@@ -154,7 +154,7 @@ class TestPeaks:
         vec = np.zeros(64, dtype=complex)
         vec[model.map_interleaved_index("GGGGGG")] = 1 / math.sqrt(2)
         vec[model.map_interleaved_index("GGEEGG")] = 1 / math.sqrt(2)
-        rho0 = qla.PureState(vec, (2,) * 6).density()
+        rho0 = qla.pure(vec, (2,) * 6)
         chain = davies.chain_generator(cfg)
         traj = dynamics.evolve_factorized(rho0, chain, dynamics.sample_grid(4.0, 500, chain.lambda_scale))
         series = {
