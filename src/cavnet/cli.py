@@ -4,12 +4,14 @@ Subcommands: ``simulate`` (raw trajectory plus measures, the ``custom``
 scenario), ``scenario`` (named figure reproduction), ``transmission`` (ratio
 table).  The three share one set of flags, and every flag has a config-file
 equivalent.  ``resolve`` is the one place where settings resolve: the
-scenario's defaults, then the config file's [network] and [scenario]
-sections, then the flags, each layer a dict keyed by setting name.  An
-unknown config section or key is an error.  Settings that do not resolve,
-from a flag or the config, and sweeps the model or scenario rejects are
-usage errors before anything runs: one line on stderr and exit status 2.
-Every scenario runs on the network of two three-cavity chains.
+scenario's defaults, then the config file, then the flags, each layer a dict
+keyed by setting name.  Every setting has one home: [network] holds
+``--kappa`` and the other physical constants, [scenario] the sweep (gamma
+and its units among them) and the output.  An unknown config section or key
+is an error.  Settings that do not resolve, from a flag or the config, and
+sweeps the model or scenario rejects are usage errors before anything runs:
+one line on stderr and exit status 2.  Every scenario runs on the network of
+two three-cavity chains.
 """
 
 from __future__ import annotations
@@ -30,21 +32,9 @@ def _numbers(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.replace(",", " ").split())
 
 
-def _one_rate(text: str) -> float:
-    rates = _numbers(text)
-    if len(rates) != 1:
-        raise ValueError(
-            f"one rate expected, got {len(rates)}: per-site rates are not "
-            "supported, since a sweep sets one gamma for all sites"
-        )
-    return rates[0]
-
-
 # The keys each config section accepts, with the parser of each value.
 _CONFIG_KEYS = {
     "network": {
-        "sites_per_chain": int,
-        "num_chains": int,
         "omega": float,
         "nu": float,
         "omega_f": float,
@@ -52,8 +42,6 @@ _CONFIG_KEYS = {
         "kappa": float,
         "fiber_length_l": float,
         "fiber_continuum_decay_mu": float,
-        "gamma": _one_rate,
-        "gamma_units": str.strip,
     },
     "scenario": {
         "name": str.strip,
@@ -87,8 +75,7 @@ def load_config(path) -> dict:
     for section in (["DEFAULT"] if parser.defaults() else []) + parser.sections():
         keys = _CONFIG_KEYS.get(section)
         if keys is None:
-            why = ": propagation is exact and takes no integrator settings" if section == "integrator" else ""
-            raise ValueError(f"unknown config section [{section}] (keys: {', '.join(parser[section])}){why}")
+            raise ValueError(f"unknown config section [{section}] (keys: {', '.join(parser[section])})")
         for key, value in parser[section].items():
             if key not in keys:
                 raise ValueError(f"unknown key {key!r} in config section [{section}]; known: {', '.join(keys)}")
@@ -105,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="INI config with [network] and [scenario] sections")
     common.add_argument("--initial", action="append", choices=InitialStateSpec._KINDS, help="initial condition, repeatable (default: the scenario's own)")
     common.add_argument("--theta", dest="theta_list", metavar="THETA", type=float, action="append", help="initial-state angle in radians, repeatable; applies only to psi_a and psi_b, the other initial states run once")
-    common.add_argument("--gamma", type=float, help="cavity decay rate")
+    common.add_argument("--gamma", type=float, help="cavity decay rate of every site (config: [scenario] gamma, which takes a list to sweep)")
     common.add_argument("--gamma-units", choices=("abs", "lambda"), dest="gamma_units", help="decay-rate units: 1/ns or multiples of the effective coupling")
     common.add_argument("--kappa", type=float, help="polariton projection factor on the cavity coupling")
     common.add_argument("--tmax-lambda", type=float, dest="t_max_lambda", metavar="TMAX_LAMBDA", help="time window in lambda*t")
@@ -126,19 +113,17 @@ def resolve(args: argparse.Namespace) -> tuple[NetworkConfig, ScenarioSpec, str 
     """``(network, scenario, out, format)`` of one command line.
 
     Each setting takes the flag if given, else the config file's value,
-    else the scenario's default.  A sweep sets the network's gamma at every
-    point, so the network's gamma and units, from the config or a flag,
-    become the sweep's unless [scenario] lists its own and no flag
-    overrides it.  The sweep points are built here, so that every setting
-    the model rejects fails before anything runs.
+    else the scenario's default.  The network is [network] plus
+    ``--kappa``; the scenario is [scenario] plus every other flag, gamma
+    and its units included, which the sweep sets at each point.  The sweep
+    points are built here, so that every setting the model rejects fails
+    before anything runs.
     """
     layers = load_config(args.config) if args.config else {"network": {}, "scenario": {}}
     flags = {k: v for k, v in vars(args).items() if v is not None and k not in ("command", "config")}
-    network = layers["network"]
-    network.update((k, v) for k, v in flags.items() if k in ("gamma", "gamma_units", "kappa"))
-    scenario = {k: network[k] for k in ("gamma", "gamma_units") if k in network}
-    scenario.update(layers["scenario"])
-    scenario.update((k, v) for k, v in flags.items() if k != "kappa")
+    network, scenario = layers["network"], layers["scenario"]
+    for k, v in flags.items():
+        (network if k == "kappa" else scenario)[k] = v
     out, fmt, name = scenario.pop("out", None), scenario.pop("format", "csv"), scenario.pop("name", None)
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}; known: {', '.join(_FORMATS)}")

@@ -131,7 +131,8 @@ class InitialStateSpec:
     theta: float = math.pi / 4
 
     _KINDS = ("psi_a", "psi_b", "rho_eq20", "psi1_chain", "psi2_chain")
-    # The kinds that depend on theta; every other kind ignores it.
+    # The kinds that depend on theta; every other kind ignores it, though
+    # theta must lie in [0, pi/2] for all.
     THETA_KINDS = ("psi_a", "psi_b")
     # The kinds on one chain's register; every other named kind is on the network's.
     CHAIN_KINDS = ("psi1_chain", "psi2_chain")
@@ -139,7 +140,7 @@ class InitialStateSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown initial state kind {self.kind!r}")
-        if self.kind in self.THETA_KINDS and not 0.0 <= self.theta <= math.pi / 2:
+        if not 0.0 <= self.theta <= math.pi / 2:
             raise ValueError("theta must lie in [0, pi/2]")
 
 

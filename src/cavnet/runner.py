@@ -21,7 +21,7 @@ import numpy as np
 
 from . import correlations as corr
 from . import davies, dynamics, qla
-from .model import InitialStateSpec, NetworkConfig, build_initial_state, effective_coupling, interleaved_qubit_order
+from .model import InitialStateSpec, NetworkConfig, build_initial_state, cavity_label_to_qubit, effective_coupling
 from .dynamics import Trajectory
 
 __all__ = [
@@ -277,37 +277,28 @@ _REDUCED_COLUMNS = {
 }
 
 
-def _register_measures(nq: int):
-    """``custom``: purity, pair concurrences and one-tangles of an nq-qubit register.
-
-    The six-qubit network is labelled by cavity and keeps the three
-    cross-chain pairs 11', 22', 33'; other registers number their qubits
-    from 1 and keep every pair.
-    """
-    if nq == 6:
-        labels = _PEAK_PAIRS
-        pairs = _PEAK_SELECTORS
-        sites = ("1", "1p", "2", "2p", "3", "3p")
-        site_order = interleaved_qubit_order(3, 2)
-    else:
-        pairs = tuple(corr.PairSelector(a, b) for a in range(nq) for b in range(a + 1, nq))
-        labels = tuple(f"{p.first + 1}{p.second + 1}" for p in pairs)
-        sites = tuple(str(k + 1) for k in range(nq))
-        site_order = tuple(range(nq))
-    columns = (
-        ("purity",)
-        + tuple(f"conc_{label.replace(chr(39), 'p')}" for label in labels)
-        + tuple(f"det_{site}" for site in sites)
-    )
+def _register_measures(pair_labels: tuple[str, ...], site_labels: tuple[str, ...]):
+    """Columns and measure of purity, pair concurrences and one-tangles."""
+    pairs = tuple(_pair(label) for label in pair_labels)
+    sites = tuple(cavity_label_to_qubit(label) for label in site_labels)
+    columns = ("purity",) + tuple(f"conc_{p}" for p in pair_labels) + tuple(f"det_{s}" for s in site_labels)
 
     def measure(state):
         return (
             qla.purity(state),
             *(_concurrence(state, sel) for sel in pairs),
-            *(corr.one_tangle(state, site) for site in site_order),
+            *(corr.one_tangle(state, site) for site in sites),
         )
 
-    return columns, measure
+    return tuple(c.replace("'", "p") for c in columns), measure
+
+
+# ``custom``'s measures by register size: the six-qubit network keeps the
+# three cross-chain pairs, a three-qubit chain every pair.
+_REGISTER_MEASURES = {
+    6: _register_measures(_PEAK_PAIRS, ("1", "1'", "2", "2'", "3", "3'")),
+    3: _register_measures(("12", "13", "23"), ("1", "2", "3")),
+}
 
 
 def _sweep(spec: ScenarioSpec, cfg: NetworkConfig) -> list[tuple[float, NetworkConfig, InitialStateSpec]]:
@@ -361,8 +352,7 @@ def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig) -> Table:
             rows.append(point + ("11'", "33'", res.ratio, res.peak_time_lambda, res.ratio_at_transfer))
             continue
         traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples)
-        nq = len(traj.states[0].dims)
-        columns, measure = _register_measures(nq) if spec.name == "custom" else _MEASURES[spec.name]
+        columns, measure = _REGISTER_MEASURES[len(traj.states[0].dims)] if spec.name == "custom" else _MEASURES[spec.name]
         values = [measure(state) for state in traj.states]
         if spec.name == "fig4":
             events = peak_sequence(dict(zip(columns, zip(*values))), traj.times_lambda)

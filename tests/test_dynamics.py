@@ -500,3 +500,60 @@ class TestChargeSectors:
         for k, rho in enumerate(traj.states):
             m = rho.matrix
             assert np.abs(m[np.ix_(mirror, mirror)] - m).max() <= 1e-13, f"sample {k}"
+
+
+class TestGeneratorSymmetry:
+    """The chain generator's weak symmetries, on its row-major Liouvillian.
+
+    The Davies generator is covariant under the chain's number phase, so L
+    never couples vec entries (i, j) of different n(i) - n(j); and the
+    uniform chain is symmetric under the mirror 1 <-> 3.
+    """
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.01, 0.5])
+    def test_keeps_the_excitation_difference(self, gamma):
+        liouvillian = dynamics._liouvillian(davies.chain_generator(model.NetworkConfig(gamma=gamma)))
+        n = np.array([bin(i).count("1") for i in range(8)])
+        difference = (n[:, None] - n[None, :]).reshape(-1)
+        across = difference[:, None] != difference[None, :]
+        assert np.count_nonzero(liouvillian[~across]) > 0
+        assert np.count_nonzero(liouvillian[across]) == 0
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.01, 0.5])
+    def test_commutes_with_the_mirror(self, gamma):
+        liouvillian = dynamics._liouvillian(davies.chain_generator(model.NetworkConfig(gamma=gamma)))
+        mirror = np.arange(8).reshape(2, 2, 2).transpose(2, 1, 0).reshape(-1)
+        # S = P (x) P on row-major vec, P the bit reversal of the three sites.
+        s = (mirror[:, None] * 8 + mirror[None, :]).reshape(-1)
+        defect = np.abs(liouvillian[np.ix_(s, s)] - liouvillian).max()
+        assert defect <= 1e-14 * np.abs(liouvillian).max()
+
+
+class TestPhaseCovariance:
+    """Phasing chain 2 by V = exp(i phi N_2) before evolution gives V rho(t) V^dagger."""
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            {"GGGGGG": math.sin(math.pi / 4), "EGGEGG": math.cos(math.pi / 4)},
+            {"EGGGGG": math.cos(math.pi / 3), "GGGEGG": math.sin(math.pi / 3)},
+        ],
+        ids=["psi_b", "psi_a"],
+    )
+    def test_phased_chain_2_evolves_covariantly(self, amplitudes):
+        cfg = model.NetworkConfig(gamma=0.05)
+        chain = davies.chain_generator(cfg)
+        times = dynamics.sample_grid(20.0, 400, model.effective_coupling(cfg))
+        a = sum(amp * qla.ket(label) for label, amp in amplitudes.items())
+        # Chain 2 is the last three qubits, the low bits of the chain-blocked index.
+        v = np.exp(0.9j * np.array([bin(i & 7).count("1") for i in range(64)]))
+        plain = dynamics.evolve_factorized(qla.pure(a, (2,) * 6), chain, times)
+        phased = dynamics.evolve_factorized(qla.pure(v * a, (2,) * 6), chain, times)
+        pairs = [corr.PairSelector.from_label(label) for label in ("33'", "21'")]
+        for k, (rho, rho_v) in enumerate(zip(plain.states, phased.states)):
+            expected = v[:, None] * rho.matrix * v.conj()[None, :]
+            assert np.abs(rho_v.matrix - expected).max() <= 1e-14, f"sample {k}"
+            for sel in pairs:
+                sub, sub_v = corr.pair_state(rho, sel), corr.pair_state(rho_v, sel)
+                assert abs(corr.concurrence(sub_v) - corr.concurrence(sub)) <= 1e-12, f"sample {k}, pair {sel}"
+                assert abs(corr.quantum_discord(sub_v) - corr.quantum_discord(sub)) <= 1e-12, f"sample {k}, pair {sel}"

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -278,6 +279,19 @@ class TestClosedForm:
         expected = np.maximum(0.0, tau - (cross**2).sum(axis=1))
         assert np.max(np.abs(np.array(table.column("tangle")) - expected)) < 1e-12
 
+    def test_fig3_one_tangles_closed_form(self):
+        # Lossless psi_a puts cos(theta) u_k(t) on site k of chain 1 and
+        # leaves no coherence between its |E> and |G>, so det_k = 4 p (1 - p)
+        # with p = cos^2(theta) |u_k|^2.
+        thetas = (math.pi / 8, math.pi / 4, math.pi / 3)
+        table = runner.run_scenario(runner.ScenarioSpec.named("fig3", theta_list=thetas, samples=101), model.NetworkConfig())
+        assert len(table.rows) == 3 * 101
+        cfg = model.NetworkConfig(gamma=0.0)
+        t = np.array(table.column("lambda_t")) / model.effective_coupling(cfg)
+        p = np.cos(np.array(table.column("theta")))[:, None] ** 2 * np.abs(oracles.one_excitation_amplitudes(cfg, t)) ** 2
+        measured = np.array([table.column(f"det_{k}") for k in (1, 2, 3)]).T
+        assert np.max(np.abs(measured - 4.0 * p * (1.0 - p))) < 1e-12
+
 
 class TestTables:
     def test_csv_deterministic(self, lossless_cfg):
@@ -323,6 +337,10 @@ class TestTables:
         assert "conc_13" in table8.columns
 
 
+# The keys [network] accepts, as the unknown-key error lists them.
+_NETWORK_KEYS = "omega, nu, omega_f, j, kappa, fiber_length_l, fiber_continuum_decay_mu"
+
+
 class TestConfigAndCli:
     def test_config_roundtrip(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -330,11 +348,11 @@ class TestConfigAndCli:
             "\n".join(
                 [
                     "[network]",
-                    "gamma = 0.02",
-                    "gamma_units = abs",
                     "kappa = 1.0",
                     "[scenario]",
                     "name = fig3",
+                    "gamma = 0.02",
+                    "gamma_units = abs",
                     "theta = 0.785398163",
                     "tmax_lambda = 2.0",
                     "samples = 24",
@@ -342,12 +360,13 @@ class TestConfigAndCli:
             )
         )
         parsed = cli.load_config(path)
-        assert parsed["network"]["gamma"] == 0.02
-        assert parsed["network"]["kappa"] == 1.0
+        assert parsed["network"] == {"kappa": 1.0}
+        assert parsed["scenario"]["gamma"] == (0.02,)
+        assert parsed["scenario"]["gamma_units"] == "abs"
         assert parsed["scenario"]["name"] == "fig3"
         assert parsed["scenario"]["samples"] == 24
         path.write_text("[integrator]\nrel_tol = 1e-8\n")
-        with pytest.raises(ValueError, match="rel_tol.*exact"):
+        with pytest.raises(ValueError, match=r"unknown config section \[integrator\] \(keys: rel_tol\)"):
             cli.load_config(path)
 
     @pytest.mark.parametrize(
@@ -358,6 +377,11 @@ class TestConfigAndCli:
             ("[scenario]\nthetas = 0.1\n", r"thetas.*\[scenario\]"),
             ("[fiber]\nlength = 1.0\n", r"\[fiber\]"),
             ("[DEFAULT]\ngamma = 0.1\n", r"\[DEFAULT\]"),
+            # The sweep alone takes gamma, its units and the network size.
+            ("[network]\ngamma = 0.01, 0.02, 0.03\n", r"'gamma'.*\[network\]"),
+            ("[network]\ngamma_units = lambda\n", r"'gamma_units'.*\[network\]"),
+            ("[network]\nsites_per_chain = 3\n", r"'sites_per_chain'.*\[network\]"),
+            ("[network]\nnum_chains = 2\n", r"'num_chains'.*\[network\]"),
         ],
     )
     def test_config_rejects_unknown_sections_and_keys(self, tmp_path, text, named):
@@ -372,7 +396,7 @@ class TestConfigAndCli:
             ("[scenario]\nsamples = 2.5\n", r"\[scenario\] samples = '2\.5': invalid literal for int"),
             ("[network]\nkappa = abc\n", r"\[network\] kappa = 'abc': could not convert"),
             ("[scenario]\ntheta = 0.1, x\n", r"\[scenario\] theta = '0\.1, x': could not convert"),
-            ("[network]\ngamma = fast\n", r"\[network\] gamma = 'fast': could not convert"),
+            ("[scenario]\ngamma = fast\n", r"\[scenario\] gamma = 'fast': could not convert"),
         ],
         ids=["int", "float", "numbers", "one-rate"],
     )
@@ -382,11 +406,22 @@ class TestConfigAndCli:
         with pytest.raises(ValueError, match=named):
             cli.load_config(path)
 
-    def test_config_rejects_per_site_network_gamma(self, tmp_path):
-        path = tmp_path / "sites.ini"
-        path.write_text("[network]\ngamma = 0.01, 0.02, 0.03\n")
-        with pytest.raises(ValueError, match=r"\[network\] gamma.*per-site"):
-            cli.load_config(path)
+    def test_readme_config_resolves(self, tmp_path):
+        # The config file documented in README parses and reaches the settings it names.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert blocks
+        for block in blocks:
+            path = tmp_path / "readme.ini"
+            path.write_text(block)
+            layers = cli.load_config(path)
+            cfg, spec, out, fmt = cli.resolve(cli.build_parser().parse_args(["scenario", "--config", str(path)]))
+            assert layers["network"] and layers["scenario"]
+            for key, value in layers["network"].items():
+                assert getattr(cfg, key) == value, key
+            resolved = {**vars(spec), "out": out, "format": fmt}
+            for key, value in layers["scenario"].items():
+                assert resolved[key] == value, key
 
     def test_missing_config_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -426,23 +461,6 @@ class TestConfigAndCli:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 12
 
-    def test_cli_config_network_gamma_feeds_scenario(self, capsys, tmp_path):
-        path = tmp_path / "g.ini"
-        path.write_text("[network]\ngamma = 0.5\ngamma_units = lambda\n")
-        run = ["scenario", "--scenario", "transmission", "--initial", "psi_a", "--theta", "0.785398", "--samples", "81"]
-        assert cli.main(run + ["--config", str(path)]) == 0
-        via_config = capsys.readouterr().out
-        assert cli.main(run + ["--gamma", "0.5", "--gamma-units", "lambda"]) == 0
-        assert via_config == capsys.readouterr().out
-        assert ",0.5,11',33'," in via_config
-        path.write_text("[network]\ngamma = 0.01 0.02 0.03\n")
-        for argv in (run + ["--config", str(path)], ["simulate", "--samples", "3", "--tmax-lambda", "1.0", "--config", str(path)]):
-            with pytest.raises(SystemExit) as exit_:
-                cli.main(argv)
-            assert exit_.value.code == 2
-            err = capsys.readouterr().err
-            assert "cavnet: error: [network] gamma = '0.01 0.02 0.03'" in err and "per-site" in err
-
     def test_cli_simulate_stdout(self, capsys, tmp_path):
         rc = cli.main(
             ["simulate", "--initial", "psi2_chain", "--samples", "6", "--tmax-lambda", "1.0"]
@@ -451,15 +469,40 @@ class TestConfigAndCli:
         captured = capsys.readouterr().out
         assert captured.splitlines()[0].startswith("initial,theta,gamma,lambda_t,purity")
 
-    def test_cli_simulate_config_gamma_feeds_sweep(self, capsys, tmp_path):
-        path = tmp_path / "s.ini"
+    def test_cli_config_network_gamma_feeds_scenario(self, capsys, tmp_path):
+        # The scenario's rate comes from [scenario] only; a [network] gamma is an unknown key.
+        path = tmp_path / "g.ini"
         path.write_text("[scenario]\ngamma = 0.5\ngamma_units = lambda\n")
-        run = ["simulate", "--initial", "psi2_chain", "--samples", "6", "--tmax-lambda", "1.0"]
+        run = ["scenario", "--scenario", "transmission", "--initial", "psi_a", "--theta", "0.785398", "--samples", "81"]
         assert cli.main(run + ["--config", str(path)]) == 0
         via_config = capsys.readouterr().out
         assert cli.main(run + ["--gamma", "0.5", "--gamma-units", "lambda"]) == 0
         assert via_config == capsys.readouterr().out
-        assert via_config.splitlines()[1].startswith("psi2_chain,0.785398163397,0.5,0,")
+        assert ",0.5,11',33'," in via_config
+        for text in ("[network]\ngamma = 0.5\n", "[network]\ngamma = 0.01 0.02 0.03\n"):
+            path.write_text(text)
+            for argv in (run + ["--config", str(path)], ["simulate", "--samples", "3", "--tmax-lambda", "1.0", "--config", str(path)]):
+                with pytest.raises(SystemExit) as exit_:
+                    cli.main(argv)
+                assert exit_.value.code == 2
+                err = capsys.readouterr().err
+                assert "cavnet: error: unknown key 'gamma' in config section [network]" in err
+
+    def test_cli_simulate_config_gamma_feeds_sweep(self, capsys, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("[scenario]\ngamma = 0.5\ngamma_units = lambda\n")
+        for run, first_row in (
+            (["simulate", "--initial", "psi2_chain", "--samples", "6", "--tmax-lambda", "1.0"], "psi2_chain,0.785398163397,0.5,0,"),
+            (["transmission", "--initial", "psi_a", "--theta", "0.785398", "--samples", "81"], "psi_a,0.785398,0.5,11',33',"),
+        ):
+            assert cli.main(run + ["--config", str(path)]) == 0
+            via_config = capsys.readouterr().out
+            assert cli.main(run + ["--gamma", "0.5", "--gamma-units", "lambda"]) == 0
+            assert via_config == capsys.readouterr().out
+            assert via_config.splitlines()[1].startswith(first_row)
+            # The units reach the sweep: the same rate in 1/ns gives other numbers.
+            assert cli.main(run + ["--gamma", "0.5", "--gamma-units", "abs"]) == 0
+            assert via_config != capsys.readouterr().out
 
     def test_cli_simulate_rejects_mixed_registers(self, tmp_path, capsys):
         path = tmp_path / "mix.ini"
@@ -515,7 +558,7 @@ class TestConfigAndCli:
             ([], "unknown gamma_units 'furlongs'", "[scenario]\ngamma_units = furlongs\n"),
             (
                 [],
-                "scenarios run on two chains of three cavities, got num_chains = 2, sites_per_chain = 4",
+                "unknown key 'sites_per_chain' in config section [network]; known: " + _NETWORK_KEYS,
                 "[network]\nsites_per_chain = 4\n",
             ),
             # Initial states off the scenario's register, and a short transmission window.
@@ -536,6 +579,11 @@ class TestConfigAndCli:
             ),
             # The units take no alias and no other case.
             ([], "unknown gamma_units 'absolute'", "[scenario]\ngamma_units = absolute\n"),
+            # Theta is checked for the initial states that ignore it, too.
+            (["--initial", "rho_eq20", "--theta", "5"], "theta must lie in [0, pi/2]", None),
+            (["--scenario", "fig9", "--initial", "psi1_chain", "--theta", "5"], "theta must lie in [0, pi/2]", None),
+            # The sweep alone takes gamma.
+            ([], "unknown key 'gamma' in config section [network]; known: " + _NETWORK_KEYS, "[network]\ngamma = 0.5\n"),
         ],
     )
     def test_cli_bad_settings_are_one_line_usage_errors(self, capsys, tmp_path, flags, message, config):
