@@ -473,6 +473,32 @@ def one_tangle(rho: DensityMatrix, site: int) -> float:
     return float(4.0 * det)
 
 
+@functools.cache
+def _stacked_gather(dims: tuple[int, ...], keeps: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The ``qla._trace_gather`` indices of every kept pair in ``keeps``, stacked in that order."""
+    flat = np.stack([qla._trace_gather(dims, keep) for keep in keeps])
+    flat.setflags(write=False)
+    return flat
+
+
+def _partner_pairs(rho: DensityMatrix, ref_site: int) -> list[DensityMatrix]:
+    """``pair_state`` of the pair (ref_site, k) for every other site k, ascending, from one gather.
+
+    The reductions are hermitized as ``qla.partial_trace`` does and checked
+    as one stack, so the first invalid pair in partner order raises the
+    message ``pair_state`` raises for it.  A one-site register has no pairs.
+    """
+    keeps = tuple((ref_site, k) for k in range(len(rho.dims)) if k != ref_site)
+    if not keeps:
+        return []
+    pairs = rho.matrix.reshape(-1)[_stacked_gather(rho.dims, keeps)].sum(axis=1)
+    pairs = (pairs + pairs.conj().swapaxes(1, 2)) / 2.0
+    pairs.setflags(write=False)
+    if failure := qla._first_invalid(pairs):
+        raise ValueError(failure[1])
+    return qla._wrap_checked(pairs, tuple(rho.dims[k] for k in keeps[0]))
+
+
 def tangle_pure(rho: DensityMatrix, ref_site: int) -> float:
     """Residual multipartite correlation of a pure state.
 
@@ -489,11 +515,11 @@ def tangle_bounds(rho: DensityMatrix, ref_site: int) -> TangleBounds:
     one-tangle of a pure state; the lower replaces it with
     2*(Tr[rho^2] - Tr[rho_i^2]), that is the upper term less
     2*(1 - Tr[rho^2]).  Both subtract the same sum of squared pairwise
-    concurrences.  Raw values are kept alongside clamped-at-zero variants,
-    followed by the purity Tr[rho^2].
+    concurrences, of the reference site's pairs reduced in one validated
+    stack by ``_partner_pairs``.  Raw values are kept alongside
+    clamped-at-zero variants, followed by the purity Tr[rho^2].
     """
-    csq = (concurrence(pair_state(rho, PairSelector(ref_site, k))) for k in range(len(rho.dims)) if k != ref_site)
-    upper_raw = one_tangle(rho, ref_site) - sum(c * c for c in csq)
+    upper_raw = one_tangle(rho, ref_site) - sum(c * c for c in map(concurrence, _partner_pairs(rho, ref_site)))
     # Round-off can push Tr[rho^2] a hair past one; the lower bound must
     # never exceed the upper.
     purity = qla.purity(rho)

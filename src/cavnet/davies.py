@@ -14,6 +14,7 @@ the effective decay rate and is exposed through the network configuration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,9 @@ ZERO_JUMP_ATOL = 1e-12
 # Eigenvalue gaps closer than this fraction of the spectral span share a
 # Bohr frequency.
 DEGENERACY_RTOL = 1e-9
+# Generators ``chain_generator`` keeps, least recently used dropped first;
+# the figure set uses four decay rates.
+GENERATOR_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,12 @@ def build_davies_channels(h: Operator, cfg: NetworkConfig) -> list[DaviesChannel
     return channels
 
 
+@functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def chain_generator(cfg: NetworkConfig) -> GeneratorSpec:
-    """Master-equation generator for one chain (8-dimensional register)."""
+    """Master-equation generator for one chain (8-dimensional register).
+
+    Built once per configuration: equal configs, which are frozen and
+    hashable, share one immutable ``GeneratorSpec`` with read-only matrices.
+    """
     h = build_effective_chain_hamiltonian(cfg)
     return GeneratorSpec(h, tuple(build_davies_channels(h, cfg)), effective_coupling(cfg))

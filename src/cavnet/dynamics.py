@@ -18,7 +18,8 @@ sparse evolution of the full network generator, which lives with the
 other oracles in ``tests/oracles.py``.  Only the block of rows and columns
 that the exact zeros of L let the initial state reach is exponentiated and
 stepped: 10 of 64 entries on fig9's chain states, 16 of 64 rows and columns
-on a two-chain figure state, and all on a dense one.  Traces are checked
+on a two-chain figure state, and all on a dense one; a block both slots
+share is exponentiated once.  Traces are checked
 against the fixed guard ``TRACE_GUARD`` before renormalizing, so faults
 surface as errors instead of drifting silently; samples are then built and
 validated in chunks, by the function that validates every ``DensityMatrix``.
@@ -163,14 +164,16 @@ def _block_trajectory(rho0: DensityMatrix, t, step: float, lambda_scale: float, 
     the generators ``l_row`` and ``l_col``.  Each is invariant under its
     generator, so S_RR = exp(L_row[R, R] step), and likewise S_CC, is the
     propagator's block exactly, and every entry outside M_RC stays zero.
+    When both slots share the generator and R = C, S_RR serves as S_CC.
     """
     m = rho0.matrix.reshape(-1)[at]
     r, c = _reachable(l_row, m.any(axis=1)), _reachable(l_col, m.any(axis=0))
-    s_rr, s_cc_t = _expm(l_row[np.ix_(r, r)] * step), _expm(l_col[np.ix_(c, c)] * step).T
+    s_rr = _expm(l_row[np.ix_(r, r)] * step)
+    s_cc = s_rr if l_col is l_row and np.array_equal(r, c) else _expm(l_col[np.ix_(c, c)] * step)
     blocks = np.empty((t.size, r.size, c.size), dtype=complex)
     blocks[0] = m[np.ix_(r, c)]
     for k in range(1, t.size):
-        blocks[k] = s_rr @ blocks[k - 1] @ s_cc_t
+        blocks[k] = s_rr @ blocks[k - 1] @ s_cc.T
     d = rho0.dim
     rows, cols = np.divmod(at[np.ix_(r, c)], d)
     tr = blocks[:, rows == cols].sum(axis=1).real

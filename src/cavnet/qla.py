@@ -11,8 +11,8 @@ from ``pure`` is valid by construction and checked by its norm only.
 Every other ``DensityMatrix``, whether built by hand, reduced or
 propagated, is validated against the same ``HERMITICITY_ATOL``,
 ``TRACE_ATOL`` and ``PSD_ATOL`` thresholds by ``_first_invalid``, as a
-stack of one or, for trajectory samples, one stack per chunk that
-``_wrap_checked`` then wraps uncopied.
+stack of one or as one stack that ``_wrap_checked`` then wraps uncopied:
+one per chunk of trajectory samples, and one of a tangle bracket's pairs.
 Positivity is tested by a Cholesky factorization; the spectrum is computed
 only to report a rejection.  A partial trace is one gather of the flattened
 matrix at index arrays cached per (dims, keep), in that order, then one sum

@@ -310,9 +310,9 @@ def _sweep(spec: ScenarioSpec, cfg: NetworkConfig) -> list[tuple[float, NetworkC
     on the register of its own defaults, whose columns it fills; a
     ``transmission`` window must reach the transfer time.  Each point runs
     with the spec's gamma and gamma units in place of ``cfg.gamma`` and
-    ``cfg.gamma_units``.  Kinds that ignore theta run once per gamma,
-    labelled with the sweep's first theta, instead of once per theta with
-    identical rows.
+    ``cfg.gamma_units``.  Every theta is checked for every kind, but kinds
+    that ignore theta run once per gamma, labelled with the sweep's first
+    theta, instead of once per theta with identical rows.
     """
     if (cfg.sites_per_chain, cfg.num_chains) != (3, 2):
         raise ValueError(
@@ -323,8 +323,10 @@ def _sweep(spec: ScenarioSpec, cfg: NetworkConfig) -> list[tuple[float, NetworkC
     for gamma in spec.gamma:
         scenario_cfg = replace(cfg, gamma=gamma, gamma_units=spec.gamma_units)
         for kind in spec.initial:
-            thetas = spec.theta_list if kind in InitialStateSpec.THETA_KINDS else spec.theta_list[:1]
-            points.extend((gamma, scenario_cfg, InitialStateSpec(kind, theta)) for theta in thetas)
+            inits = [InitialStateSpec(kind, theta) for theta in spec.theta_list]
+            if kind not in InitialStateSpec.THETA_KINDS:
+                inits = inits[:1]
+            points.extend((gamma, scenario_cfg, init) for init in inits)
     on_chain = {kind in InitialStateSpec.CHAIN_KINDS for kind in spec.initial}
     if len(on_chain) > 1:
         raise ValueError(f"sweep mixes incompatible registers: {', '.join(spec.initial)}")

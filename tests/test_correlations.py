@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cavnet import correlations as corr
-from cavnet import model, qla
+from cavnet import model, qla, runner
 
 from conftest import basis_state, haar_unitary, random_density, random_ket, random_pure
 
@@ -661,6 +661,70 @@ class TestOneTangleForm:
         rho = random_density(rng, (2, 2, 2), rank=int(rng.integers(1, 9)))
         b = corr.tangle_bounds(rho, int(rng.integers(0, 3)))
         assert abs((b.upper_raw - b.lower_raw) - 2.0 * (1.0 - qla.purity(rho))) < 1e-12
+
+
+class TestTangleBracketStack:
+    """``tangle_bounds`` reduces the reference site's pairs in one validated stack.
+
+    Its upper term is bit for bit the one-tangle less the squared
+    concurrences of the ``pair_state`` reductions, and it fails as they do:
+    one_tangle's errors first, then the first invalid pair in partner order.
+    """
+
+    @staticmethod
+    def assert_upper_is_pairwise(rho):
+        for ref in range(len(rho.dims)):
+            pairs = [corr.pair_state(rho, corr.PairSelector(ref, k)) for k in range(len(rho.dims)) if k != ref]
+            stacked = corr._partner_pairs(rho, ref)
+            assert all(np.array_equal(a.matrix, b.matrix) and a.dims == b.dims for a, b in zip(stacked, pairs))
+            upper = corr.one_tangle(rho, ref) - sum(c * c for c in map(corr.concurrence, pairs))
+            assert corr.tangle_bounds(rho, ref).upper_raw == upper
+
+    @pytest.mark.parametrize("qubits", [3, 6])
+    def test_full_rank_states_general_path(self, qubits):
+        rng = np.random.default_rng(23 + qubits)
+        for _ in range(4):
+            rho = random_density(rng, (2,) * qubits)
+            assert not any(corr._is_x_form(p.matrix) for p in corr._partner_pairs(rho, 0))
+            self.assert_upper_is_pairwise(rho)
+
+    def test_psi_b_trajectory_x_path(self, default_cfg):
+        traj = runner.network_trajectory(default_cfg, model.InitialStateSpec("psi_b", math.pi / 3), 12.0, 24)
+        for rho in traj.states:
+            assert all(corr._is_x_form(p.matrix) for p in corr._partner_pairs(rho, 0))
+            self.assert_upper_is_pairwise(rho)
+
+    @staticmethod
+    def unchecked_parent():
+        """I/8 + 0.15 Z Z I + 0.2 I Z Z, wrapped unvalidated.
+
+        Every qubit marginal is I/2.  The pairs of qubits 0, 1 have least
+        eigenvalue -0.05, those of 1, 2 -0.15, and those of 0, 2 are I/4.
+        """
+        z, one = np.diag([1.0, -1.0]), np.eye(2)
+        m = np.eye(8) / 8 + 0.15 * np.kron(np.kron(z, z), one) + 0.2 * np.kron(np.kron(one, z), z)
+        stack = m.astype(complex)[None]
+        stack.setflags(write=False)
+        return qla._wrap_checked(stack, (2, 2, 2))[0]
+
+    # Reference 1 has two invalid pairs, (1, 0) first; reference 2 a valid pair before (2, 1).
+    @pytest.mark.parametrize("ref, partner", [(0, 1), (1, 0), (2, 1)])
+    def test_first_invalid_pair_raises_pair_state_message(self, ref, partner):
+        rho = self.unchecked_parent()
+        with pytest.raises(ValueError, match="not positive semidefinite") as expected:
+            corr.pair_state(rho, corr.PairSelector(ref, partner))
+        with pytest.raises(ValueError) as err:
+            corr.tangle_bounds(rho, ref)
+        assert str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize("ref", [3, -1])
+    def test_out_of_range_site_raises_one_tangle_message(self, ref):
+        rho = self.unchecked_parent()
+        with pytest.raises(ValueError) as expected:
+            corr.one_tangle(rho, ref)
+        with pytest.raises(ValueError) as err:
+            corr.tangle_bounds(rho, ref)
+        assert str(err.value) == str(expected.value)
 
 
 class TestEntanglementSum:

@@ -1,3 +1,12 @@
+"""Davies channels and the chain generator.
+
+``davies.chain_generator`` keeps one generator per configuration.  A test
+that monkeypatches how a generator is built (the Hamiltonian or the
+channels) must call ``davies.chain_generator.cache_clear()`` before it
+builds and after, or it reads, and leaves behind, a cached generator.
+"""
+
+import dataclasses
 import math
 
 import numpy as np
@@ -244,6 +253,33 @@ class TestGeneratorInvariants:
         bad = oracles.DecayChannel(0, qla.Operator(np.eye(2), (2,)), 0.1)
         with pytest.raises(ValueError):
             davies.GeneratorSpec(h, (bad,))
+
+
+class TestGeneratorCache:
+    def test_equal_configs_share_one_generator(self):
+        cfg = model.NetworkConfig(gamma=0.05)
+        gen = davies.chain_generator(cfg)
+        assert davies.chain_generator(model.NetworkConfig(gamma=0.05)) is gen
+        assert davies.chain_generator(dataclasses.replace(cfg)) is gen
+        assert davies.chain_generator(dataclasses.replace(cfg, gamma=0.05)) is gen
+
+    @pytest.mark.parametrize("change", [dict(gamma=0.06), dict(gamma_units="lambda"), dict(kappa=0.8)])
+    def test_other_configs_get_their_own(self, change):
+        cfg = model.NetworkConfig(gamma=0.05)
+        changed = dataclasses.replace(cfg, **change)
+        other = davies.chain_generator(changed)
+        assert other is not davies.chain_generator(cfg)
+        assert other is davies.chain_generator(changed)
+
+    def test_cache_size_is_the_module_constant(self):
+        assert davies.chain_generator.cache_info().maxsize == davies.GENERATOR_CACHE_SIZE
+
+    def test_shared_generator_is_read_only(self, default_cfg):
+        gen = davies.chain_generator(default_cfg)
+        assert not gen.hamiltonian.matrix.flags.writeable
+        assert not any(ch.jump.matrix.flags.writeable for ch in gen.channels)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gen.lambda_scale = 2.0
 
 
 class TestLocalContrastModel:

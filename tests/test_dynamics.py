@@ -236,6 +236,30 @@ class TestReachableBlock:
         assert dynamics._reachable(s, start[::-1].copy()).tolist() == [2, 3]
 
 
+class TestSharedExponential:
+    """Both slots of a two-chain state take one exponential when they reach the same block."""
+
+    @pytest.mark.parametrize(
+        "kind, theta, exponentials",
+        [("psi_b", math.pi / 4, 1), ("psi_a", math.pi / 3, 1), ("rho_eq20", math.pi / 4, 1), ("psi_a", 0.0, 2)],
+    )
+    def test_exponentials_per_trajectory(self, default_cfg, monkeypatch, kind, theta, exponentials):
+        gen = davies.chain_generator(default_cfg)
+        rho0 = model.build_initial_state(model.InitialStateSpec(kind, theta), default_cfg)
+        times = chain_times(default_cfg, 12.0, 40)
+        expm, calls = dynamics._expm, []
+        monkeypatch.setattr(dynamics, "_expm", lambda a: calls.append(a.shape) or expm(a))
+        shared = dynamics.evolve_factorized(rho0, gen, times)
+        assert len(calls) == exponentials
+        # Exponentiating each slot's block on its own gives the same bits.
+        l_chain = dynamics._liouvillian(gen)
+        d = gen.dim
+        at = np.arange(d**4).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        apart = dynamics._block_trajectory(rho0, times, times[1], gen.lambda_scale, l_chain, l_chain.copy(), at)
+        assert len(calls) == exponentials + 2
+        assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(shared.states, apart.states))
+
+
 class TestLiouvillian:
     @pytest.mark.parametrize(
         "build, liouvillian_of",

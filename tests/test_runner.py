@@ -126,6 +126,14 @@ class TestThetaFreeStates:
             (kind, theta, gamma) for gamma in (0.0, 0.01) for kind, theta in points[:3]
         ]
 
+    def test_every_theta_is_checked(self, default_cfg, capsys):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi/2\]"):
+            runner.run_scenario(runner.ScenarioSpec.named("fig6", theta_list=(0.5, 5.0)), default_cfg)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["simulate", "--initial", "rho_eq20", "--theta", "0.5", "--theta", "5", "--samples", "3"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "cavnet: error: theta must lie in [0, pi/2]"
+
     def test_cli_theta_free_scenario_prints_each_row_once(self, capsys):
         run = ["scenario", "--scenario", "fig6", "--theta", "0.3", "--theta", "0.5", "--samples", "3"]
         assert cli.main(run) == 0
@@ -584,6 +592,8 @@ class TestConfigAndCli:
             (["--scenario", "fig9", "--initial", "psi1_chain", "--theta", "5"], "theta must lie in [0, pi/2]", None),
             # The sweep alone takes gamma.
             ([], "unknown key 'gamma' in config section [network]; known: " + _NETWORK_KEYS, "[network]\ngamma = 0.5\n"),
+            # Every theta, not only the one the state is built from.
+            (["--initial", "rho_eq20", "--theta", "0.5", "--theta", "5"], "theta must lie in [0, pi/2]", None),
         ],
     )
     def test_cli_bad_settings_are_one_line_usage_errors(self, capsys, tmp_path, flags, message, config):
