@@ -9,11 +9,14 @@ Run from anywhere, with two checkouts of the repository::
 Each pair runs ``DIR/perfbench/run.py`` once in each checkout, from that
 checkout's root; odd pairs run the parent first, even pairs the change.
 ``--workload figures`` instead times ``DIR/scripts/reproduce_figures.py``
-per scenario and checks that both sides write the same CSV bytes.  The
-summary gives, for every metric, each side's median and quartiles, the
-median ratio change/parent and the pairs the change won, by the direction
-that the parent's ``BENCHMARK.json`` declares (lower is better for a metric
-it does not list).  ``--out`` merges the pairs and summary into a JSON file
+per scenario, prints whether each pair wrote the same CSV bytes on both
+sides and exits 1 after the summary if any pair did not.  A figures run
+that prints no scenario line, a line that does not parse, or another set of
+scenarios than the other side stops the script.  The summary gives, for
+every metric, each side's median and quartiles, the median ratio
+change/parent and the pairs the change won, by the direction that the
+parent's ``BENCHMARK.json`` declares (lower is better for a metric it does
+not list).  ``--out`` merges the pairs and summary into a JSON file
 under the key "<workload> seed=<seed> trace=<trace>".
 
 Both checkouts must have absolute paths of the same length: the path length
@@ -34,7 +37,7 @@ import tempfile
 from pathlib import Path
 
 THREAD_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
-# One scenario line of reproduce_figures.py: "fig2: 2400 rows -> out/fig2.csv (0.4s)".
+# One scenario line of reproduce_figures.py: "fig2: 2400 rows -> out/fig2.csv (0.412s)".
 FIGURE_LINE = re.compile(r"^(\w+): \d+ rows -> (.+) \(([\d.]+)s\)$")
 TIMEOUT_S = 900
 
@@ -60,8 +63,10 @@ def figures_run(root: Path, args) -> dict:
         cmd = [sys.executable, "scripts/reproduce_figures.py", "--outdir", out]
         lines = _run(cmd, root, {**THREAD_ENV, "PYTHONPATH": str(root / "src")}).splitlines()
         matches = [FIGURE_LINE.match(line) for line in lines]
-        metrics = {f"{m[1]}_s": {"value": float(m[3]), "unit": "s"} for m in matches if m}
-        csv = {m[1]: Path(m[2]).read_bytes() for m in matches if m}
+        if not matches or not all(matches):
+            raise SystemExit(f"{' '.join(cmd)} in {root} printed no scenario line or one that does not parse:\n" + "\n".join(lines))
+        metrics = {f"{m[1]}_s": {"value": float(m[3]), "unit": "s"} for m in matches}
+        csv = {m[1]: Path(m[2]).read_bytes() for m in matches}
     return {"result": {"correct": True, "failed": 0, "metrics": metrics}, "csv": csv}
 
 
@@ -134,10 +139,16 @@ def main(argv=None) -> int:
         pair = {"pair": k, "order": list(order)}
         for side in order:
             pair[side] = run(roots[side], args)
+        note = ""
         if args.workload == "figures":
-            pair["csv_identical"] = pair["parent"].pop("csv") == pair["change"].pop("csv")
+            before, after = pair["parent"].pop("csv"), pair["change"].pop("csv")
+            if before.keys() != after.keys():
+                raise SystemExit(f"pair {k}: the parent ran {sorted(before)}, the change {sorted(after)}")
+            differ = sorted(name for name in before if before[name] != after[name])
+            pair["csv_identical"] = not differ
+            note = f": CSV bytes differ in {', '.join(differ)}" if differ else ": CSV bytes identical"
         pairs.append(pair)
-        print(f"pair {k}/{args.pairs} done", file=sys.stderr)
+        print(f"pair {k}/{args.pairs} done{note}", file=sys.stderr)
     summary = summarize(pairs, directions(roots["parent"]))
 
     width = max(len(name) for name in summary)
@@ -159,7 +170,7 @@ def main(argv=None) -> int:
             "summary": summary,
         }
         args.out.write_text(json.dumps(data, indent=1) + "\n")
-    return 0
+    return 0 if all(pair.get("csv_identical", True) for pair in pairs) else 1
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ def main() -> int:
         path = outdir / f"{spec.name}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             table.to_csv(fh)
-        print(f"{spec.name}: {len(table.rows)} rows -> {path} ({time.perf_counter() - start:.1f}s)")
+        print(f"{spec.name}: {len(table.rows)} rows -> {path} ({time.perf_counter() - start:.3f}s)")
     return 0
 
 

@@ -22,7 +22,6 @@ from .model import (
     build_effective_chain_hamiltonian,
     build_initial_state,
     effective_coupling,
-    map_interleaved_index,
 )
 from .davies import (
     DaviesChannel,

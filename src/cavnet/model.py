@@ -26,7 +26,6 @@ __all__ = [
     "effective_coupling",
     "build_effective_chain_hamiltonian",
     "build_initial_state",
-    "map_interleaved_index",
     "cavity_label_to_qubit",
 ]
 
@@ -104,10 +103,6 @@ class NetworkConfig:
         """Total detuning (omega - nu) - omega_f in rad/ns."""
         return (self.omega - self.nu) - self.omega_f
 
-    @property
-    def total_sites(self) -> int:
-        return self.sites_per_chain * self.num_chains
-
     def decay_rate(self) -> float:
         """The decay rate of every site in absolute 1/ns, units flag applied."""
         return self.gamma * (effective_coupling(self) if self.gamma_units == "lambda" else 1.0)
@@ -169,32 +164,6 @@ def build_effective_chain_hamiltonian(cfg: NetworkConfig) -> Operator:
     return Operator(h, dims)
 
 
-def interleaved_qubit_order(sites_per_chain: int = 3, num_chains: int = 2) -> tuple[int, ...]:
-    """Internal qubit index addressed by each interleaved label position.
-
-    User-facing labels interleave the chains site by site (1, 1', 2, 2', ...),
-    while the internal register is chain-blocked (1, 2, 3 | 1', 2', 3').
-    """
-    return tuple(
-        chain * sites_per_chain + site
-        for site in range(sites_per_chain)
-        for chain in range(num_chains)
-    )
-
-
-def map_interleaved_index(label: str, sites_per_chain: int = 3, num_chains: int = 2) -> int:
-    """Basis index in chain-blocked order for an interleaved G/E label."""
-    n = sites_per_chain * num_chains
-    if len(label) != n or any(c not in "GE" for c in label):
-        raise ValueError(f"malformed label {label!r}; need {n} characters over G/E")
-    order = interleaved_qubit_order(sites_per_chain, num_chains)
-    idx = 0
-    for pos, c in enumerate(label):
-        if c == "E":
-            idx |= 1 << (n - 1 - order[pos])
-    return idx
-
-
 def cavity_label_to_qubit(site_label: str, sites_per_chain: int = 3) -> int:
     """Internal qubit index for a cavity label like "2" or "3'"."""
     label = site_label.strip()
@@ -208,32 +177,30 @@ def cavity_label_to_qubit(site_label: str, sites_per_chain: int = 3) -> int:
     return site + (sites_per_chain if primed else 0)
 
 
-def _pure(amplitudes_by_label: dict[str, float], sites_per_chain: int, chains: int) -> DensityMatrix:
-    n = sites_per_chain * chains
-    vec = np.zeros(2**n, dtype=complex)
-    for label, amp in amplitudes_by_label.items():
-        vec[map_interleaved_index(label, sites_per_chain, chains)] = amp
-    return qla.pure(vec, (2,) * n)
-
-
 def build_initial_state(spec: InitialStateSpec, cfg: NetworkConfig) -> DensityMatrix:
     """Density matrix for the requested initial condition.
 
-    Network states come out on the 64-dimensional chain-blocked register;
-    the single-chain kinds are 8-dimensional.
+    Network states come out on the chain-blocked register (1, 2, 3 | 1', 2', 3')
+    and the single-chain kinds on one chain's, 64- and 8-dimensional by default.
     """
-    n, rest = cfg.sites_per_chain, "G" * (cfg.total_sites - 2)
-    vacuum, pair = "GG" + rest, "EE" + rest
-    first, last = "E" + "G" * (n - 1), "G" * (n - 1) + "E"
-    # Amplitudes by interleaved G/E label, and the number of chains they span.
+    n = cfg.sites_per_chain
+    if spec.kind not in InitialStateSpec.CHAIN_KINDS and cfg.num_chains < 2:
+        raise ValueError(f"initial state {spec.kind!r} spans cavities 1 and 1' and needs at least 2 chains")
+    # Amplitudes by the chain-blocked qubits each basis state excites (cavity
+    # 1 is qubit 0, cavity 1' qubit n), and the number of chains they span.
+    vacuum, pair = (), (0, n)
     amplitudes, chains = {
-        "psi_a": ({"EG" + rest: math.cos(spec.theta), "GE" + rest: math.sin(spec.theta)}, cfg.num_chains),
+        "psi_a": ({(0,): math.cos(spec.theta), (n,): math.sin(spec.theta)}, cfg.num_chains),
         "psi_b": ({vacuum: math.sin(spec.theta), pair: math.cos(spec.theta)}, cfg.num_chains),
         # The Bell projector of the 1,1' pair: weights 1/2 on |EE><EE|,
         # |GG><GG| and both cross terms.
         "rho_eq20": ({vacuum: math.sqrt(0.5), pair: math.sqrt(0.5)}, cfg.num_chains),
         # 1/sqrt(2), one ulp below sqrt(0.5), as the figures were made with.
-        "psi1_chain": ({first: 1.0 / math.sqrt(2.0), last: 1.0 / math.sqrt(2.0)}, 1),
-        "psi2_chain": ({first: 1.0}, 1),
+        "psi1_chain": ({(0,): 1.0 / math.sqrt(2.0), (n - 1,): 1.0 / math.sqrt(2.0)}, 1),
+        "psi2_chain": ({(0,): 1.0}, 1),
     }[spec.kind]
-    return _pure(amplitudes, n, chains)
+    qubits = n * chains
+    vec = np.zeros(2**qubits, dtype=complex)
+    for excited, amp in amplitudes.items():
+        vec[sum(1 << (qubits - 1 - q) for q in excited)] = amp
+    return qla.pure(vec, (2,) * qubits)

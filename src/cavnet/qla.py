@@ -6,13 +6,15 @@ anywhere in the package is 64-dimensional, so nothing here is sparse or
 clever.  The Hamiltonian eigenbasis is computed where it is used, by the
 Davies channel construction in ``davies``.  All
 container types are immutable once constructed and every function is pure,
-which makes values safe to share across threads.  A pure state |a><a|
+which makes values safe to share across threads.  A ``DensityMatrix`` is
+one object that holds its read-only matrix and dims.  A pure state |a><a|
 from ``pure`` is valid by construction and checked by its norm only.
 Every other ``DensityMatrix``, whether built by hand, reduced or
 propagated, is validated against the same ``HERMITICITY_ATOL``,
 ``TRACE_ATOL`` and ``PSD_ATOL`` thresholds by ``_first_invalid``, as a
-stack of one or as one stack that ``_wrap_checked`` then wraps uncopied:
-one per chunk of trajectory samples, and one of a tangle bracket's pairs.
+stack of one or as one stack whose matrices ``_wrap_checked`` makes into
+states uncopied: one per chunk of trajectory samples, and one of a tangle
+bracket's pairs.
 Positivity is tested by a Cholesky factorization; the spectrum is computed
 only to report a rejection.  A partial trace is one gather of the flattened
 matrix at index arrays cached per (dims, keep), in that order, then one sum
@@ -98,27 +100,26 @@ class Operator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
+    """Hermitian, unit-trace, positive-semidefinite matrix over the register ``dims``.
 
-    op: Operator
+    ``DensityMatrix(op)`` takes the read-only matrix and dims of the
+    ``Operator`` ``op`` and validates them.
+    """
 
-    def __post_init__(self):
-        if failure := _first_invalid(self.op.matrix[None]):
+    matrix: np.ndarray
+    dims: tuple[int, ...]
+
+    def __init__(self, op: Operator):
+        if failure := _first_invalid(op.matrix[None]):
             raise ValueError(failure[1])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.op.dims
+        object.__setattr__(self, "matrix", op.matrix)
+        object.__setattr__(self, "dims", op.dims)
 
     @property
     def dim(self) -> int:
-        return self.op.dim
+        return self.matrix.shape[0]
 
 
 def _first_invalid(m: np.ndarray) -> tuple[int, str] | None:
@@ -155,11 +156,13 @@ def _first_invalid(m: np.ndarray) -> tuple[int, str] | None:
 
 
 def _wrap_checked(stack: np.ndarray, dims: tuple[int, ...]) -> list[DensityMatrix]:
-    """The matrices of a read-only stack that ``_first_invalid`` passed or ``pure`` built, as states sharing its memory."""
+    """One state per matrix of a read-only stack that ``_first_invalid`` passed or ``pure`` built, uncopied.
+
+    Each skips ``DensityMatrix.__init__``, whose check the whole stack has had.
+    """
     states = [object.__new__(DensityMatrix) for _ in stack]
     for rho, m in zip(states, stack):
-        rho.__dict__["op"] = op = object.__new__(Operator)
-        op.__dict__.update(matrix=m, dims=dims)
+        rho.__dict__.update(matrix=m, dims=dims)
     return states
 
 

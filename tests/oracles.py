@@ -305,16 +305,6 @@ def entanglement_sum(state) -> float:
     return sum(correlations.concurrence(pair) ** 2 for pair in pairs)
 
 
-def interleaved_label(index: int, sites_per_chain: int = 3, num_chains: int = 2) -> str:
-    """Inverse of ``model.map_interleaved_index``."""
-    n = sites_per_chain * num_chains
-    if not 0 <= index < 2**n:
-        raise ValueError(f"index {index} out of range for {n} qubits")
-    order = model.interleaved_qubit_order(sites_per_chain, num_chains)
-    bits = [(index >> (n - 1 - q)) & 1 for q in range(n)]
-    return "".join("E" if bits[order[pos]] else "G" for pos in range(n))
-
-
 def full_chain_basis(cfg: model.NetworkConfig, excitation_cap: int) -> list[tuple[int, ...]]:
     """Occupation tuples (qubits..., fibers...) with at most ``cap`` quanta.
 

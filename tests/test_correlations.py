@@ -870,13 +870,13 @@ class TestPairSelector:
         # bit for bit the forward reduction with its qubits exchanged.
         rho = model.build_initial_state(model.InitialStateSpec("psi_a", 0.3), default_cfg)
         calls = []
-        validate = qla.DensityMatrix.__post_init__
+        validate = qla.DensityMatrix.__init__
 
-        def spy(self):
-            calls.append(self.dim)
-            validate(self)
+        def spy(self, op):
+            calls.append(op.dim)
+            validate(self, op)
 
-        monkeypatch.setattr(qla.DensityMatrix, "__post_init__", spy)
+        monkeypatch.setattr(qla.DensityMatrix, "__init__", spy)
         fwd = corr.pair_state(rho, corr.PairSelector(0, 3)).matrix
         rev = corr.pair_state(rho, corr.PairSelector(3, 0)).matrix
         assert calls == [4, 4]

@@ -200,25 +200,6 @@ class TestFullChainModel:
 
 
 class TestInterleavedIndexing:
-    def test_ground_label(self):
-        assert model.map_interleaved_index("GGGGGG") == 0
-
-    def test_first_cavity_each_chain(self):
-        # First label slot is chain-1 site 1 (most significant internal qubit).
-        assert model.map_interleaved_index("EGGGGG") == 1 << 5
-        # Second slot is the primed chain's first cavity, internal qubit 3.
-        assert model.map_interleaved_index("GEGGGG") == 1 << 2
-
-    def test_roundtrip_all_labels(self):
-        for idx in range(64):
-            assert model.map_interleaved_index(oracles.interleaved_label(idx)) == idx
-
-    def test_malformed_labels_rejected(self):
-        with pytest.raises(ValueError):
-            model.map_interleaved_index("GGG")
-        with pytest.raises(ValueError):
-            model.map_interleaved_index("GGXGGG")
-
     def test_site_labels(self):
         assert model.cavity_label_to_qubit("1") == 0
         assert model.cavity_label_to_qubit("3") == 2
@@ -234,7 +215,7 @@ class TestInitialStates:
 
     def test_psi_a_product_at_theta_zero(self, default_cfg):
         rho = model.build_initial_state(model.InitialStateSpec("psi_a", 0.0), default_cfg)
-        idx = model.map_interleaved_index("EGGGGG")
+        idx = 1 << 5  # |E> at cavity 1, the most significant qubit
         assert rho.matrix[idx, idx].real == pytest.approx(1.0)
         for pair in (corr.PairSelector(0, 3), corr.PairSelector(0, 1), corr.PairSelector(2, 5)):
             assert corr.concurrence(corr.pair_state(rho, pair)) == pytest.approx(0.0, abs=1e-12)
@@ -259,6 +240,47 @@ class TestInitialStates:
         assert rho1.matrix[4, 4].real == pytest.approx(0.5)
         rho2 = model.build_initial_state(model.InitialStateSpec("psi2_chain"), default_cfg)
         assert rho2.matrix[4, 4].real == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("kind", ["psi_a", "psi_b", "rho_eq20"])
+    def test_two_chain_kinds_need_two_chains(self, kind):
+        cfg = model.NetworkConfig(num_chains=1)
+        with pytest.raises(ValueError, match=rf"^initial state '{kind}' spans cavities 1 and 1' and needs at least 2 chains$"):
+            model.build_initial_state(model.InitialStateSpec(kind, math.pi / 3), cfg)
+        for chain_kind in model.InitialStateSpec.CHAIN_KINDS:
+            assert model.build_initial_state(model.InitialStateSpec(chain_kind), cfg).dims == (2, 2, 2)
+
+    # The nonzero amplitudes of each kind at theta = pi/3 on chain-blocked
+    # registers other than the default: cavity 1 is the most significant qubit
+    # and cavity 1' the first qubit of the second chain.
+    @pytest.mark.parametrize(
+        "size, qubits, amplitudes",
+        [
+            (dict(sites_per_chain=4), 8, {
+                "psi_a": {0b10000000: 0.5, 0b00001000: math.sqrt(3) / 2},
+                "psi_b": {0: math.sqrt(3) / 2, 0b10001000: 0.5},
+                "rho_eq20": {0: math.sqrt(0.5), 0b10001000: math.sqrt(0.5)},
+                "psi1_chain": {0b1000: 1 / math.sqrt(2), 0b0001: 1 / math.sqrt(2)},
+                "psi2_chain": {0b1000: 1.0},
+            }),
+            (dict(num_chains=3), 9, {
+                "psi_a": {0b100000000: 0.5, 0b000100000: math.sqrt(3) / 2},
+                "psi_b": {0: math.sqrt(3) / 2, 0b100100000: 0.5},
+                "rho_eq20": {0: math.sqrt(0.5), 0b100100000: math.sqrt(0.5)},
+                "psi1_chain": {0b100: 1 / math.sqrt(2), 0b001: 1 / math.sqrt(2)},
+                "psi2_chain": {0b100: 1.0},
+            }),
+        ],
+        ids=["sites_per_chain=4", "num_chains=3"],
+    )
+    def test_amplitudes_on_other_registers(self, size, qubits, amplitudes):
+        cfg = model.NetworkConfig(**size)
+        for kind, amps in amplitudes.items():
+            rho = model.build_initial_state(model.InitialStateSpec(kind, math.pi / 3), cfg)
+            n = qubits if kind not in model.InitialStateSpec.CHAIN_KINDS else cfg.sites_per_chain
+            want = np.zeros(2**n)
+            want[list(amps)] = list(amps.values())
+            assert rho.dims == (2,) * n
+            assert np.max(np.abs(rho.matrix - np.outer(want, want))) < 1e-15
 
     def test_unknown_kind_rejected(self):
         for kind in ("bogus", "custom"):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cavnet import model, qla
+from cavnet import davies, dynamics, model, qla
 
 from conftest import basis_state, brute_force_partial_trace, haar_unitary, random_density, random_ket, random_pure
 
@@ -361,7 +362,7 @@ class TestValidation:
 
 
 # Each initial kind's amplitudes on the chain-blocked register (1, 2, 3 | 1', 2', 3'),
-# built from basis kets without the interleaved-label map that the model uses.
+# built from literal basis kets rather than from the excited-qubit indices that the model uses.
 def _initial_amplitudes(kind, theta):
     cos, sin = math.cos(theta), math.sin(theta)
     vacuum, pair = qla.ket("GGGGGG"), qla.ket("EGGEGG")
@@ -414,3 +415,34 @@ class TestPure:
     def test_ket_is_read_only(self):
         with pytest.raises(ValueError):
             qla.ket("EG")[0] = 1.0
+
+
+def _trajectory_sample():
+    cfg = model.NetworkConfig()
+    rho0 = model.build_initial_state(model.InitialStateSpec("psi_a", 0.3), cfg)
+    chain = davies.chain_generator(cfg)
+    return dynamics.evolve_factorized(rho0, chain, dynamics.sample_grid(1.0, 5, chain.lambda_scale)).states[2]
+
+
+class TestFrozenStates:
+    """A ``DensityMatrix`` is one frozen object, however it was made."""
+
+    MAKERS = {
+        "density": lambda: qla.density(np.eye(4) / 4.0, (2, 2)),
+        "pure": lambda: qla.pure(qla.ket("EG"), (2, 2)),
+        "trajectory sample": _trajectory_sample,
+    }
+
+    @pytest.mark.parametrize("field", ["matrix", "dims"])
+    @pytest.mark.parametrize("maker", MAKERS)
+    def test_fields_cannot_be_assigned(self, maker, field):
+        rho = self.MAKERS[maker]()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rho, field, getattr(rho, field))
+        assert not hasattr(rho, "op")
+
+    def test_trajectory_sample_shares_its_chunk(self):
+        rho = _trajectory_sample()
+        chunk = rho.matrix.base
+        assert chunk.ndim == 3 and np.shares_memory(rho.matrix, chunk)
+        assert rho.matrix is not chunk and np.array_equal(rho.matrix, chunk[2])

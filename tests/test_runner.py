@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import math
 import os
@@ -161,8 +162,8 @@ class TestPeaks:
     def test_bell_pair_on_middle_cavities_peaks_simultaneously(self, lossless_cfg):
         cfg = lossless_cfg
         vec = np.zeros(64, dtype=complex)
-        vec[model.map_interleaved_index("GGGGGG")] = 1 / math.sqrt(2)
-        vec[model.map_interleaved_index("GGEEGG")] = 1 / math.sqrt(2)
+        vec[0] = 1 / math.sqrt(2)
+        vec[0b010010] = 1 / math.sqrt(2)  # |E> at cavities 2 and 2'
         rho0 = qla.pure(vec, (2,) * 6)
         chain = davies.chain_generator(cfg)
         traj = dynamics.evolve_factorized(rho0, chain, dynamics.sample_grid(4.0, 500, chain.lambda_scale))
@@ -718,3 +719,21 @@ def test_reproduce_figures_rejects_bad_samples_before_writing(tmp_path):
     assert out.stderr.splitlines()[-1] == "reproduce_figures.py: error: samples must be at least 2"
     assert "Traceback" not in out.stderr
     assert not outdir.exists()
+
+
+def test_reproduce_figures_lines_parse_for_bench_pairs(tmp_path):
+    # scripts/bench_pairs.py reads the per-scenario seconds and CSV path
+    # from every line the figure script prints.
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_pairs", root / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    script = str(root / "scripts" / "reproduce_figures.py")
+    argv = [sys.executable, script, "--only", "fig3", "--samples", "3", "--outdir", str(tmp_path)]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=300)
+    matches = [bench_pairs.FIGURE_LINE.match(line) for line in out.stdout.splitlines()]
+    assert matches and all(matches)
+    assert [m[1] for m in matches] == ["fig3"]
+    assert Path(matches[0][2]) == tmp_path / "fig3.csv" and Path(matches[0][2]).is_file()
+    assert len(matches[0][3].split(".")[1]) == 3
