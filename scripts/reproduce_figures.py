@@ -10,9 +10,9 @@ import pathlib
 import time
 
 from cavnet.model import NetworkConfig
-from cavnet.runner import ScenarioSpec, run_scenario
+from cavnet.runner import SCENARIO_NAMES, ScenarioSpec, run_scenario
 
-SCENARIOS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "transmission")
+SCENARIOS = tuple(name for name in SCENARIO_NAMES if name != "custom")
 
 
 def main() -> int:

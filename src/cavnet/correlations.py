@@ -107,7 +107,7 @@ class PairSelector:
             raise ValueError("pair indices must be nonnegative")
 
     @classmethod
-    def from_label(cls, label: str, sites_per_chain: int = 3) -> "PairSelector":
+    def from_label(cls, label: str) -> "PairSelector":
         """Parse a cavity-pair label like "33'" or "21'".
 
         The first character group addresses the unprimed chain, a trailing
@@ -117,7 +117,7 @@ class PairSelector:
         tokens = re.fullmatch(r"(\d['′]?)(\d['′]?)", label.strip())
         if tokens is None:
             raise ValueError(f"malformed pair label {label!r}")
-        return cls(*(cavity_label_to_qubit(token, sites_per_chain) for token in tokens.groups()))
+        return cls(*(cavity_label_to_qubit(token) for token in tokens.groups()))
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,6 @@ def _require_two_qubits(rho: DensityMatrix):
 
 def pair_state(rho: DensityMatrix, pair: PairSelector) -> DensityMatrix:
     """Two-qubit reduction with the pair members in the requested order."""
-    if max(pair.first, pair.second) >= len(rho.dims):
-        raise ValueError(f"pair {pair} out of range for dims {rho.dims}")
     return qla.partial_trace(rho, [pair.first, pair.second])
 
 
@@ -466,37 +464,9 @@ def one_tangle(rho: DensityMatrix, site: int) -> float:
     Evaluates 4*det of the one-qubit reduction.  For mixed full states the
     value is only an upper-bound proxy.
     """
-    if not 0 <= site < len(rho.dims):
-        raise ValueError(f"site {site} out of range")
     r = qla.partial_trace(rho, [site]).matrix
     det = np.real(r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0])
     return float(4.0 * det)
-
-
-@functools.cache
-def _stacked_gather(dims: tuple[int, ...], keeps: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """The ``qla._trace_gather`` indices of every kept pair in ``keeps``, stacked in that order."""
-    flat = np.stack([qla._trace_gather(dims, keep) for keep in keeps])
-    flat.setflags(write=False)
-    return flat
-
-
-def _partner_pairs(rho: DensityMatrix, ref_site: int) -> list[DensityMatrix]:
-    """``pair_state`` of the pair (ref_site, k) for every other site k, ascending, from one gather.
-
-    The reductions are hermitized as ``qla.partial_trace`` does and checked
-    as one stack, so the first invalid pair in partner order raises the
-    message ``pair_state`` raises for it.  A one-site register has no pairs.
-    """
-    keeps = tuple((ref_site, k) for k in range(len(rho.dims)) if k != ref_site)
-    if not keeps:
-        return []
-    pairs = rho.matrix.reshape(-1)[_stacked_gather(rho.dims, keeps)].sum(axis=1)
-    pairs = (pairs + pairs.conj().swapaxes(1, 2)) / 2.0
-    pairs.setflags(write=False)
-    if failure := qla._first_invalid(pairs):
-        raise ValueError(failure[1])
-    return qla._wrap_checked(pairs, tuple(rho.dims[k] for k in keeps[0]))
 
 
 def tangle_pure(rho: DensityMatrix, ref_site: int) -> float:
@@ -515,11 +485,13 @@ def tangle_bounds(rho: DensityMatrix, ref_site: int) -> TangleBounds:
     one-tangle of a pure state; the lower replaces it with
     2*(Tr[rho^2] - Tr[rho_i^2]), that is the upper term less
     2*(1 - Tr[rho^2]).  Both subtract the same sum of squared pairwise
-    concurrences, of the reference site's pairs reduced in one validated
-    stack by ``_partner_pairs``.  Raw values are kept alongside
-    clamped-at-zero variants, followed by the purity Tr[rho^2].
+    concurrences of the pairs (ref_site, k), k ascending, reduced by
+    ``qla.reduced_states`` in one validated stack; the first invalid pair
+    raises the message ``pair_state`` raises for it.  Raw values are kept
+    alongside clamped-at-zero variants, followed by the purity Tr[rho^2].
     """
-    upper_raw = one_tangle(rho, ref_site) - sum(c * c for c in map(concurrence, _partner_pairs(rho, ref_site)))
+    pairs = [(ref_site, k) for k in range(len(rho.dims)) if k != ref_site]
+    upper_raw = one_tangle(rho, ref_site) - sum(c * c for c in map(concurrence, qla.reduced_states(rho, pairs)))
     # Round-off can push Tr[rho^2] a hair past one; the lower bound must
     # never exceed the upper.
     purity = qla.purity(rho)

@@ -53,7 +53,7 @@ class TraceDriftError(RuntimeError):
     """Trace left the guard band during propagation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled density matrices, from the evolvers read-only views of their chunk, and times in ns and lambda*t."""
 

@@ -164,17 +164,17 @@ def build_effective_chain_hamiltonian(cfg: NetworkConfig) -> Operator:
     return Operator(h, dims)
 
 
-def cavity_label_to_qubit(site_label: str, sites_per_chain: int = 3) -> int:
-    """Internal qubit index for a cavity label like "2" or "3'"."""
+def cavity_label_to_qubit(site_label: str) -> int:
+    """Internal qubit index for a cavity label like "2" or "3'" of two chains of three cavities."""
     label = site_label.strip()
     primed = label.endswith("'") or label.endswith("′")
     digits = label[:-1] if primed else label
     if not digits.isdigit():
         raise ValueError(f"malformed cavity label {site_label!r}")
     site = int(digits) - 1
-    if not 0 <= site < sites_per_chain:
+    if not 0 <= site < 3:
         raise ValueError(f"cavity label {site_label!r} out of range")
-    return site + (sites_per_chain if primed else 0)
+    return site + (3 if primed else 0)
 
 
 def build_initial_state(spec: InitialStateSpec, cfg: NetworkConfig) -> DensityMatrix:

@@ -13,12 +13,13 @@ Every other ``DensityMatrix``, whether built by hand, reduced or
 propagated, is validated against the same ``HERMITICITY_ATOL``,
 ``TRACE_ATOL`` and ``PSD_ATOL`` thresholds by ``_first_invalid``, as a
 stack of one or as one stack whose matrices ``_wrap_checked`` makes into
-states uncopied: one per chunk of trajectory samples, and one of a tangle
-bracket's pairs.
+states uncopied: one per chunk of trajectory samples, and one per call of
+``reduced_states``.
 Positivity is tested by a Cholesky factorization; the spectrum is computed
-only to report a rejection.  A partial trace is one gather of the flattened
-matrix at index arrays cached per (dims, keep), in that order, then one sum
-over the traced digits.
+only to report a rejection.  Every reduction, ``partial_trace`` onto one
+keep or ``reduced_states`` onto several of equal dims, is one gather of the
+flattened matrix at an index stack cached per (dims, keeps), then one sum
+over the traced digits and one average with the adjoint, in ``_reduce``.
 
 Conventions
 -----------
@@ -48,7 +49,7 @@ __all__ = [
     "pure",
     "density",
     "partial_trace",
-    "partial_trace_matrix",
+    "reduced_states",
     "von_neumann_entropy",
     "purity",
 ]
@@ -69,7 +70,7 @@ LOWERING = np.outer(KET_G, KET_E.conj())  # |G><E|
 RAISING = LOWERING.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """Square complex matrix over a labeled register of subsystems.
 
@@ -100,7 +101,7 @@ class Operator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over the register ``dims``.
 
@@ -219,56 +220,74 @@ def density(matrix, dims=None) -> DensityMatrix:
 
 
 @functools.cache
-def _trace_gather(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Flat indices of the (traced digit, kept row, kept column) entries of a ``dims`` matrix.
+def _trace_gather(dims: tuple[int, ...], keeps: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Flat indices of the (keep, traced digit, kept row, kept column) entries of a ``dims`` matrix.
 
-    Entry (r, i, j) is the position, in the row-major flattened matrix, of
-    the element whose row has kept digits i and traced digits r and whose
-    column has kept digits j and the same r; summing over r traces out the
-    complement of ``keep``.  Kept digits follow ``keep``'s order.
+    Entry (q, r, i, j) is the position, in the row-major flattened matrix,
+    of the element whose row has the digits i kept by ``keeps[q]`` and
+    traced digits r and whose column has kept digits j and the same r;
+    summing over r traces out the complement of that keep.  Kept digits
+    follow the keep's order, and every keep must keep the same dims.
     """
     dims = [int(d) for d in dims]
     n = len(dims)
-    keep = [int(k) for k in keep]
-    if not keep:
-        raise ValueError("must keep at least one subsystem")
-    if min(keep) < 0 or max(keep) >= n:
-        raise ValueError(f"subsystem index out of range: keep={keep}, n={n}")
-    if len(set(keep)) < len(keep):
-        raise ValueError(f"repeated subsystem index: keep={keep}")
-    rest = [i for i in range(n) if i not in keep]
     size = math.prod(dims)
-    dk = math.prod(dims[i] for i in keep)
-    # The flat index of every entry, its axes grouped as (keep, rest, keep',
-    # rest'); the diagonal over the two rest groups is the gather.
-    order = keep + rest
-    flat = np.arange(size * size).reshape(dims + dims).transpose(order + [n + i for i in order])
-    flat = np.einsum("arbr->rab", flat.reshape(dk, size // dk, dk, size // dk)).copy()
+    stack = []
+    for keep in keeps:
+        keep = [int(k) for k in keep]
+        if not keep:
+            raise ValueError("must keep at least one subsystem")
+        if min(keep) < 0 or max(keep) >= n:
+            raise ValueError(f"subsystem index out of range: keep={keep}, n={n}")
+        if len(set(keep)) < len(keep):
+            raise ValueError(f"repeated subsystem index: keep={keep}")
+        if [dims[k] for k in keep] != [dims[k] for k in keeps[0]]:
+            raise ValueError(f"keeps {keeps} keep subsystems of different dims")
+        rest = [i for i in range(n) if i not in keep]
+        dk = math.prod(dims[i] for i in keep)
+        # The flat index of every entry, its axes grouped as (keep, rest,
+        # keep', rest'); the diagonal over the two rest groups is the gather.
+        order = keep + rest
+        flat = np.arange(size * size).reshape(dims + dims).transpose(order + [n + i for i in order])
+        stack.append(np.einsum("arbr->rab", flat.reshape(dk, size // dk, dk, size // dk)))
+    # C order: a gather from strided indices takes about three times as long.
+    flat = np.ascontiguousarray(stack)
     flat.setflags(write=False)
     return flat
 
 
-def partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
-    """Raw partial trace over the complement of ``keep``, kept subsystems in ``keep``'s order.
+def _reduce(rho: DensityMatrix, keeps: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Read-only (keep, row, column) stack of the hermitized reductions of ``rho`` onto each of ``keeps``.
 
-    One gather of the flattened matrix at indices cached per (dims, keep)
-    and one sum over the traced digits.
+    One gather of the flattened matrix at indices cached per (dims, keeps),
+    one sum over the traced digits and one average with the adjoint.
     """
-    flat = _trace_gather(tuple(dims), tuple(keep))
-    mat = np.asarray(mat)
-    size = flat.shape[0] * flat.shape[1]
-    if mat.shape != (size, size):
-        raise ValueError(f"matrix shape {mat.shape} does not fit dims {tuple(dims)}")
-    return mat.reshape(-1)[flat].sum(axis=0)
+    stack = rho.matrix.reshape(-1)[_trace_gather(rho.dims, keeps)].sum(axis=1)
+    stack = (stack + stack.conj().swapaxes(1, 2)) / 2.0
+    stack.setflags(write=False)
+    return stack
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept subsystems, in the order ``keep`` lists them."""
-    keep = [int(k) for k in keep]
-    reduced = partial_trace_matrix(rho.matrix, rho.dims, keep)
-    reduced = (reduced + reduced.conj().T) / 2.0
-    dims = tuple(rho.dims[k] for k in keep)
-    return DensityMatrix(Operator(reduced, dims))
+    keep = tuple(map(int, keep))
+    reduced = _reduce(rho, (keep,))[0]
+    return DensityMatrix(Operator(reduced, tuple(rho.dims[k] for k in keep)))
+
+
+def reduced_states(rho: DensityMatrix, keeps) -> list[DensityMatrix]:
+    """``partial_trace`` of ``rho`` onto each of ``keeps`` in turn, checked as one stack.
+
+    The keeps must keep subsystems of the same dims.  The first invalid
+    reduction raises the message ``partial_trace`` raises for it.
+    """
+    keeps = tuple(tuple(map(int, keep)) for keep in keeps)
+    if not keeps:
+        return []
+    stack = _reduce(rho, keeps)
+    if failure := _first_invalid(stack):
+        raise ValueError(failure[1])
+    return _wrap_checked(stack, tuple(rho.dims[k] for k in keeps[0]))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

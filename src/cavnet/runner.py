@@ -309,15 +309,21 @@ def _sweep(spec: ScenarioSpec, cfg: NetworkConfig) -> list[tuple[float, NetworkC
     initial states must share one register, and a named scenario's must be
     on the register of its own defaults, whose columns it fills; a
     ``transmission`` window must reach the transfer time.  Each point runs
-    with the spec's gamma and gamma units in place of ``cfg.gamma`` and
-    ``cfg.gamma_units``.  Every theta is checked for every kind, but kinds
-    that ignore theta run once per gamma, labelled with the sweep's first
-    theta, instead of once per theta with identical rows.
+    with the spec's gamma and gamma units, so a ``cfg`` whose own differ
+    from ``NetworkConfig``'s defaults is rejected rather than overridden.
+    Every theta is checked for every kind, but kinds that ignore theta run
+    once per gamma, labelled with the sweep's first theta, instead of once
+    per theta with identical rows.
     """
     if (cfg.sites_per_chain, cfg.num_chains) != (3, 2):
         raise ValueError(
             f"scenarios run on two chains of three cavities, got num_chains = {cfg.num_chains}, "
             f"sites_per_chain = {cfg.sites_per_chain}"
+        )
+    if (cfg.gamma, cfg.gamma_units) != (NetworkConfig.gamma, NetworkConfig.gamma_units):
+        raise ValueError(
+            f"the sweep takes gamma and its units from the ScenarioSpec; the NetworkConfig sets "
+            f"gamma = {cfg.gamma:g}, gamma_units = {cfg.gamma_units!r}"
         )
     points = []
     for gamma in spec.gamma:

@@ -664,7 +664,7 @@ class TestOneTangleForm:
 
 
 class TestTangleBracketStack:
-    """``tangle_bounds`` reduces the reference site's pairs in one validated stack.
+    """``tangle_bounds`` reduces the reference site's pairs in one ``qla.reduced_states`` stack.
 
     Its upper term is bit for bit the one-tangle less the squared
     concurrences of the ``pair_state`` reductions, and it fails as they do:
@@ -672,11 +672,17 @@ class TestTangleBracketStack:
     """
 
     @staticmethod
-    def assert_upper_is_pairwise(rho):
+    def partners(rho, ref=0):
+        """The pairs (ref, k) of ``tangle_bounds``, k ascending."""
+        return [(ref, k) for k in range(len(rho.dims)) if k != ref]
+
+    @classmethod
+    def assert_upper_is_pairwise(cls, rho):
         for ref in range(len(rho.dims)):
-            pairs = [corr.pair_state(rho, corr.PairSelector(ref, k)) for k in range(len(rho.dims)) if k != ref]
-            stacked = corr._partner_pairs(rho, ref)
-            assert all(np.array_equal(a.matrix, b.matrix) and a.dims == b.dims for a, b in zip(stacked, pairs))
+            partners = cls.partners(rho, ref)
+            pairs = [corr.pair_state(rho, corr.PairSelector(*pair)) for pair in partners]
+            stacked = qla.reduced_states(rho, partners)
+            assert all(np.array_equal(a.matrix, b.matrix) and a.dims == b.dims for a, b in zip(stacked, pairs, strict=True))
             upper = corr.one_tangle(rho, ref) - sum(c * c for c in map(corr.concurrence, pairs))
             assert corr.tangle_bounds(rho, ref).upper_raw == upper
 
@@ -685,13 +691,13 @@ class TestTangleBracketStack:
         rng = np.random.default_rng(23 + qubits)
         for _ in range(4):
             rho = random_density(rng, (2,) * qubits)
-            assert not any(corr._is_x_form(p.matrix) for p in corr._partner_pairs(rho, 0))
+            assert not any(corr._is_x_form(p.matrix) for p in qla.reduced_states(rho, self.partners(rho)))
             self.assert_upper_is_pairwise(rho)
 
     def test_psi_b_trajectory_x_path(self, default_cfg):
         traj = runner.network_trajectory(default_cfg, model.InitialStateSpec("psi_b", math.pi / 3), 12.0, 24)
         for rho in traj.states:
-            assert all(corr._is_x_form(p.matrix) for p in corr._partner_pairs(rho, 0))
+            assert all(corr._is_x_form(p.matrix) for p in qla.reduced_states(rho, self.partners(rho)))
             self.assert_upper_is_pairwise(rho)
 
     @staticmethod

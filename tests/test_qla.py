@@ -108,14 +108,17 @@ class TestPartialTrace:
 
     @pytest.mark.parametrize("dims", [(2,) * 6, (2, 3, 2)])
     def test_every_keep_subset_matches_basis_sum(self, dims):
+        # Every keep subset, also listed in reverse, which both return in the listed order.
         rng = np.random.default_rng(len(dims))
         rho = random_density(rng, dims)
         n = len(dims)
         for size in range(1, n + 1):
             for keep in itertools.combinations(range(n), size):
-                got = qla.partial_trace_matrix(rho.matrix, dims, keep)
-                want = basis_sum_partial_trace(rho.matrix, dims, keep)
-                assert np.max(np.abs(got - want)) < 1e-14, keep
+                for listed in (keep, keep[::-1]):
+                    got = qla.partial_trace(rho, listed)
+                    want = basis_sum_partial_trace(rho.matrix, dims, listed)
+                    assert got.dims == tuple(dims[k] for k in listed)
+                    assert np.max(np.abs(got.matrix - want)) < 1e-14, listed
 
     def test_out_of_range_rejected(self):
         rng = np.random.default_rng(1)
@@ -133,13 +136,13 @@ class TestPartialTrace:
         for size in range(1, n + 1):
             for keep in itertools.combinations(range(n), size):
                 for listed in (keep, keep[::-1]):
-                    got = qla.partial_trace_matrix(rho.matrix, dims, listed)
+                    got = qla.partial_trace(rho, listed).matrix
                     want = oracles.partial_trace_einsum(rho.matrix, dims, listed)
                     assert got.shape == want.shape
                     assert np.max(np.abs(got - want)) < 1e-14, listed
                 repeated = keep + keep[:1]
                 with pytest.raises(ValueError, match="repeated") as got_error:
-                    qla.partial_trace_matrix(rho.matrix, dims, repeated)
+                    qla.partial_trace(rho, repeated)
                 with pytest.raises(ValueError) as want_error:
                     oracles.partial_trace_einsum(rho.matrix, dims, repeated)
                 assert str(got_error.value) == str(want_error.value)
@@ -163,16 +166,38 @@ class TestPartialTrace:
         ids=["empty", "past-end", "negative", "one-past-end", "repeated"],
     )
     def test_bad_keep_raises_like_reference(self, keep):
-        mat = np.eye(8) / 8.0
+        rho = qla.density(np.eye(8) / 8.0, (2, 2, 2))
         with pytest.raises(ValueError) as got:
-            qla.partial_trace_matrix(mat, (2, 2, 2), keep)
+            qla.partial_trace(rho, keep)
         with pytest.raises(ValueError) as want:
-            oracles.partial_trace_einsum(mat, (2, 2, 2), keep)
+            oracles.partial_trace_einsum(rho.matrix, (2, 2, 2), keep)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("source", ["3 qubits", "6 qubits", "trajectory sample"])
+    def test_reduced_states_equal_partial_trace_bit_for_bit(self, source):
+        rng = np.random.default_rng(251)
+        rho = _trajectory_sample() if source == "trajectory sample" else random_density(rng, (2,) * int(source[0]))
+        n = len(rho.dims)
+        for keeps in ([(k,) for k in range(n)], list(itertools.permutations(range(n), 2))):
+            stacked = qla.reduced_states(rho, keeps)
+            assert len(stacked) == len(keeps)
+            for got, keep in zip(stacked, keeps):
+                want = qla.partial_trace(rho, keep)
+                assert got.dims == want.dims and np.array_equal(got.matrix, want.matrix), keep
+
+    def test_reduced_states_keep_one_dims(self):
+        rho = random_density(np.random.default_rng(252), (2, 3, 2))
+        assert qla.reduced_states(rho, []) == []
+        assert [r.dims for r in qla.reduced_states(rho, [(0, 1), (2, 1)])] == [(2, 3), (2, 3)]
+        with pytest.raises(ValueError, match=r"keep subsystems of different dims"):
+            qla.reduced_states(rho, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"^subsystem index out of range: keep=\[3\], n=3$"):
+            qla.reduced_states(rho, [(0,), (3,)])
+
     def test_mismatched_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            qla.partial_trace_matrix(np.eye(4), (2, 2, 2), [0])
+        # No state has a matrix that its dims do not fit, so none reaches the gather.
+        with pytest.raises(ValueError, match=r"^dims \(2, 2, 2\) do not multiply to matrix size 4$"):
+            qla.partial_trace(qla.density(np.eye(4) / 4.0, (2, 2, 2)), [0])
 
 
 class TestEntropyPurity:
@@ -440,6 +465,26 @@ class TestFrozenStates:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(rho, field, getattr(rho, field))
         assert not hasattr(rho, "op")
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    def test_states_compare_by_identity_and_hash(self, maker):
+        # Equality over the ndarray field would raise instead of answering.
+        rho, twin = self.MAKERS[maker](), self.MAKERS[maker]()
+        assert np.array_equal(rho.matrix, twin.matrix) and rho.dims == twin.dims
+        assert rho != twin and not rho == twin
+        assert rho == rho
+        assert len({rho, twin, rho}) == 2
+
+    def test_operators_generators_and_trajectories_hash(self):
+        op = qla.Operator(np.eye(2), (2,))
+        assert op != qla.Operator(np.eye(2), (2,)) and op == op
+        cfg = model.NetworkConfig()
+        chain = davies.chain_generator(cfg)
+        rho0 = model.build_initial_state(model.InitialStateSpec("psi2_chain", 0.0), cfg)
+        traj = dynamics.evolve(rho0, chain, dynamics.sample_grid(1.0, 3, chain.lambda_scale))
+        assert traj == traj and traj != dataclasses.replace(traj)
+        for value in (op, chain, traj):
+            hash(value)
 
     def test_trajectory_sample_shares_its_chunk(self):
         rho = _trajectory_sample()

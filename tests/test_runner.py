@@ -51,6 +51,13 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="two chains of three cavities"):
             runner.run_scenario(spec, model.NetworkConfig(**size))
 
+    @pytest.mark.parametrize("setting", [dict(gamma=0.5), dict(gamma=0.0), dict(gamma_units="lambda")])
+    def test_network_gamma_rejected(self, setting):
+        # fig2 sweeps gamma = 0.01 from its spec; a config's own gamma would be dropped unseen.
+        spec = runner.ScenarioSpec.named("fig2", samples=4)
+        with pytest.raises(ValueError, match="the sweep takes gamma and its units from the ScenarioSpec"):
+            runner.run_scenario(spec, model.NetworkConfig(**setting))
+
     def test_named_defaults(self):
         spec = runner.ScenarioSpec.named("fig5")
         assert spec.initial == ("psi_b",)
@@ -70,9 +77,9 @@ class TestFig2:
 
 
 class TestFig3:
-    def test_middle_cavity_tangle_vanishes_at_transfer_time(self, lossless_cfg):
+    def test_middle_cavity_tangle_vanishes_at_transfer_time(self, default_cfg):
         spec = small("fig3", samples=600)
-        table = runner.run_scenario(spec, lossless_cfg)
+        table = runner.run_scenario(spec, default_cfg)
         lts = np.array(table.column("lambda_t"))
         det2 = np.array(table.column("det_2"))
         window = (lts > 1.8) & (lts < 2.4)
@@ -148,9 +155,9 @@ class TestPeaks:
         times = np.linspace(0, 5, 100)
         assert runner.peak_sequence({"x": np.ones(100)}, times) == []
 
-    def test_transfer_peak_order(self, lossless_cfg):
+    def test_transfer_peak_order(self, default_cfg):
         spec = small("fig4", t_max_lambda=3.0, samples=400)
-        table = runner.run_scenario(spec, lossless_cfg)
+        table = runner.run_scenario(spec, default_cfg)
         events = {}
         for row in table.rows:
             pair, lt = row[3], row[4]
@@ -303,19 +310,19 @@ class TestClosedForm:
 
 
 class TestTables:
-    def test_csv_deterministic(self, lossless_cfg):
+    def test_csv_deterministic(self, default_cfg):
         spec = small("fig3", samples=60)
         a, b = io.StringIO(), io.StringIO()
-        runner.run_scenario(spec, lossless_cfg).to_csv(a)
-        runner.run_scenario(spec, lossless_cfg).to_csv(b)
+        runner.run_scenario(spec, default_cfg).to_csv(a)
+        runner.run_scenario(spec, default_cfg).to_csv(b)
         assert a.getvalue() == b.getvalue()
         assert a.getvalue().startswith("initial,theta,gamma,lambda_t,det_1,det_2,det_3\n")
 
-    def test_jsonl_mirrors_columns(self, lossless_cfg):
+    def test_jsonl_mirrors_columns(self, default_cfg):
         import json
 
         spec = small("fig3", samples=24)
-        table = runner.run_scenario(spec, lossless_cfg)
+        table = runner.run_scenario(spec, default_cfg)
         buf = io.StringIO()
         table.to_jsonl(buf)
         lines = buf.getvalue().strip().splitlines()
@@ -737,3 +744,17 @@ def test_reproduce_figures_lines_parse_for_bench_pairs(tmp_path):
     assert [m[1] for m in matches] == ["fig3"]
     assert Path(matches[0][2]) == tmp_path / "fig3.csv" and Path(matches[0][2]).is_file()
     assert len(matches[0][3].split(".")[1]) == 3
+
+
+def test_reproduce_figures_runs_the_nine_figure_scenarios(tmp_path):
+    # Every named scenario but the register-sized ``custom``, in order, and only those.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    script = str(root / "scripts" / "reproduce_figures.py")
+    argv = [sys.executable, script, "--samples", "2", "--outdir", str(tmp_path)]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=300)
+    names = ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "transmission"]
+    assert [line.split(":")[0] for line in out.stdout.splitlines()] == names
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(f"{name}.csv" for name in names)
+    out = subprocess.run(argv + ["--only", "custom"], capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 2 and "invalid choice: 'custom'" in out.stderr
