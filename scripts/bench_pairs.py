@@ -16,8 +16,14 @@ scenarios than the other side stops the script.  The summary gives, for
 every metric, each side's median and quartiles, the median ratio
 change/parent and the pairs the change won, by the direction that the
 parent's ``BENCHMARK.json`` declares (lower is better for a metric it does
-not list).  ``--out`` merges the pairs and summary into a JSON file
-under the key "<workload> seed=<seed> trace=<trace>".
+not list), and each side's median count of minor page faults per run.
+``--out`` merges the pairs and summary into a JSON file under the key
+"<workload> seed=<seed> trace=<trace>".
+
+Each run's record holds ``minflt``, the minor page faults of the run's
+processes (``getrusage(RUSAGE_CHILDREN)`` before and after).  A fresh
+process's heap layout can move run_s by about 20 % through them, so check
+them before putting a regression down to code.
 
 Both checkouts must have absolute paths of the same length: the path length
 alone has moved run_s by about 20 % through the heap layout it implies.
@@ -30,6 +36,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -109,6 +116,9 @@ def summarize(pairs: list[dict], better: dict) -> dict:
     summary["incorrect_runs"] = {
         side: sum(not pair[side]["result"]["correct"] for pair in pairs) for side in ("parent", "change")
     }
+    summary["minor_page_faults_median"] = {
+        side: statistics.median(pair[side]["minflt"] for pair in pairs) for side in ("parent", "change")
+    }
     return summary
 
 
@@ -138,7 +148,9 @@ def main(argv=None) -> int:
         order = ("parent", "change") if k % 2 else ("change", "parent")
         pair = {"pair": k, "order": list(order)}
         for side in order:
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
             pair[side] = run(roots[side], args)
+            pair[side]["minflt"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
         note = ""
         if args.workload == "figures":
             before, after = pair["parent"].pop("csv"), pair["change"].pop("csv")

@@ -41,11 +41,13 @@ from .correlations import (
     PairSelector,
     classical_correlation,
     concurrence,
+    concurrence_series,
     delta_fanchini,
     eof_from_concurrence,
     monogamy_residual,
     mutual_information,
     one_tangle,
+    one_tangle_series,
     pair_state,
     quantum_discord,
     tangle_bounds,

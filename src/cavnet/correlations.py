@@ -23,7 +23,10 @@ closed form (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)); any other
 state takes the general route through the singular values of
 sqrt(rho) (sy x sy) conj(sqrt(rho)).  Every pair reduction of the cavity
 network is X-form.  The concurrence and the discord dispatch on the same
-exact-zero test, ``_is_x_form``.
+exact-zero test, ``_is_x_form``.  ``concurrence_series`` takes the same
+route for each matrix of a stack of pair reductions, and
+``one_tangle_series`` is the one 4 det kernel of ``one_tangle``, applied to
+a stack of site reductions at once.
 
 The discord minimizes S(A | n) over projective measurements of B, and
 every search evaluates the formula above.  X-form states, whose entries
@@ -63,11 +66,13 @@ __all__ = [
     "TangleBounds",
     "DeltaResult",
     "concurrence",
+    "concurrence_series",
     "eof_from_concurrence",
     "mutual_information",
     "classical_correlation",
     "quantum_discord",
     "one_tangle",
+    "one_tangle_series",
     "tangle_pure",
     "tangle_bounds",
     "monogamy_residual",
@@ -207,10 +212,18 @@ def concurrence(rho_ab: DensityMatrix) -> float:
     the singular-value route.
     """
     _require_two_qubits(rho_ab)
-    m = rho_ab.matrix
-    if _is_x_form(m):
-        return _x_concurrence(m)
-    return _general_concurrence(m)
+    return _matrix_concurrence(rho_ab.matrix)
+
+
+def concurrence_series(stack: np.ndarray) -> list[float]:
+    """``concurrence`` of each matrix of a validated (N, 4, 4) stack of two-qubit states."""
+    if stack.shape[1:] != (4, 4):
+        raise ValueError(f"expected a stack of 4x4 two-qubit matrices, got shape {stack.shape}")
+    return [_matrix_concurrence(m) for m in stack]
+
+
+def _matrix_concurrence(m: np.ndarray) -> float:
+    return _x_concurrence(m) if _is_x_form(m) else _general_concurrence(m)
 
 
 def _x_concurrence(m: np.ndarray) -> float:
@@ -464,9 +477,21 @@ def one_tangle(rho: DensityMatrix, site: int) -> float:
     Evaluates 4*det of the one-qubit reduction.  For mixed full states the
     value is only an upper-bound proxy.
     """
-    r = qla.partial_trace(rho, [site]).matrix
-    det = np.real(r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0])
-    return float(4.0 * det)
+    return float(one_tangle_series(qla.partial_trace(rho, [site]).matrix))
+
+
+def one_tangle_series(stack: np.ndarray) -> np.ndarray:
+    """``one_tangle`` of each one-qubit reduction of a (..., 2, 2) stack: 4 Re det, in real arithmetic.
+
+    Re(ad - bc) is summed from the real and imaginary parts, the order of a
+    scalar complex product: numpy's array complex product can differ from
+    it in the last bit.
+    """
+    re, im = stack.real, stack.imag
+    det = (re[..., 0, 0] * re[..., 1, 1] - im[..., 0, 0] * im[..., 1, 1]) - (
+        re[..., 0, 1] * re[..., 1, 0] - im[..., 0, 1] * im[..., 1, 0]
+    )
+    return 4.0 * det
 
 
 def tangle_pure(rho: DensityMatrix, ref_site: int) -> float:
@@ -490,13 +515,19 @@ def tangle_bounds(rho: DensityMatrix, ref_site: int) -> TangleBounds:
     raises the message ``pair_state`` raises for it.  Raw values are kept
     alongside clamped-at-zero variants, followed by the purity Tr[rho^2].
     """
-    pairs = [(ref_site, k) for k in range(len(rho.dims)) if k != ref_site]
+    pairs = _partner_keeps(len(rho.dims), ref_site)
     upper_raw = one_tangle(rho, ref_site) - sum(c * c for c in map(concurrence, qla.reduced_states(rho, pairs)))
     # Round-off can push Tr[rho^2] a hair past one; the lower bound must
     # never exceed the upper.
     purity = qla.purity(rho)
     lower_raw = upper_raw - 2.0 * (1.0 - min(purity, 1.0))
     return TangleBounds(lower_raw, upper_raw, max(lower_raw, 0.0), max(upper_raw, 0.0), purity)
+
+
+@functools.cache
+def _partner_keeps(n: int, ref_site: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (ref_site, k), k ascending, of an n-qubit register."""
+    return tuple((ref_site, k) for k in range(n) if k != ref_site)
 
 
 def monogamy_residual(rho: DensityMatrix, ref_site: int) -> float:

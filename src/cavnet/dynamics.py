@@ -21,19 +21,23 @@ stepped: 10 of 64 entries on fig9's chain states, 16 of 64 rows and columns
 on a two-chain figure state, and all on a dense one; a block both slots
 share is exponentiated once.  Traces are checked
 against the fixed guard ``TRACE_GUARD`` before renormalizing, so faults
-surface as errors instead of drifting silently; samples are then built and
-validated in chunks, by the function that validates every ``DensityMatrix``.
+surface as errors instead of drifting silently; every sample is then
+validated, on the rows and columns the block touches, by the function that
+validates every ``DensityMatrix``, in one stack.  The ``Trajectory`` keeps
+the block: partial traces of every sample are read from it in one checked
+stack, and the samples become 64x64 states only when a measure reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .davies import GeneratorSpec
-from .qla import DensityMatrix, _first_invalid, _wrap_checked
+from .qla import DensityMatrix, _first_invalid, _reduce, _wrap_checked
 
 __all__ = [
     "TRACE_GUARD",
@@ -53,16 +57,68 @@ class TraceDriftError(RuntimeError):
     """Trace left the guard band during propagation."""
 
 
+# Samples scattered into full matrices at once; one array per trajectory raises peak RSS.
+_CHUNK = 16
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled density matrices, from the evolvers read-only views of their chunk, and times in ns and lambda*t."""
+    """Samples of one evolution of ``initial``, at times in ns and lambda*t.
+
+    Sample k is zero except for the entries ``block[k]``, which sit at the
+    flat indices ``at_rc`` of its row-major ``dims`` matrix.  The block is
+    read-only and renormalized, and every sample has passed ``_first_invalid``
+    on the rows and columns it touches.  ``reduced`` reads partial traces
+    straight from the block; ``states`` builds the samples as states on
+    first read, in read-only chunks of ``_CHUNK``, without checking them again.
+    """
 
     times_ns: np.ndarray
     times_lambda: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    initial: DensityMatrix
+    block: np.ndarray
+    at_rc: np.ndarray
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.initial.dims
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.times_ns.size
+
+    @functools.cached_property
+    def states(self) -> tuple[DensityMatrix, ...]:
+        d, n = self.initial.dim, len(self)
+        rows, cols = np.divmod(self.at_rc, d)
+        states = []
+        for k in range(0, n, _CHUNK):
+            chunk = np.zeros((min(_CHUNK, n - k), d, d), dtype=complex)
+            chunk[:, rows, cols] = self.block[k : k + _CHUNK]
+            chunk.setflags(write=False)
+            states += _wrap_checked(chunk, self.dims)
+        return tuple(states)
+
+    def reduced(self, keeps) -> np.ndarray:
+        """Read-only (sample, keep, row, column) stack of every sample's ``qla.partial_trace`` onto each of ``keeps``.
+
+        The keeps must keep subsystems of the same dims.  The whole stack is
+        checked by one ``_first_invalid``, and the first invalid reduction
+        raises the message ``partial_trace`` raises for it, naming its sample.
+        """
+        keeps = tuple(map(tuple, keeps))
+        n, size = len(self), self.at_rc.size
+        # Column ``size`` is zero: every entry outside the block reads it.
+        flat = np.zeros((n, size + 1), dtype=complex)
+        flat[:, :size] = self.block.reshape(n, size)
+        positions = np.full(self.initial.dim**2, size)
+        positions[self.at_rc.reshape(-1)] = np.arange(size)
+        stack = _reduce(flat, self.dims, keeps, positions)
+        if failure := _first_invalid(stack.reshape(-1, *stack.shape[2:])):
+            raise self._rejection(failure[0] // len(keeps), failure[1])
+        return stack
+
+    def _rejection(self, k: int, why: str) -> ValueError:
+        return ValueError(f"sample {k} at lambda*t = {self.times_lambda[k]:.6g}: {why}")
 
 
 def _liouvillian(spec: GeneratorSpec) -> np.ndarray:
@@ -152,10 +208,6 @@ def _reachable(l: np.ndarray, live: np.ndarray) -> np.ndarray:
         live = grown
 
 
-# Samples built and validated at once; one array per trajectory raises peak RSS.
-_CHUNK = 16
-
-
 def _block_trajectory(rho0: DensityMatrix, t, step: float, lambda_scale: float, l_row, l_col, at) -> Trajectory:
     """Sample rho0 at t[0], then after each step M_RC <- S_RR M_RC S_CC^T.
 
@@ -175,25 +227,24 @@ def _block_trajectory(rho0: DensityMatrix, t, step: float, lambda_scale: float, 
     for k in range(1, t.size):
         blocks[k] = s_rr @ blocks[k - 1] @ s_cc.T
     d = rho0.dim
-    rows, cols = np.divmod(at[np.ix_(r, c)], d)
+    at_rc = at[np.ix_(r, c)]
+    at_rc.setflags(write=False)
+    rows, cols = np.divmod(at_rc, d)
     tr = blocks[:, rows == cols].sum(axis=1).real
     if (drift := np.abs(tr - 1.0) > TRACE_GUARD).any():
         k = int(drift.argmax())
         raise TraceDriftError(f"trace drifted to {tr[k]:.12g} at lambda*t = {t[k] * lambda_scale:.6g} (guard {TRACE_GUARD:g})")
     # Scaling by the reciprocal avoids a complex division per entry.
     blocks *= (1.0 / tr)[:, None, None]
-    # The rows and columns the block touches; every entry outside them is zero.
+    blocks.setflags(write=False)
+    # Each sample is checked on the rows and columns the block touches; every entry outside them is zero.
     support = np.flatnonzero(np.bincount(np.concatenate((rows, cols), axis=None), minlength=d))
-    states = []
-    for k in range(0, t.size, _CHUNK):
-        chunk = np.zeros((min(_CHUNK, t.size - k), d, d), dtype=complex)
-        chunk[:, rows, cols] = blocks[k : k + _CHUNK]
-        chunk.setflags(write=False)
-        if failure := _first_invalid(chunk[:, support[:, None], support]):
-            i = k + failure[0]
-            raise ValueError(f"sample {i} at lambda*t = {t[i] * lambda_scale:.6g}: {failure[1]}")
-        states += _wrap_checked(chunk, rho0.dims)
-    return Trajectory(t, t * lambda_scale, tuple(states))
+    checked = np.zeros((t.size, support.size, support.size), dtype=complex)
+    checked[:, np.searchsorted(support, rows), np.searchsorted(support, cols)] = blocks
+    traj = Trajectory(t, t * lambda_scale, rho0, blocks, at_rc)
+    if failure := _first_invalid(checked):
+        raise traj._rejection(*failure)
+    return traj
 
 
 def evolve(rho0: DensityMatrix, spec: GeneratorSpec, sample_times) -> Trajectory:

@@ -12,14 +12,18 @@ from ``pure`` is valid by construction and checked by its norm only.
 Every other ``DensityMatrix``, whether built by hand, reduced or
 propagated, is validated against the same ``HERMITICITY_ATOL``,
 ``TRACE_ATOL`` and ``PSD_ATOL`` thresholds by ``_first_invalid``, as a
-stack of one or as one stack whose matrices ``_wrap_checked`` makes into
-states uncopied: one per chunk of trajectory samples, and one per call of
-``reduced_states``.
+stack of one or as one stack: the supports of a trajectory's samples, or
+the reductions of one ``reduced_states`` call, whose matrices
+``_wrap_checked`` makes into states uncopied.
 Positivity is tested by a Cholesky factorization; the spectrum is computed
-only to report a rejection.  Every reduction, ``partial_trace`` onto one
-keep or ``reduced_states`` onto several of equal dims, is one gather of the
-flattened matrix at an index stack cached per (dims, keeps), then one sum
-over the traced digits and one average with the adjoint, in ``_reduce``.
+only to report a rejection.  Every reduction is one step, ``_reduce``: one
+gather at an index stack cached per (dims, keeps), then one sum over the
+traced digits and one average with the adjoint.  ``partial_trace`` onto
+one keep and ``reduced_states`` onto several of equal dims gather from one
+flattened matrix.  A trajectory gathers every sample at once from its
+stepped block, through a position map that sends each entry outside the
+block to one zero column, and checks the whole stack with one
+``_first_invalid``.
 
 Conventions
 -----------
@@ -256,14 +260,20 @@ def _trace_gather(dims: tuple[int, ...], keeps: tuple[tuple[int, ...], ...]) -> 
     return flat
 
 
-def _reduce(rho: DensityMatrix, keeps: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Read-only (keep, row, column) stack of the hermitized reductions of ``rho`` onto each of ``keeps``.
+def _reduce(flat: np.ndarray, dims: tuple[int, ...], keeps: tuple[tuple[int, ...], ...], positions=None) -> np.ndarray:
+    """Read-only (..., keep, row, column) stack of the hermitized reductions onto each of ``keeps``.
 
-    One gather of the flattened matrix at indices cached per (dims, keeps),
-    one sum over the traced digits and one average with the adjoint.
+    ``flat`` holds row-major flattened ``dims`` matrices along its last
+    axis: one whole matrix, or, with ``positions``, the stored entries of
+    each, the entry at flat index f in column ``positions[f]``.  One gather
+    at indices cached per (dims, keeps), composed with ``positions``, one
+    sum over the traced digits and one average with the adjoint.
     """
-    stack = rho.matrix.reshape(-1)[_trace_gather(rho.dims, keeps)].sum(axis=1)
-    stack = (stack + stack.conj().swapaxes(1, 2)) / 2.0
+    at = _trace_gather(dims, keeps)
+    if positions is not None:
+        at = positions[at]
+    stack = flat.take(at, axis=-1).sum(axis=-3)
+    stack = (stack + stack.conj().swapaxes(-1, -2)) / 2.0
     stack.setflags(write=False)
     return stack
 
@@ -271,7 +281,7 @@ def _reduce(rho: DensityMatrix, keeps: tuple[tuple[int, ...], ...]) -> np.ndarra
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept subsystems, in the order ``keep`` lists them."""
     keep = tuple(map(int, keep))
-    reduced = _reduce(rho, (keep,))[0]
+    reduced = _reduce(rho.matrix.reshape(-1), rho.dims, (keep,))[0]
     return DensityMatrix(Operator(reduced, tuple(rho.dims[k] for k in keep)))
 
 
@@ -281,10 +291,10 @@ def reduced_states(rho: DensityMatrix, keeps) -> list[DensityMatrix]:
     The keeps must keep subsystems of the same dims.  The first invalid
     reduction raises the message ``partial_trace`` raises for it.
     """
-    keeps = tuple(tuple(map(int, keep)) for keep in keeps)
+    keeps = tuple(map(tuple, keeps))
     if not keeps:
         return []
-    stack = _reduce(rho, keeps)
+    stack = _reduce(rho.matrix.reshape(-1), rho.dims, keeps)
     if failure := _first_invalid(stack):
         raise ValueError(failure[1])
     return _wrap_checked(stack, tuple(rho.dims[k] for k in keeps[0]))

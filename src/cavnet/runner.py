@@ -3,11 +3,14 @@
 Each named scenario reproduces one figure-style data set as a deterministic
 table: identical inputs give byte-identical CSV output.  Every scenario
 sweeps (gamma, initial state, theta) through one pipeline: the trajectory
-scenarios evaluate per-sample measures listed in one table, ``fig4``
-reduces its concurrence series to peaks and ``transmission`` each point to
-ratios.  ``custom`` takes its measures from the register size.  Only the
-initial states that depend on theta are swept over it.  Times are reported
-dimensionless as lambda*t.
+scenarios evaluate measures listed in one table, each a function of the
+trajectory returning one row per sample, ``fig4`` reduces its concurrence
+series to peaks and ``transmission`` each point to ratios.  The pair and
+site series of ``fig2``, ``fig3``, ``fig4`` and ``transmission`` are read
+from the trajectory's reduced block in one pass; the other measures
+evaluate the samples as states.  ``custom`` takes its measures from the
+register size.  Only the initial states that depend on theta are swept
+over it.  Times are reported dimensionless as lambda*t.
 """
 
 from __future__ import annotations
@@ -164,6 +167,12 @@ def _concurrence(state, sel: corr.PairSelector) -> float:
     return corr.concurrence(corr.pair_state(state, sel))
 
 
+def _concurrence_series(traj: Trajectory, pairs) -> list[list[float]]:
+    """The concurrence of each of ``pairs`` at every sample, one list per pair, from one reduced stack."""
+    stack = traj.reduced((sel.first, sel.second) for sel in pairs)
+    return [corr.concurrence_series(stack[:, q]) for q in range(len(pairs))]
+
+
 def _quadratic_peak(times: np.ndarray, values: np.ndarray, i: int) -> tuple[float, float]:
     """Refine a grid maximum at index i through its three-point parabola."""
     if i <= 0 or i >= len(values) - 1:
@@ -227,10 +236,10 @@ def transmission_details(
     """
     _require_transfer_window(t_max_lambda)
     traj = network_trajectory(cfg, initial, t_max_lambda, samples)
-    c0 = _concurrence(traj.states[0], src)
+    c0 = corr.concurrence(corr.pair_state(traj.initial, src))
     if c0 <= 1e-12:
         raise ValueError("initial concurrence of the source pair vanishes")
-    series = np.array([_concurrence(s, dst) for s in traj.states])
+    series = np.array(_concurrence_series(traj, (dst,))[0])
     i = int(np.argmax(series))
     t_peak, v_peak = _quadratic_peak(traj.times_lambda, series, i)
     at_transfer = float(np.interp(TRANSFER_TIME_LAMBDA, traj.times_lambda, series))
@@ -253,21 +262,39 @@ _P11, _P21, _P33 = _pair("11'"), _pair("21'"), _pair("33'")
 _PEAK_PAIRS = ("11'", "22'", "33'")
 _PEAK_SELECTORS = tuple(_pair(label) for label in _PEAK_PAIRS)
 
-# Per-sample measures of the trajectory scenarios: the columns each fills
-# and a function of one state returning their values.  Measures of one pair
-# share its pair_state and at most one discord optimization.
+
+def _per_sample(measure):
+    """A measure of one state, evaluated on every sample of a trajectory."""
+    return lambda traj: [measure(state) for state in traj.states]
+
+
+def _concurrences(*pairs):
+    """Measure: the concurrences of ``pairs``, read from the trajectory's reduced block."""
+    return lambda traj: list(zip(*_concurrence_series(traj, pairs)))
+
+
+def _site_tangles(traj: Trajectory) -> list[tuple[float, ...]]:
+    """The one-tangles of sites 0-2, read from the trajectory's reduced block."""
+    return list(map(tuple, corr.one_tangle_series(traj.reduced(((0,), (1,), (2,)))).tolist()))
+
+
+# Measures of the trajectory scenarios: the columns each fills and a
+# function of the trajectory returning one row of their values per sample.
+# fig2, fig3 and fig4 read the reduced block at once; the others take
+# states, and measures of one pair share its pair_state and at most one
+# discord optimization.
 _MEASURES = {
-    "fig2": (("conc_33p",), lambda s: (_concurrence(s, _P33),)),
-    "fig3": (("det_1", "det_2", "det_3"), lambda s: tuple(corr.one_tangle(s, k) for k in range(3))),
-    "fig4": (_PEAK_PAIRS, lambda s: tuple(_concurrence(s, sel) for sel in _PEAK_SELECTORS)),
-    "fig5": (("eof_33p", "discord_33p"), lambda s: _eof_discord(s, _P33)),
-    "fig6": (("cc_21p", "discord_21p", "eof_21p"), lambda s: _classical_discord_eof(s, _P21)),
-    "fig7": (("tangle",), lambda s: (corr.tangle_pure(s, 0),)),
+    "fig2": (("conc_33p",), _concurrences(_P33)),
+    "fig3": (("det_1", "det_2", "det_3"), _site_tangles),
+    "fig4": (_PEAK_PAIRS, _concurrences(*_PEAK_SELECTORS)),
+    "fig5": (("eof_33p", "discord_33p"), _per_sample(lambda s: _eof_discord(s, _P33))),
+    "fig6": (("cc_21p", "discord_21p", "eof_21p"), _per_sample(lambda s: _classical_discord_eof(s, _P21))),
+    "fig7": (("tangle",), _per_sample(lambda s: (corr.tangle_pure(s, 0),))),
     "fig8": (
         ("tangle_lower_raw", "tangle_upper_raw", "tangle_lower", "tangle_upper", "purity"),
-        lambda s: tuple(corr.tangle_bounds(s, 0)),
+        _per_sample(lambda s: tuple(corr.tangle_bounds(s, 0))),
     ),
-    "fig9": (("delta", "ssa_slack"), lambda s: tuple(corr.delta_fanchini(s))),
+    "fig9": (("delta", "ssa_slack"), _per_sample(lambda s: tuple(corr.delta_fanchini(s)))),
 }
 
 # Columns of the scenarios that reduce each sweep point to other records.
@@ -290,7 +317,7 @@ def _register_measures(pair_labels: tuple[str, ...], site_labels: tuple[str, ...
             *(corr.one_tangle(state, site) for site in sites),
         )
 
-    return tuple(c.replace("'", "p") for c in columns), measure
+    return tuple(c.replace("'", "p") for c in columns), _per_sample(measure)
 
 
 # ``custom``'s measures by register size: the six-qubit network keeps the
@@ -360,8 +387,8 @@ def run_scenario(spec: ScenarioSpec, cfg: NetworkConfig) -> Table:
             rows.append(point + ("11'", "33'", res.ratio, res.peak_time_lambda, res.ratio_at_transfer))
             continue
         traj = network_trajectory(c, init, spec.t_max_lambda, spec.samples)
-        columns, measure = _REGISTER_MEASURES[len(traj.states[0].dims)] if spec.name == "custom" else _MEASURES[spec.name]
-        values = [measure(state) for state in traj.states]
+        columns, measure = _REGISTER_MEASURES[len(traj.dims)] if spec.name == "custom" else _MEASURES[spec.name]
+        values = measure(traj)
         if spec.name == "fig4":
             events = peak_sequence(dict(zip(columns, zip(*values))), traj.times_lambda)
             rows.extend(point + (ev.pair, ev.time_lambda, ev.value, ev.simultaneous_group) for ev in events)

@@ -206,8 +206,8 @@ def regroup(m: np.ndarray, d: int) -> np.ndarray:
 
 def evolve_factorized_dense(
     rho0: qla.DensityMatrix, chain_spec: davies.GeneratorSpec, sample_times
-) -> dynamics.Trajectory:
-    """``dynamics.evolve_factorized`` stepping the whole regrouped state, M <- S M S^T.
+) -> tuple[qla.DensityMatrix, ...]:
+    """The samples of ``dynamics.evolve_factorized``, stepping the whole regrouped state, M <- S M S^T.
 
     Its own loop: each sample is regrouped back and divided by its trace.
     """
@@ -221,7 +221,7 @@ def evolve_factorized_dense(
             m = s @ m @ s.T
         rho = regroup(m, d)
         states.append(qla.density(rho / np.trace(rho).real, rho0.dims))
-    return dynamics.Trajectory(t, t * chain_spec.lambda_scale, tuple(states))
+    return tuple(states)
 
 
 # One-excitation modes of a three-cavity chain, lambda [[1, 1, 0], [1, 2, 1], [0, 1, 1]]:

@@ -590,6 +590,16 @@ class TestOneTangle:
         with pytest.raises(ValueError):
             corr.one_tangle(bell_phi_plus(), 2)
 
+    def test_series_is_the_scalar_complex_determinant_bit_for_bit(self):
+        # numpy's array complex product can differ from a scalar one in the
+        # last bit; the series keeps the scalar order, so a stack and the
+        # state-by-state one_tangle of earlier releases agree exactly.
+        rng = np.random.default_rng(7)
+        stack = rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2))
+        scalar = [4.0 * (complex(a) * complex(d) - complex(b) * complex(c)).real for (a, b), (c, d) in stack]
+        assert np.array_equal(corr.one_tangle_series(stack), scalar)
+        assert all(corr.one_tangle_series(m) == v for m, v in zip(stack[:50], scalar))
+
 
 class TestTangle:
     def test_ghz_reference(self):

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,14 +198,14 @@ class TestReachableBlock:
         times = chain_times(cfg, 12.0, 120)
         got = dynamics.evolve_factorized(rho0, gen, times)
         dense = oracles.evolve_factorized_dense(rho0, gen, times)
-        assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(got.states, dense.states)) < 1e-14
+        assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(got.states, dense)) < 1e-14
         s = dynamics._expm(dynamics._liouvillian(gen) * times[1])
         m0 = oracles.regroup(rho0.matrix, 8)
         rows, cols = dynamics._reachable(s, m0.any(axis=1)), dynamics._reachable(s, m0.any(axis=0))
         outside = np.ones((64, 64), dtype=bool)
         outside[np.ix_(rows, cols)] = False
         # The full product holds exact zeros outside the block, so the block drops nothing.
-        assert not any(oracles.regroup(state.matrix, 8)[outside].any() for state in dense.states)
+        assert not any(oracles.regroup(state.matrix, 8)[outside].any() for state in dense)
         assert (rows.size, cols.size) == ((64, 64) if kind == "dense64" else (16, 16))
 
     @_GAMMAS
@@ -397,7 +399,7 @@ class TestPhysicalInvariants:
 
 
 class TestChunks:
-    """Samples are materialised and validated in chunks of ``_CHUNK``."""
+    """Samples are validated once on their support and built as states in chunks of ``_CHUNK``."""
 
     @pytest.mark.parametrize("samples", [1, 16, 17, 81])
     def test_chunk_edges_are_exact(self, default_cfg, monkeypatch, samples):
@@ -410,10 +412,10 @@ class TestChunks:
         got = dynamics.evolve_factorized(rho0, gen, times)
         dense = oracles.evolve_factorized_dense(rho0, gen, times)
         assert len(got) == samples
-        assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(got.states, dense.states)) < 1e-14
+        assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(got.states, dense)) < 1e-14
         # Every sample is checked once, in order, on its support: each chain
         # in its vacuum (index 0) or one excitation (1, 2, 4).
-        assert [len(m) for m in checked] == [min(dynamics._CHUNK, samples - k) for k in range(0, samples, dynamics._CHUNK)]
+        assert sum(len(m) for m in checked) == samples
         support = [8 * i + j for i in (0, 1, 2, 4) for j in (0, 1, 2, 4)]
         assert np.array_equal(np.concatenate(checked), np.stack([a.matrix[np.ix_(support, support)] for a in got.states]))
 
@@ -449,6 +451,103 @@ class TestChunks:
         lam = model.effective_coupling(lossless_cfg)
         with pytest.raises(ValueError, match=rf"^sample 1 at lambda\*t = {times[1] * lam:.6g}: not Hermitian"):
             dynamics.evolve(rho0, gen, times)
+
+
+_SERIES_PAIRS = tuple(corr.PairSelector.from_label(label) for label in ("11'", "22'", "33'", "21'"))
+_SITES = ((0,), (1,), (2,))
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(kind, gamma) for kind in ("psi_a", "psi_b", "rho_eq20") for gamma in (0.0, 0.05)],
+    ids=lambda p: f"{p[0]}-gamma={p[1]}",
+)
+def figure_trajectory(request):
+    kind, gamma = request.param
+    init = model.InitialStateSpec(kind, math.pi / 3)
+    return runner.network_trajectory(model.NetworkConfig(gamma=gamma), init, 12.0, 120)
+
+
+class TestReducedBlock:
+    """``Trajectory.reduced`` reads every sample's partial traces from the block, bit for bit."""
+
+    def test_pairs_and_sites_equal_partial_trace(self, figure_trajectory):
+        traj = figure_trajectory
+        for keeps in ([(sel.first, sel.second) for sel in _SERIES_PAIRS], _SITES):
+            stack = traj.reduced(keeps)
+            assert stack.shape[:2] == (len(traj), len(keeps)) and not stack.flags.writeable
+            for k, state in enumerate(traj.states):
+                for q, keep in enumerate(keeps):
+                    assert np.array_equal(stack[k, q], qla.partial_trace(state, keep).matrix), f"sample {k}, keep {keep}"
+
+    def test_series_equal_the_per_state_functions(self, figure_trajectory):
+        traj = figure_trajectory
+        for sel in _SERIES_PAIRS:
+            series = corr.concurrence_series(traj.reduced([(sel.first, sel.second)])[:, 0])
+            assert np.array_equal(series, [corr.concurrence(corr.pair_state(s, sel)) for s in traj.states]), sel
+        tangles = corr.one_tangle_series(traj.reduced(_SITES))
+        assert np.array_equal(tangles, [[corr.one_tangle(s, site) for (site,) in _SITES] for s in traj.states])
+
+    @pytest.mark.parametrize("kind", model.InitialStateSpec.THETA_KINDS)
+    @pytest.mark.parametrize("theta", [math.pi / 8, math.pi / 4, math.pi / 3])
+    def test_transmission_initial_state_is_the_first_sample(self, default_cfg, kind, theta):
+        # Transmission divides by the source concurrence of ``initial``; on
+        # its own initial states that is sample 0's, bit for bit.
+        traj = runner.network_trajectory(default_cfg, model.InitialStateSpec(kind, theta), 4.0, 2)
+        assert np.array_equal(traj.initial.matrix, traj.states[0].matrix)
+
+    def test_dense_pairs_take_the_general_route(self, default_cfg, monkeypatch):
+        gen = davies.chain_generator(default_cfg)
+        rho0 = random_density(np.random.default_rng(64), (2,) * 6)
+        traj = dynamics.evolve_factorized(rho0, gen, chain_times(default_cfg, 6.0, 12))
+        keeps = [(sel.first, sel.second) for sel in _SERIES_PAIRS]
+        stack = traj.reduced(keeps)
+        assert not any(corr._is_x_form(m) for m in stack.reshape(-1, 4, 4))
+        general, calls = corr._general_concurrence, []
+        monkeypatch.setattr(corr, "_general_concurrence", lambda m: calls.append(1) or general(m))
+        for q, sel in enumerate(_SERIES_PAIRS):
+            series = corr.concurrence_series(stack[:, q])
+            assert np.array_equal(series, [general(m) for m in stack[:, q]])
+            assert np.array_equal(series, [corr.concurrence(corr.pair_state(s, sel)) for s in traj.states])
+        assert len(calls) == 2 * len(traj) * len(keeps)
+        tangles = corr.one_tangle_series(traj.reduced(_SITES))
+        assert np.array_equal(tangles, [[corr.one_tangle(s, site) for (site,) in _SITES] for s in traj.states])
+
+    def test_an_invalid_reduction_names_its_sample(self, default_cfg):
+        traj = runner.network_trajectory(default_cfg, model.InitialStateSpec("psi_a", 0.3), 2.0, 6)
+        block = traj.block.copy()
+        block[3] *= 1.5
+        block.setflags(write=False)
+        broken = dataclasses.replace(traj, block=block)
+        # The same matrix wrapped unchecked, as the reference for partial_trace's message.
+        sample = np.zeros((1, 64, 64), dtype=complex)
+        sample[0].reshape(-1)[traj.at_rc] = block[3]
+        with pytest.raises(ValueError) as reference:
+            qla.partial_trace(qla._wrap_checked(sample, traj.dims)[0], (0, 3))
+        assert str(reference.value).startswith("trace deviates from one")
+        match = re.escape(f"sample 3 at lambda*t = {traj.times_lambda[3]:.6g}: {reference.value}")
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            broken.reduced([(0, 3), (2, 5)])
+
+    def test_an_invalid_sample_is_rejected_before_any_measure(self, default_cfg, monkeypatch):
+        # The leak of ``test_a_sample_off_the_checked_columns_is_rejected``, on
+        # both chains of a fig2 point: the check of the stepped block fails,
+        # so no reduction or concurrence runs.
+        liouvillian, a = dynamics._liouvillian, 4
+
+        def leaky(spec):
+            out = liouvillian(spec)
+            out[a, a * spec.dim + a] += 1e-3
+            return out
+
+        reduced, series = [], corr.concurrence_series
+        monkeypatch.setattr(dynamics, "_liouvillian", leaky)
+        monkeypatch.setattr(dynamics.Trajectory, "reduced", lambda self, keeps: reduced.append(keeps))
+        monkeypatch.setattr(corr, "concurrence_series", lambda stack: reduced.append(stack) or series(stack))
+        spec = runner.ScenarioSpec.named("fig2", theta_list=(0.3,), gamma=(0.0,), samples=6)
+        with pytest.raises(ValueError, match=r"^sample 1 at lambda\*t = \S+: not Hermitian"):
+            runner.run_scenario(spec, default_cfg)
+        assert reduced == []
 
 
 class TestTraceGuard:

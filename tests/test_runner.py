@@ -116,6 +116,39 @@ class TestDiscordPath:
         assert len(table.rows) == 6 * len(spec.gamma) * points
 
 
+class TestSeriesWork:
+    """What fig2, fig3, fig4 and transmission compute per sweep point, counted where host speed cannot move it."""
+
+    @pytest.mark.parametrize("name, builds_states", [("fig2", False), ("fig3", False), ("fig4", False), ("fig8", True)])
+    def test_block_scenarios_build_no_states(self, default_cfg, monkeypatch, name, builds_states):
+        wrap, wrapped = dynamics._wrap_checked, []
+        reduced, reductions = dynamics.Trajectory.reduced, []
+        monkeypatch.setattr(dynamics, "_wrap_checked", lambda *a: wrapped.append(a) or wrap(*a))
+        monkeypatch.setattr(dynamics.Trajectory, "reduced", lambda self, keeps: reductions.append(keeps) or reduced(self, keeps))
+        partial_trace, traces = qla.partial_trace, []
+        monkeypatch.setattr(qla, "partial_trace", lambda *a: traces.append(a) or partial_trace(*a))
+        spec = small(name, samples=20)
+        table = runner.run_scenario(spec, default_cfg)
+        assert table.rows
+        points = len(spec.theta_list) * len(spec.gamma)
+        if builds_states:
+            # The control: states are built, in chunks of _CHUNK, and reduced one by one.
+            assert len(wrapped) == 2 * points and traces and not reductions
+        else:
+            assert wrapped == [] and traces == [] and len(reductions) == points
+
+    def test_transmission_reduces_one_pair_state_per_point(self, default_cfg, monkeypatch):
+        pair_state, calls = corr.pair_state, []
+        monkeypatch.setattr(corr, "pair_state", lambda *a: calls.append(a) or pair_state(*a))
+        wrap, wrapped = dynamics._wrap_checked, []
+        monkeypatch.setattr(dynamics, "_wrap_checked", lambda *a: wrapped.append(a) or wrap(*a))
+        table = runner.run_scenario(small("transmission", samples=41), default_cfg)
+        assert len(table.rows) == 6
+        assert len(calls) == len(table.rows) and wrapped == []
+        # Each is the source pair of the point's initial state.
+        assert all(sel == SRC and rho.dims == (2,) * 6 for rho, sel in calls)
+
+
 class TestThetaFreeStates:
     def test_theta_free_states_run_once_per_gamma(self, default_cfg, monkeypatch):
         evolved = []
@@ -726,6 +759,21 @@ def test_reproduce_figures_rejects_bad_samples_before_writing(tmp_path):
     assert out.stderr.splitlines()[-1] == "reproduce_figures.py: error: samples must be at least 2"
     assert "Traceback" not in out.stderr
     assert not outdir.exists()
+
+
+def test_bench_pairs_summarizes_page_faults():
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_pairs", root / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def run(value, minflt):
+        return {"result": {"correct": True, "failed": 0, "metrics": {"run_s": {"value": value}}}, "minflt": minflt}
+
+    pairs = [{"parent": run(2.0, p), "change": run(1.0, c)} for p, c in ((100, 90), (300, 70), (200, 80))]
+    summary = bench_pairs.summarize(pairs, {})
+    assert summary["minor_page_faults_median"] == {"parent": 200, "change": 80}
+    assert summary["run_s"]["change_better_pairs"] == 3
 
 
 def test_reproduce_figures_lines_parse_for_bench_pairs(tmp_path):
