@@ -761,17 +761,19 @@ def test_reproduce_figures_rejects_bad_samples_before_writing(tmp_path):
     assert not outdir.exists()
 
 
-def test_bench_pairs_summarizes_page_faults():
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("bench_pairs", root / "scripts" / "bench_pairs.py")
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
 
+
+def test_bench_pairs_summarizes_page_faults():
     def run(value, minflt):
         return {"result": {"correct": True, "failed": 0, "metrics": {"run_s": {"value": value}}}, "minflt": minflt}
 
     pairs = [{"parent": run(2.0, p), "change": run(1.0, c)} for p, c in ((100, 90), (300, 70), (200, 80))]
-    summary = bench_pairs.summarize(pairs, {})
+    summary = _bench_pairs().summarize(pairs, {})
     assert summary["minor_page_faults_median"] == {"parent": 200, "change": 80}
     assert summary["run_s"]["change_better_pairs"] == 3
 
@@ -780,14 +782,11 @@ def test_reproduce_figures_lines_parse_for_bench_pairs(tmp_path):
     # scripts/bench_pairs.py reads the per-scenario seconds and CSV path
     # from every line the figure script prints.
     root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("bench_pairs", root / "scripts" / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     script = str(root / "scripts" / "reproduce_figures.py")
     argv = [sys.executable, script, "--only", "fig3", "--samples", "3", "--outdir", str(tmp_path)]
     out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=300)
-    matches = [bench_pairs.FIGURE_LINE.match(line) for line in out.stdout.splitlines()]
+    matches = [_bench_pairs().FIGURE_LINE.match(line) for line in out.stdout.splitlines()]
     assert matches and all(matches)
     assert [m[1] for m in matches] == ["fig3"]
     assert Path(matches[0][2]) == tmp_path / "fig3.csv" and Path(matches[0][2]).is_file()
