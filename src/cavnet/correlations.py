@@ -41,8 +41,11 @@ once as ``b @ n``, ``T @ n`` and column norms, then a 2-D refinement that
 evaluates the formula at one (polar, azimuth) in plain floats.  The
 grid's directions are 128 azimuths on the first 32 of 64 polar rows over
 [0, pi]: n and -n give the same value, since they swap the two outcomes.
-Both refinements run ``minimize``, a compass search on plain float tuples
-that starts at the best grid point with a step of half a grid cell.
+Both refinements run ``minimize``, a compass search that starts at the
+best grid point with a step of half a grid cell and moves one coordinate
+of one point in place.  Each evaluation is one call of the scalar kernel
+``_outcome_term`` per outcome, with the three eta terms inline; the grid
+scan takes the same terms on arrays.
 """
 
 from __future__ import annotations
@@ -170,19 +173,29 @@ def minimize(fun, x0: tuple[float, ...], step: float) -> MinimizeResult:
     to the first point with a lower value; a pass that moves nowhere
     halves the step, and the search stops once it falls below
     ``_SEARCH_XATOL`` (Kolda, Lewis & Torczon, SIAM Rev. 45, 385 (2003)).
-    ``nfev`` counts every evaluation of ``fun``.
+    ``nfev`` counts every evaluation of ``fun``.  The search holds one
+    point, a list whose coordinates it sets and restores in place: ``fun``
+    receives that list and must not keep it, since the search updates it
+    after the call.
     """
-    x, best, nfev = x0, fun(x0), 1
+    x = list(x0)
+    best, nfev = fun(x), 1
     while step >= _SEARCH_XATOL:
-        for trial in (x[:k] + (x[k] + d,) + x[k + 1 :] for k in range(len(x)) for d in (step, -step)):
-            value = fun(trial)
-            nfev += 1
-            if value < best:
-                x, best = trial, value
-                break
+        for k, xk in enumerate(x):
+            for trial in (xk + step, xk - step):
+                x[k] = trial
+                value = fun(x)
+                nfev += 1
+                if value < best:
+                    best = value
+                    break
+            else:
+                x[k] = xk
+                continue
+            break
         else:
             step *= 0.5
-    return MinimizeResult(x, best, nfev)
+    return MinimizeResult(tuple(x), best, nfev)
 
 
 def _require_two_qubits(rho: DensityMatrix):
@@ -216,10 +229,15 @@ def concurrence(rho_ab: DensityMatrix) -> float:
 
 
 def concurrence_series(stack: np.ndarray) -> list[float]:
-    """``concurrence`` of each matrix of a validated (N, 4, 4) stack of two-qubit states."""
+    """``concurrence`` of each matrix of a validated (N, 4, 4) stack of two-qubit states.
+
+    The exact-zero test of ``_is_x_form`` runs once over the whole stack;
+    each matrix then takes the kernel that ``concurrence`` gives it.
+    """
     if stack.shape[1:] != (4, 4):
         raise ValueError(f"expected a stack of 4x4 two-qubit matrices, got shape {stack.shape}")
-    return [_matrix_concurrence(m) for m in stack]
+    off_x = stack[:, _OFF_X].any(axis=1).tolist()
+    return [_general_concurrence(m) if off else _x_concurrence(m) for m, off in zip(stack, off_x)]
 
 
 def _matrix_concurrence(m: np.ndarray) -> float:
@@ -306,13 +324,21 @@ def _xlog2x_array(x: np.ndarray) -> np.ndarray:
     return x * np.log2(x, out=np.zeros_like(x), where=x > 0.0)
 
 
-def _outcome_term(w, r, xlog2x=_xlog2x):
-    """One outcome's share eta(w/2) - eta((w + r)/4) - eta((w - r)/4) of S(A | n).
+def _outcome_term(w: float, r: float) -> float:
+    """One outcome's share eta(w/2) - eta((w + r)/4) - eta((w - r)/4) of S(A | n), in plain floats.
 
-    ``w`` = t +- b.n and ``r`` = |a +- T n|; ``xlog2x`` is eta, on floats
-    or, with ``_xlog2x_array``, on arrays.
+    ``w`` = t +- b.n and ``r`` = |a +- T n|; each eta(x) = x log2 x is
+    inline, and zero for x <= 0, as in ``_xlog2x``.
     """
-    return xlog2x(0.5 * w) - xlog2x(0.25 * (w + r)) - xlog2x(0.25 * (w - r))
+    x = 0.5 * w
+    total = x * math.log2(x) if x > 0.0 else 0.0
+    x = 0.25 * (w + r)
+    if x > 0.0:
+        total -= x * math.log2(x)
+    x = 0.25 * (w - r)
+    if x > 0.0:
+        total -= x * math.log2(x)
+    return total
 
 
 def _grid_entropies(bloch: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -325,7 +351,8 @@ def _grid_entropies(bloch: np.ndarray, n: np.ndarray) -> np.ndarray:
     r *= r
     r = np.sqrt(r.sum(axis=0))
     w = bloch[0, 0] + sign * (bloch[0, 1:] @ n)
-    return _outcome_term(w, r, _xlog2x_array).sum(axis=0)
+    terms = _xlog2x_array(0.5 * w) - _xlog2x_array(0.25 * (w + r)) - _xlog2x_array(0.25 * (w - r))
+    return terms.sum(axis=0)
 
 
 def _general_objective(bloch: np.ndarray):

@@ -7,10 +7,12 @@ scenarios evaluate measures listed in one table, each a function of the
 trajectory returning one row per sample, ``fig4`` reduces its concurrence
 series to peaks and ``transmission`` each point to ratios.  The pair and
 site series of ``fig2``, ``fig3``, ``fig4`` and ``transmission`` are read
-from the trajectory's reduced block in one pass; the other measures
-evaluate the samples as states.  ``custom`` takes its measures from the
-register size.  Only the initial states that depend on theta are swept
-over it.  Times are reported dimensionless as lambda*t.
+from the trajectory's reduced block in one pass, and so are the pair
+states of ``fig5`` and ``fig6``, whose discord searches then run one per
+sample; the other measures evaluate the samples as states.  ``custom``
+takes its measures from the register size.  Only the initial states that
+depend on theta are swept over it.  Times are reported dimensionless as
+lambda*t.
 """
 
 from __future__ import annotations
@@ -246,15 +248,19 @@ def transmission_details(
     return TransmissionResult(v_peak / c0, t_peak, at_transfer / c0, c0)
 
 
-def _eof_discord(state, sel: corr.PairSelector) -> tuple[float, float]:
-    sub = corr.pair_state(state, sel)
-    return corr.eof_from_concurrence(corr.concurrence(sub)), corr.quantum_discord(sub)
+def _pair_rows(sel: corr.PairSelector, row):
+    """Measure: ``row(pair state, entanglement of formation)`` of the pair ``sel`` at every sample.
 
+    Every sample's ``pair_state`` is read from the reduced block in one
+    checked stack, whose concurrences come from ``concurrence_series``.
+    """
 
-def _classical_discord_eof(state, sel: corr.PairSelector) -> tuple[float, float, float]:
-    sub = corr.pair_state(state, sel)
-    cc, q = corr._classical_and_discord(sub, "B")
-    return cc, q, corr.eof_from_concurrence(corr.concurrence(sub))
+    def measure(traj: Trajectory) -> list[tuple[float, ...]]:
+        stack = traj.reduced([(sel.first, sel.second)])[:, 0]
+        states = qla._wrap_checked(stack, (traj.dims[sel.first], traj.dims[sel.second]))
+        return [row(sub, corr.eof_from_concurrence(c)) for sub, c in zip(states, corr.concurrence_series(stack))]
+
+    return measure
 
 
 _SWEEP_COLUMNS = ("initial", "theta", "gamma")
@@ -280,15 +286,18 @@ def _site_tangles(traj: Trajectory) -> list[tuple[float, ...]]:
 
 # Measures of the trajectory scenarios: the columns each fills and a
 # function of the trajectory returning one row of their values per sample.
-# fig2, fig3 and fig4 read the reduced block at once; the others take
-# states, and measures of one pair share its pair_state and at most one
-# discord optimization.
+# fig2 to fig6 read the reduced block at once: fig5 and fig6 take their
+# pair states and concurrences from it, and run one discord optimization
+# per sample.  fig7, fig8 and fig9 take the samples as states.
 _MEASURES = {
     "fig2": (("conc_33p",), _concurrences(_P33)),
     "fig3": (("det_1", "det_2", "det_3"), _site_tangles),
     "fig4": (_PEAK_PAIRS, _concurrences(*_PEAK_SELECTORS)),
-    "fig5": (("eof_33p", "discord_33p"), _per_sample(lambda s: _eof_discord(s, _P33))),
-    "fig6": (("cc_21p", "discord_21p", "eof_21p"), _per_sample(lambda s: _classical_discord_eof(s, _P21))),
+    "fig5": (("eof_33p", "discord_33p"), _pair_rows(_P33, lambda sub, eof: (eof, corr.quantum_discord(sub)))),
+    "fig6": (
+        ("cc_21p", "discord_21p", "eof_21p"),
+        _pair_rows(_P21, lambda sub, eof: (*corr._classical_and_discord(sub, "B"), eof)),
+    ),
     "fig7": (("tangle",), _per_sample(lambda s: (corr.tangle_pure(s, 0),))),
     "fig8": (
         ("tangle_lower_raw", "tangle_upper_raw", "tangle_lower", "tangle_upper", "purity"),

@@ -17,10 +17,12 @@ excitation}: its amplitudes come from the three one-excitation modes alone,
 with no Liouvillian, exponential, Davies construction or partial trace.
 
 The remaining references are the forms production code used before it
-stepped only the reachable block of a two-chain trajectory and read
-two-qubit marginals and partial traces more directly: the full-matrix
-two-chain stepper, a transpose and ``einsum`` partial trace, and the
-strong-subadditivity slack of ``delta_fanchini`` from four partial traces.
+stepped only the reachable block of a two-chain trajectory, read
+two-qubit marginals and partial traces more directly and held the compass
+search's point in place: the full-matrix two-chain stepper, a transpose
+and ``einsum`` partial trace, the strong-subadditivity slack of
+``delta_fanchini`` from four partial traces, and the tuple-building
+compass search.
 The Werner family and the entanglement sum are fixtures that only tests
 use.
 
@@ -286,6 +288,26 @@ def delta_four_traces(rho_123: qla.DensityMatrix) -> correlations.DeltaResult:
         qla.von_neumann_entropy(qla.partial_trace(rho_123, keep)) for keep in ([1], [2], [0, 1], [0, 2])
     )
     return correlations.DeltaResult(delta, s_12 + s_13 - s_2 - s_3 - delta)
+
+
+def compass_search(fun, x0: tuple[float, ...], step: float) -> correlations.MinimizeResult:
+    """``correlations.minimize`` as it was written before it held one point in place.
+
+    Each trial is a fresh tuple, built by slicing, and each pass a fresh
+    generator over the coordinates; the trials, their order and the step
+    halving are the ones the production search must keep.
+    """
+    x, best, nfev = x0, fun(x0), 1
+    while step >= correlations._SEARCH_XATOL:
+        for trial in (x[:k] + (x[k] + d,) + x[k + 1 :] for k in range(len(x)) for d in (step, -step)):
+            value = fun(trial)
+            nfev += 1
+            if value < best:
+                x, best = trial, value
+                break
+        else:
+            step *= 0.5
+    return correlations.MinimizeResult(x, best, nfev)
 
 
 def werner_state(p: float) -> qla.DensityMatrix:

@@ -531,27 +531,62 @@ class TestDiscordOracles:
         assert worst < 1e-14
 
 
-class TestCompassSearch:
-    """``minimize`` on objectives whose minimizer is known."""
+_BOWLS = pytest.mark.parametrize(
+    "fun, x0, step, want",
+    [
+        (lambda x: (x[0] - 0.7) ** 2, (0.0,), 0.1, (0.7,)),
+        (
+            lambda x: (x[0] + 1.3) ** 2 + 3.0 * (x[1] - 0.4) ** 2 + (x[0] + 1.3) * (x[1] - 0.4),
+            (0.5, -0.6),
+            0.2,
+            (-1.3, 0.4),
+        ),
+    ],
+    ids=["1-d", "2-d"],
+)
 
-    @pytest.mark.parametrize(
-        "fun, x0, step, want",
-        [
-            (lambda x: (x[0] - 0.7) ** 2, (0.0,), 0.1, (0.7,)),
-            (
-                lambda x: (x[0] + 1.3) ** 2 + 3.0 * (x[1] - 0.4) ** 2 + (x[0] + 1.3) * (x[1] - 0.4),
-                (0.5, -0.6),
-                0.2,
-                (-1.3, 0.4),
-            ),
-        ],
-        ids=["1-d", "2-d"],
-    )
+
+class TestCompassSearch:
+    """``minimize`` on objectives whose minimizer is known, and against the tuple-building reference."""
+
+    @staticmethod
+    def assert_follows_the_reference(fun, x0, step):
+        """``minimize`` evaluates the points of ``oracles.compass_search`` in its order and returns its result."""
+        points, reference_points = [], []
+        res = corr.minimize(lambda x: points.append(tuple(x)) or fun(x), x0, step)
+        ref = oracles.compass_search(lambda x: reference_points.append(tuple(x)) or fun(x), x0, step)
+        assert points == reference_points
+        assert type(res.x) is tuple and type(res.nfev) is int
+        assert (res.x, res.nfev) == (ref.x, ref.nfev)
+        assert res.fun == ref.fun or math.isnan(res.fun) and math.isnan(ref.fun)
+
+    @_BOWLS
     def test_quadratic_bowls(self, fun, x0, step, want):
         res = corr.minimize(fun, x0, step)
         assert len(res.x) == len(want)
         assert max(abs(a - b) for a, b in zip(res.x, want)) < 2 * corr._SEARCH_XATOL
         assert res.fun == fun(res.x)
+
+    @_BOWLS
+    def test_bowls_follow_the_reference(self, fun, x0, step, want):
+        self.assert_follows_the_reference(fun, x0, step)
+
+    @pytest.mark.parametrize("path", ["x", "general"])
+    def test_discord_searches_follow_the_reference(self, monkeypatch, path):
+        # Each search from the objective and start that the discord gives it.
+        minimize, searches = corr.minimize, []
+        monkeypatch.setattr(corr, "minimize", lambda *args: searches.append(args) or minimize(*args))
+        rng = np.random.default_rng(2003)
+        for _ in range(200):
+            if path == "x":
+                m = random_x_state(rng).matrix
+                corr._x_conditional_entropy(m, corr._bloch(m))
+            else:
+                corr._general_conditional_entropy(corr._bloch(random_density(rng, (2, 2)).matrix))
+        monkeypatch.undo()
+        assert len(searches) == 200
+        for fun, x0, step in searches:
+            self.assert_follows_the_reference(fun, x0, step)
 
     def test_nfev_counts_every_call(self):
         calls = []
@@ -567,6 +602,7 @@ class TestCompassSearch:
         res = corr.minimize(lambda x: math.nan, (0.25, 1.5), 0.1)
         assert res.x == (0.25, 1.5)
         assert math.isnan(res.fun)
+        self.assert_follows_the_reference(lambda x: math.nan, (0.25, 1.5), 0.1)
 
 
 class TestOneTangle:

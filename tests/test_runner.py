@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import io
 import math
@@ -114,6 +115,66 @@ class TestDiscordPath:
         # Initial states that ignore theta run once per gamma.
         points = sum(len(spec.theta_list) if k in model.InitialStateSpec.THETA_KINDS else 1 for k in spec.initial)
         assert len(table.rows) == 6 * len(spec.gamma) * points
+
+
+class TestDiscordWork:
+    """The discord searches and pair reductions of fig5, fig6 and fig9, counted where host speed cannot move them.
+
+    A change that alters this work updates the pins and says why.
+    """
+
+    @pytest.mark.parametrize(
+        "name, searches, evaluations, pair_states",
+        [("fig5", 10, 496, 0), ("fig6", 5, 250, 0), ("fig9", 20, 997, 20)],
+    )
+    def test_searches_and_pair_states(self, default_cfg, monkeypatch, name, searches, evaluations, pair_states):
+        minimize, results = corr.minimize, []
+        monkeypatch.setattr(corr, "minimize", lambda *args: results.append(minimize(*args)) or results[-1])
+        pair_state, reductions = corr.pair_state, []
+        monkeypatch.setattr(corr, "pair_state", lambda *args: reductions.append(args) or pair_state(*args))
+        spec = runner.ScenarioSpec.named(name, samples=5)
+        table = runner.run_scenario(spec, default_cfg)
+        assert len(table.rows) == 5 * len(spec.gamma) * len(spec.initial)
+        # One search per discord: fig5 and fig6 measure one pair per sample, fig9 two.
+        assert len(results) == searches and sum(r.nfev for r in results) == evaluations
+        assert len(reductions) == pair_states
+
+
+_P21, _P33 = corr.PairSelector.from_label("21'"), corr.PairSelector.from_label("33'")
+
+
+class TestBlockPairStates:
+    """fig5 and fig6 read their pair states from the reduced block, bit for bit the per-state route."""
+
+    @pytest.mark.parametrize(
+        "kind, theta, gamma",
+        [
+            ("psi_b", math.pi / 4, 0.0),
+            ("psi_b", math.pi / 4, 0.05),
+            ("psi_b", math.pi / 4, 0.5),
+            ("psi_a", math.pi / 3, 0.01),
+            ("rho_eq20", math.pi / 4, 0.01),
+        ],
+    )
+    def test_rows_equal_the_per_state_route(self, kind, theta, gamma):
+        traj = runner.network_trajectory(model.NetworkConfig(gamma=gamma), model.InitialStateSpec(kind, theta), 20.0, 60)
+        subs = [corr.pair_state(state, _P33) for state in traj.states]
+        want = [(corr.eof_from_concurrence(corr.concurrence(sub)), corr.quantum_discord(sub)) for sub in subs]
+        assert runner._MEASURES["fig5"][1](traj) == want
+        subs = [corr.pair_state(state, _P21) for state in traj.states]
+        want = [(*corr._classical_and_discord(sub, "B"), corr.eof_from_concurrence(corr.concurrence(sub))) for sub in subs]
+        assert runner._MEASURES["fig6"][1](traj) == want
+
+    @pytest.mark.parametrize("name", ["fig5", "fig6"])
+    def test_an_invalid_pair_state_names_its_sample(self, default_cfg, name):
+        traj = runner.network_trajectory(default_cfg, model.InitialStateSpec("psi_b", math.pi / 4), 2.0, 6)
+        block = traj.block.copy()
+        block[3] *= 1.5
+        block.setflags(write=False)
+        broken = dataclasses.replace(traj, block=block)
+        where = re.escape(f"sample 3 at lambda*t = {traj.times_lambda[3]:.6g}")
+        with pytest.raises(ValueError, match=f"^{where}: trace deviates from one"):
+            runner._MEASURES[name][1](broken)
 
 
 class TestSeriesWork:
