@@ -225,7 +225,8 @@ def concurrence(rho_ab: DensityMatrix) -> float:
     the singular-value route.
     """
     _require_two_qubits(rho_ab)
-    return _matrix_concurrence(rho_ab.matrix)
+    m = rho_ab.matrix
+    return _x_concurrence(m) if _is_x_form(m) else _general_concurrence(m)
 
 
 def concurrence_series(stack: np.ndarray) -> list[float]:
@@ -238,10 +239,6 @@ def concurrence_series(stack: np.ndarray) -> list[float]:
         raise ValueError(f"expected a stack of 4x4 two-qubit matrices, got shape {stack.shape}")
     off_x = stack[:, _OFF_X].any(axis=1).tolist()
     return [_general_concurrence(m) if off else _x_concurrence(m) for m, off in zip(stack, off_x)]
-
-
-def _matrix_concurrence(m: np.ndarray) -> float:
-    return _x_concurrence(m) if _is_x_form(m) else _general_concurrence(m)
 
 
 def _x_concurrence(m: np.ndarray) -> float:

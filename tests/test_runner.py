@@ -140,9 +140,6 @@ class TestDiscordWork:
         assert len(reductions) == pair_states
 
 
-_P21, _P33 = corr.PairSelector.from_label("21'"), corr.PairSelector.from_label("33'")
-
-
 class TestBlockPairStates:
     """fig5 and fig6 read their pair states from the reduced block, bit for bit the per-state route."""
 
@@ -158,10 +155,10 @@ class TestBlockPairStates:
     )
     def test_rows_equal_the_per_state_route(self, kind, theta, gamma):
         traj = runner.network_trajectory(model.NetworkConfig(gamma=gamma), model.InitialStateSpec(kind, theta), 20.0, 60)
-        subs = [corr.pair_state(state, _P33) for state in traj.states]
+        subs = [corr.pair_state(state, runner._P33) for state in traj.states]
         want = [(corr.eof_from_concurrence(corr.concurrence(sub)), corr.quantum_discord(sub)) for sub in subs]
         assert runner._MEASURES["fig5"][1](traj) == want
-        subs = [corr.pair_state(state, _P21) for state in traj.states]
+        subs = [corr.pair_state(state, runner._P21) for state in traj.states]
         want = [(*corr._classical_and_discord(sub, "B"), corr.eof_from_concurrence(corr.concurrence(sub))) for sub in subs]
         assert runner._MEASURES["fig6"][1](traj) == want
 
