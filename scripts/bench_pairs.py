@@ -10,7 +10,9 @@ Each pair runs ``DIR/perfbench/run.py`` once in each checkout, from that
 checkout's root; odd pairs run the parent first, even pairs the change.
 ``--workload figures`` instead times ``DIR/scripts/reproduce_figures.py``
 per scenario, prints whether each pair wrote the same CSV bytes on both
-sides and exits 1 after the summary if any pair did not.  A figures run
+sides and exits 1 after the summary if any pair did not.  For a scenario
+whose bytes differ it prints and records how many cells differ and the
+largest |change - parent| / max(1, |parent|) among them.  A figures run
 that prints no scenario line, a line that does not parse, or another set of
 scenarios than the other side stops the script.  The summary gives, for
 every metric, each side's median and quartiles, the median ratio
@@ -33,7 +35,11 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import itertools
 import json
+import math
 import os
 import re
 import resource
@@ -75,6 +81,27 @@ def figures_run(root: Path, args) -> dict:
         metrics = {f"{m[1]}_s": {"value": float(m[3]), "unit": "s"} for m in matches}
         csv = {m[1]: Path(m[2]).read_bytes() for m in matches}
     return {"result": {"correct": True, "failed": 0, "metrics": metrics}, "csv": csv}
+
+
+def csv_difference(parent: bytes, change: bytes) -> dict:
+    """The cells in which two CSVs differ, by position, and the largest |change - parent| / max(1, |parent|).
+
+    A differing cell that is not a number on both sides, or is on one side
+    only, or is NaN on one side, counts as an infinite difference.
+    """
+    tables = [csv.reader(io.StringIO(data.decode())) for data in (parent, change)]
+    cells, worst = 0, 0.0
+    for row_p, row_c in itertools.zip_longest(*tables, fillvalue=[]):
+        for a, b in itertools.zip_longest(row_p, row_c):
+            if a == b:
+                continue
+            cells += 1
+            try:
+                rel = abs(float(b) - float(a)) / max(1.0, abs(float(a)))
+            except (TypeError, ValueError):
+                rel = math.inf
+            worst = max(worst, math.inf if math.isnan(rel) else rel)
+    return {"cells": cells, "max_rel": worst}
 
 
 def directions(root: Path) -> dict:
@@ -156,9 +183,13 @@ def main(argv=None) -> int:
             before, after = pair["parent"].pop("csv"), pair["change"].pop("csv")
             if before.keys() != after.keys():
                 raise SystemExit(f"pair {k}: the parent ran {sorted(before)}, the change {sorted(after)}")
-            differ = sorted(name for name in before if before[name] != after[name])
+            differ = {
+                name: csv_difference(before[name], after[name]) for name in sorted(before) if before[name] != after[name]
+            }
             pair["csv_identical"] = not differ
-            note = f": CSV bytes differ in {', '.join(differ)}" if differ else ": CSV bytes identical"
+            pair["csv_difference"] = differ
+            cells = (f"{name} ({d['cells']} cells, max rel {d['max_rel']:.3g})" for name, d in differ.items())
+            note = f": CSV bytes differ in {', '.join(cells)}" if differ else ": CSV bytes identical"
         pairs.append(pair)
         print(f"pair {k}/{args.pairs} done{note}", file=sys.stderr)
     summary = summarize(pairs, directions(roots["parent"]))

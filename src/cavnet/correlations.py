@@ -43,9 +43,13 @@ grid's directions are 128 azimuths on the first 32 of 64 polar rows over
 [0, pi]: n and -n give the same value, since they swap the two outcomes.
 Both refinements run ``minimize``, a compass search that starts at the
 best grid point with a step of half a grid cell and moves one coordinate
-of one point in place.  Each evaluation is one call of the scalar kernel
-``_outcome_term`` per outcome, with the three eta terms inline; the grid
-scan takes the same terms on arrays.
+of one point in place.  A pass that moves nowhere tries the vertex of the
+parabola through each coordinate's three values and contracts the step
+by 1/2 to 1/64: at a point of mirror symmetry, such as the X search's
+theta = pi/2, the vertex falls on the point and only the floor of 1/64
+goes on shrinking the step.  Each evaluation is one call of the scalar
+kernel ``_outcome_term`` per outcome, with the three eta terms inline; the
+grid scan takes the same terms on arrays.
 """
 
 from __future__ import annotations
@@ -91,6 +95,8 @@ _TANGLE_FLOOR = 1e-9
 _DISCORD_FLOOR = -1e-8
 # The compass search of both discord refinements stops once its step falls below this.
 _SEARCH_XATOL = 1e-8
+# The least factor by which a pass that moves nowhere contracts the step of that search.
+_SEARCH_FLOOR = 1 / 64
 # Polar grid of the X-state search, endpoints 0 and pi/2 included.
 _X_GRID = 9
 # Mask of the entries of a 4x4 two-qubit matrix off the diagonal and anti-diagonal.
@@ -169,32 +175,53 @@ class MinimizeResult(NamedTuple):
 def minimize(fun, x0: tuple[float, ...], step: float) -> MinimizeResult:
     """Compass search for a minimum of ``fun`` over float tuples, from ``x0``.
 
-    Each pass tries x +- ``step`` along each coordinate in turn and moves
-    to the first point with a lower value; a pass that moves nowhere
-    halves the step, and the search stops once it falls below
-    ``_SEARCH_XATOL`` (Kolda, Lewis & Torczon, SIAM Rev. 45, 385 (2003)).
-    ``nfev`` counts every evaluation of ``fun``.  The search holds one
-    point, a list whose coordinates it sets and restores in place: ``fun``
-    receives that list and must not keep it, since the search updates it
-    after the call.
+    Each pass tries x +- h, h = ``step``, along each coordinate in turn and
+    moves to the first point with a lower value.  After a pass that moves
+    nowhere, the parabola through f(x - h), f(x) and f(x + h) puts its
+    vertex at o_k = h (f_- - f_+) / (2 (f_+ + f_- - 2 f_0)) along coordinate
+    k, or 0 where that curvature is not positive; since neither neighbour
+    was lower, |o_k| <= h/2.  Unless o is all zero, the search evaluates
+    x + o once and moves there if it is lower.  It contracts h to
+    min(h/2, max(h ``_SEARCH_FLOOR``, 2 max |o_k|)) and stops once h falls
+    below ``_SEARCH_XATOL``.  A pattern search may take such model steps
+    and contract by any factor in a fixed range (Kolda, Lewis & Torczon,
+    SIAM Rev. 45, 385 (2003); Custódio & Vicente, SIAM J. Optim. 18, 537
+    (2007)).  ``nfev`` counts every evaluation of ``fun``.  The search
+    holds one point, a list whose coordinates it sets and restores in
+    place: ``fun`` receives that list and must not keep it, since the
+    search updates it after the call.
     """
     x = list(x0)
     best, nfev = fun(x), 1
     while step >= _SEARCH_XATOL:
+        offsets = []
         for k, xk in enumerate(x):
-            for trial in (xk + step, xk - step):
-                x[k] = trial
+            x[k] = xk + step
+            up = fun(x)
+            nfev += 1
+            if up < best:
+                best = up
+                break
+            x[k] = xk - step
+            down = fun(x)
+            nfev += 1
+            if down < best:
+                best = down
+                break
+            x[k] = xk
+            curvature = up + down - 2.0 * best
+            offsets.append(0.5 * step * (down - up) / curvature if curvature > 0.0 else 0.0)
+        else:
+            if any(offsets):
+                center = x[:]
+                x[:] = [xk + o for xk, o in zip(center, offsets)]
                 value = fun(x)
                 nfev += 1
                 if value < best:
                     best = value
-                    break
-            else:
-                x[k] = xk
-                continue
-            break
-        else:
-            step *= 0.5
+                else:
+                    x[:] = center
+            step = min(0.5 * step, max(step * _SEARCH_FLOOR, 2.0 * max(map(abs, offsets))))
     return MinimizeResult(tuple(x), best, nfev)
 
 

@@ -10,7 +10,9 @@ neither its propagator nor its regrouping.
 
 The discord references are Luo's closed form for Bell-diagonal states and
 a dense search over projective measurements that shares nothing with the
-production grid, objective or simplex.
+production grid, objective or simplex.  An X state's discord from the
+pole and the equator alone exceeds it where the best measurement is
+interior.
 
 The closed form is the no-jump picture of one chain in {vacuum, one
 excitation}: its amplitudes come from the three one-excitation modes alone,
@@ -18,11 +20,11 @@ with no Liouvillian, exponential, Davies construction or partial trace.
 
 The remaining references are the forms production code used before it
 stepped only the reachable block of a two-chain trajectory, read
-two-qubit marginals and partial traces more directly and held the compass
-search's point in place: the full-matrix two-chain stepper, a transpose
-and ``einsum`` partial trace, the strong-subadditivity slack of
-``delta_fanchini`` from four partial traces, and the tuple-building
-compass search.
+two-qubit marginals and partial traces more directly and contracted the
+compass search's step by parabolic fits: the full-matrix two-chain
+stepper, a transpose and ``einsum`` partial trace, the
+strong-subadditivity slack of ``delta_fanchini`` from four partial
+traces, and the compass search that halves its step.
 The Werner family and the entanglement sum are fixtures that only tests
 use.
 
@@ -201,6 +203,22 @@ def dense_discord(rho: qla.DensityMatrix, measured: str = "B") -> float:
     return s_b - _entropy_bits(np.linalg.eigvalsh(m)) + conditional
 
 
+def endpoint_discord(rho: qla.DensityMatrix) -> float:
+    """Discord, B measured, of an X state from measurements along the pole and the equator alone.
+
+    The equator takes 360 azimuths plus (arg rho_12 - arg rho_03)/2, where
+    the transverse correlations are largest (Ali, Rau & Alber, PRA 81,
+    042105 (2010)).  It exceeds ``dense_discord`` wherever the best polar
+    angle is interior.
+    """
+    m = rho.matrix
+    r = m.reshape(2, 2, 2, 2)
+    azimuth = np.append(np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False), 0.5 * (np.angle(m[1, 2]) - np.angle(m[0, 3])))
+    ends = _measured_entropy(r, _kets(np.append(0.0, np.full(azimuth.size, math.pi / 2)), np.append(0.0, azimuth)))
+    s_b = _entropy_bits(np.linalg.eigvalsh(np.einsum("abad->bd", r)))
+    return s_b - _entropy_bits(np.linalg.eigvalsh(m)) + float(ends.min())
+
+
 def regroup(m: np.ndarray, d: int) -> np.ndarray:
     """M[(i j), (k l)] = rho[(i k), (j l)] for two chains of dimension d; an involution."""
     return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
@@ -291,11 +309,12 @@ def delta_four_traces(rho_123: qla.DensityMatrix) -> correlations.DeltaResult:
 
 
 def compass_search(fun, x0: tuple[float, ...], step: float) -> correlations.MinimizeResult:
-    """``correlations.minimize`` as it was written before it held one point in place.
+    """The plain compass search: a pass that moves nowhere halves the step.
 
     Each trial is a fresh tuple, built by slicing, and each pass a fresh
-    generator over the coordinates; the trials, their order and the step
-    halving are the ones the production search must keep.
+    generator over the coordinates.  ``correlations.minimize`` takes the
+    same passes but contracts by a parabolic fit, so it must end no higher
+    than this search from the same start.
     """
     x, best, nfev = x0, fun(x0), 1
     while step >= correlations._SEARCH_XATOL:

@@ -530,6 +530,30 @@ class TestDiscordOracles:
         worst = max(abs(corr.quantum_discord(rho, side) - oracles.dense_discord(rho, side)) for rho, side in cases)
         assert worst < 1e-14
 
+    def test_interior_x_optima(self):
+        # X states whose best polar angle lies strictly inside (0, pi/2),
+        # more than 1e-6 below both ends (Huang, PRA 88, 014302 (2013)),
+        # screened on 65 polar angles at the azimuth of the larger
+        # transverse singular value.
+        rng = np.random.default_rng(14302)
+        polar = np.linspace(0.0, math.pi / 2, 65)
+        states = []
+        for _ in range(3000):
+            rho = random_x_state(rng)
+            m = rho.matrix
+            azimuth = 0.5 * (np.angle(m[1, 2]) - np.angle(m[0, 3]))
+            n = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)])
+            s = corr._grid_entropies(corr._bloch(m), n)
+            k = int(np.argmin(s))
+            if 0 < k < polar.size - 1 and min(s[0], s[-1]) - s[k] > 1e-6:
+                states.append(rho)
+        assert len(states) >= 10
+        for rho in states:
+            dense = oracles.dense_discord(rho)
+            # A search that tried only the pole and the equator would miss by this gap.
+            assert oracles.endpoint_discord(rho) - dense > 1e-6
+            assert abs(corr.quantum_discord(rho) - dense) < 1e-14
+
 
 _BOWLS = pytest.mark.parametrize(
     "fun, x0, step, want",
@@ -547,18 +571,16 @@ _BOWLS = pytest.mark.parametrize(
 
 
 class TestCompassSearch:
-    """``minimize`` on objectives whose minimizer is known, and against the tuple-building reference."""
+    """``minimize`` on objectives whose minimizer is known, and against the plain halving ``oracles.compass_search``."""
 
     @staticmethod
-    def assert_follows_the_reference(fun, x0, step):
-        """``minimize`` evaluates the points of ``oracles.compass_search`` in its order and returns its result."""
-        points, reference_points = [], []
-        res = corr.minimize(lambda x: points.append(tuple(x)) or fun(x), x0, step)
-        ref = oracles.compass_search(lambda x: reference_points.append(tuple(x)) or fun(x), x0, step)
-        assert points == reference_points
+    def assert_reaches_the_reference(fun, x0, step) -> tuple[int, int]:
+        """``minimize`` ends no higher than ``oracles.compass_search`` from the same start; returns both ``nfev``."""
+        res = corr.minimize(fun, x0, step)
+        ref = oracles.compass_search(fun, x0, step)
         assert type(res.x) is tuple and type(res.nfev) is int
-        assert (res.x, res.nfev) == (ref.x, ref.nfev)
-        assert res.fun == ref.fun or math.isnan(res.fun) and math.isnan(ref.fun)
+        assert res.fun <= ref.fun + 1e-15 * max(1.0, abs(ref.fun))
+        return res.nfev, ref.nfev
 
     @_BOWLS
     def test_quadratic_bowls(self, fun, x0, step, want):
@@ -568,11 +590,11 @@ class TestCompassSearch:
         assert res.fun == fun(res.x)
 
     @_BOWLS
-    def test_bowls_follow_the_reference(self, fun, x0, step, want):
-        self.assert_follows_the_reference(fun, x0, step)
+    def test_bowls_reach_the_reference(self, fun, x0, step, want):
+        self.assert_reaches_the_reference(fun, x0, step)
 
     @pytest.mark.parametrize("path", ["x", "general"])
-    def test_discord_searches_follow_the_reference(self, monkeypatch, path):
+    def test_discord_searches_reach_the_reference_in_half_the_evaluations(self, monkeypatch, path):
         # Each search from the objective and start that the discord gives it.
         minimize, searches = corr.minimize, []
         monkeypatch.setattr(corr, "minimize", lambda *args: searches.append(args) or minimize(*args))
@@ -585,8 +607,16 @@ class TestCompassSearch:
                 corr._general_conditional_entropy(corr._bloch(random_density(rng, (2, 2)).matrix))
         monkeypatch.undo()
         assert len(searches) == 200
-        for fun, x0, step in searches:
-            self.assert_follows_the_reference(fun, x0, step)
+        nfev, reference = map(sum, zip(*(self.assert_reaches_the_reference(*args) for args in searches)))
+        assert 2 * nfev <= reference
+
+    @pytest.mark.parametrize("a", [0.005, 0.02, 0.04])
+    def test_mirror_symmetric_double_well(self, a):
+        # (x^2 - a^2)^2 is even about the start 0, so the parabola through
+        # 0 and +-step has its vertex at 0 whatever the step: only the
+        # contraction floor lets the search reach the wells at +-a.
+        res = corr.minimize(lambda x: (x[0] ** 2 - a * a) ** 2, (0.0,), 0.1)
+        assert abs(abs(res.x[0]) - a) < 2 * corr._SEARCH_XATOL
 
     def test_nfev_counts_every_call(self):
         calls = []
@@ -600,9 +630,8 @@ class TestCompassSearch:
 
     def test_nan_objective_stops_at_the_start(self):
         res = corr.minimize(lambda x: math.nan, (0.25, 1.5), 0.1)
-        assert res.x == (0.25, 1.5)
+        assert res.x == (0.25, 1.5) and type(res.x) is tuple
         assert math.isnan(res.fun)
-        self.assert_follows_the_reference(lambda x: math.nan, (0.25, 1.5), 0.1)
 
 
 class TestOneTangle:

@@ -125,7 +125,7 @@ class TestDiscordWork:
 
     @pytest.mark.parametrize(
         "name, searches, evaluations, pair_states",
-        [("fig5", 10, 496, 0), ("fig6", 5, 250, 0), ("fig9", 20, 997, 20)],
+        [("fig5", 10, 113, 0), ("fig6", 5, 54, 0), ("fig9", 20, 244, 20)],
     )
     def test_searches_and_pair_states(self, default_cfg, monkeypatch, name, searches, evaluations, pair_states):
         minimize, results = corr.minimize, []
@@ -398,6 +398,38 @@ class TestClosedForm:
         p = np.cos(np.array(table.column("theta")))[:, None] ** 2 * np.abs(oracles.one_excitation_amplitudes(cfg, t)) ** 2
         measured = np.array([table.column(f"det_{k}") for k in (1, 2, 3)]).T
         assert np.max(np.abs(measured - 4.0 * p * (1.0 - p))) < 1e-12
+
+    def test_fig5_eof_and_discord_closed_form(self):
+        # psi_b is s|vac> + c|E at 1, E at 1'>, and each chain's excitation
+        # stays u plus vacuum, so the 33' pair over |GG>, |GE>, |EG>, |EE> is
+        # the X state with populations s^2 + c^2 (1 - p)^2, c^2 p (1 - p)
+        # twice and c^2 p^2, p = |u_3|^2, and rho_{GG,EE} = s c conj(u_3)^2.
+        table = runner.run_scenario(runner.ScenarioSpec.named("fig5", samples=10), model.NetworkConfig())
+        assert len(table.rows) == 2 * 10
+        theta = np.array(table.column("theta"))
+        s, c = np.sin(theta), np.cos(theta)
+        u3 = np.empty(len(table.rows), dtype=complex)
+        for gamma in set(table.column("gamma")):
+            cfg = model.NetworkConfig(gamma=gamma)
+            rows = np.array(table.column("gamma")) == gamma
+            t = np.array(table.column("lambda_t"))[rows] / model.effective_coupling(cfg)
+            u3[rows] = oracles.one_excitation_amplitudes(cfg, t)[:, 2]
+        p = np.abs(u3) ** 2
+        m = np.zeros((len(p), 4, 4), dtype=complex)
+        m[:, 0, 0] = s**2 + c**2 * (1.0 - p) ** 2
+        m[:, 1, 1] = m[:, 2, 2] = c**2 * p * (1.0 - p)
+        m[:, 3, 3] = c**2 * p**2
+        m[:, 0, 3] = s * c * np.conj(u3) ** 2
+        m[:, 3, 0] = np.conj(m[:, 0, 3])
+        # Wootters' concurrence of an X state (Yu & Eberly 2007), and its entanglement of formation.
+        d = m[:, range(4), range(4)].real
+        arms = np.abs(m[:, 0, 3]) - np.sqrt(d[:, 1] * d[:, 2]), np.abs(m[:, 1, 2]) - np.sqrt(d[:, 0] * d[:, 3])
+        conc = 2.0 * np.maximum(0.0, np.maximum(*arms))
+        q = (1.0 + np.sqrt(1.0 - conc**2)) / 2.0
+        eof = sum(-x * np.log2(x, out=np.zeros_like(x), where=x > 0.0) for x in (q, 1.0 - q))
+        assert np.max(np.abs(np.array(table.column("eof_33p")) - eof)) < 1e-12
+        discord = [oracles.dense_discord(qla.density(x, (2, 2))) for x in m]
+        assert np.max(np.abs(np.array(table.column("discord_33p")) - discord)) < 1e-12
 
 
 class TestTables:
@@ -834,6 +866,18 @@ def test_bench_pairs_summarizes_page_faults():
     summary = _bench_pairs().summarize(pairs, {})
     assert summary["minor_page_faults_median"] == {"parent": 200, "change": 80}
     assert summary["run_s"]["change_better_pairs"] == 3
+
+
+def test_bench_pairs_measures_csv_differences():
+    csv_difference = _bench_pairs().csv_difference
+    parent = b"kind,t,value\npsi_b,0.5,0.25\npsi_b,1,-300\n"
+    assert csv_difference(parent, parent) == {"cells": 0, "max_rel": 0.0}
+    # Below one in magnitude the difference counts as absolute, above it as relative to the parent.
+    change = b"kind,t,value\npsi_b,0.5,0.2500000001\npsi_b,1,-300.00003\n"
+    d = csv_difference(parent, change)
+    assert d["cells"] == 2 and d["max_rel"] == pytest.approx(1e-7)
+    for change in (b"kind,t,value\npsi_a,0.5,0.25\npsi_b,1,-300\n", parent + b"psi_b,2,1\n", parent.replace(b"0.25", b"nan")):
+        assert csv_difference(parent, change)["max_rel"] == math.inf
 
 
 def test_reproduce_figures_lines_parse_for_bench_pairs(tmp_path):
