@@ -21,11 +21,12 @@ stepped: 10 of 64 entries on fig9's chain states, 16 of 64 rows and columns
 on a two-chain figure state, and all on a dense one; a block both slots
 share is exponentiated once.  Traces are checked
 against the fixed guard ``TRACE_GUARD`` before renormalizing, so faults
-surface as errors instead of drifting silently; every sample is then
-validated, on the rows and columns the block touches, by the function that
-validates every ``DensityMatrix``, in one stack.  The ``Trajectory`` keeps
-the block: partial traces of every sample are read from it in one checked
-stack, and the samples become 64x64 states only when a measure reads them.
+surface as errors instead of drifting silently.  The block is then
+scattered once into the samples on their support, the rows and columns it
+touches, and that one stack is the ``Trajectory``'s stored form: it is
+validated by the function that validates every ``DensityMatrix``, partial
+traces of every sample are read from it in one checked stack, and the
+samples become 64x64 states only when a measure reads them.
 """
 
 from __future__ import annotations
@@ -65,19 +66,19 @@ _CHUNK = 16
 class Trajectory:
     """Samples of one evolution of ``initial``, at times in ns and lambda*t.
 
-    Sample k is zero except for the entries ``block[k]``, which sit at the
-    flat indices ``at_rc`` of its row-major ``dims`` matrix.  The block is
-    read-only and renormalized, and every sample has passed ``_first_invalid``
-    on the rows and columns it touches.  ``reduced`` reads partial traces
-    straight from the block; ``states`` builds the samples as states on
-    first read, in read-only chunks of ``_CHUNK``, without checking them again.
+    Sample k is zero outside the rows and columns ``support``, ascending,
+    and ``samples[k]`` is its ``support x support`` submatrix.  The samples
+    are read-only and renormalized, and every one has passed
+    ``_first_invalid``.  ``reduced`` reads partial traces straight from
+    them; ``states`` builds them as states on first read, in read-only
+    chunks of ``_CHUNK``, without checking them again.
     """
 
     times_ns: np.ndarray
     times_lambda: np.ndarray
     initial: DensityMatrix
-    block: np.ndarray
-    at_rc: np.ndarray
+    support: np.ndarray
+    samples: np.ndarray
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -89,11 +90,11 @@ class Trajectory:
     @functools.cached_property
     def states(self) -> tuple[DensityMatrix, ...]:
         d, n = self.initial.dim, len(self)
-        rows, cols = np.divmod(self.at_rc, d)
+        rows, cols = np.ix_(self.support, self.support)
         states = []
         for k in range(0, n, _CHUNK):
             chunk = np.zeros((min(_CHUNK, n - k), d, d), dtype=complex)
-            chunk[:, rows, cols] = self.block[k : k + _CHUNK]
+            chunk[:, rows, cols] = self.samples[k : k + _CHUNK]
             chunk.setflags(write=False)
             states += _wrap_checked(chunk, self.dims)
         return tuple(states)
@@ -106,12 +107,12 @@ class Trajectory:
         raises the message ``partial_trace`` raises for it, naming its sample.
         """
         keeps = tuple(map(tuple, keeps))
-        n, size = len(self), self.at_rc.size
-        # Column ``size`` is zero: every entry outside the block reads it.
+        n, size = len(self), self.support.size**2
+        # Column ``size`` is zero: every entry outside the support reads it.
         flat = np.zeros((n, size + 1), dtype=complex)
-        flat[:, :size] = self.block.reshape(n, size)
+        flat[:, :size] = self.samples.reshape(n, size)
         positions = np.full(self.initial.dim**2, size)
-        positions[self.at_rc.reshape(-1)] = np.arange(size)
+        positions[(self.support[:, None] * self.initial.dim + self.support).reshape(-1)] = np.arange(size)
         stack = _reduce(flat, self.dims, keeps, positions)
         if failure := _first_invalid(stack.reshape(-1, *stack.shape[2:])):
             raise self._rejection(failure[0] // len(keeps), failure[1])
@@ -226,23 +227,21 @@ def _block_trajectory(rho0: DensityMatrix, t, step: float, lambda_scale: float, 
     blocks[0] = m[np.ix_(r, c)]
     for k in range(1, t.size):
         blocks[k] = s_rr @ blocks[k - 1] @ s_cc.T
-    d = rho0.dim
-    at_rc = at[np.ix_(r, c)]
-    at_rc.setflags(write=False)
-    rows, cols = np.divmod(at_rc, d)
+    rows, cols = np.divmod(at[np.ix_(r, c)], rho0.dim)
     tr = blocks[:, rows == cols].sum(axis=1).real
     if (drift := np.abs(tr - 1.0) > TRACE_GUARD).any():
         k = int(drift.argmax())
         raise TraceDriftError(f"trace drifted to {tr[k]:.12g} at lambda*t = {t[k] * lambda_scale:.6g} (guard {TRACE_GUARD:g})")
     # Scaling by the reciprocal avoids a complex division per entry.
     blocks *= (1.0 / tr)[:, None, None]
-    blocks.setflags(write=False)
-    # Each sample is checked on the rows and columns the block touches; every entry outside them is zero.
-    support = np.flatnonzero(np.bincount(np.concatenate((rows, cols), axis=None), minlength=d))
-    checked = np.zeros((t.size, support.size, support.size), dtype=complex)
-    checked[:, np.searchsorted(support, rows), np.searchsorted(support, cols)] = blocks
-    traj = Trajectory(t, t * lambda_scale, rho0, blocks, at_rc)
-    if failure := _first_invalid(checked):
+    # Every entry outside the rows and columns the block touches is zero.
+    support = np.flatnonzero(np.bincount(np.concatenate((rows, cols), axis=None), minlength=rho0.dim))
+    support.setflags(write=False)
+    samples = np.zeros((t.size, support.size, support.size), dtype=complex)
+    samples[:, np.searchsorted(support, rows), np.searchsorted(support, cols)] = blocks
+    samples.setflags(write=False)
+    traj = Trajectory(t, t * lambda_scale, rho0, support, samples)
+    if failure := _first_invalid(samples):
         raise traj._rejection(*failure)
     return traj
 

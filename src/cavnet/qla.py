@@ -21,9 +21,9 @@ gather at an index stack cached per (dims, keeps), then one sum over the
 traced digits and one average with the adjoint.  ``partial_trace`` onto
 one keep and ``reduced_states`` onto several of equal dims gather from one
 flattened matrix.  A trajectory gathers every sample at once from its
-stepped block, through a position map that sends each entry outside the
-block to one zero column, and checks the whole stack with one
-``_first_invalid``.
+samples on their support, through a position map that sends each entry
+outside the support to one zero column, and checks the whole stack with
+one ``_first_invalid``.
 
 Conventions
 -----------

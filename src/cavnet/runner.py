@@ -6,13 +6,14 @@ sweeps (gamma, initial state, theta) through one pipeline: the trajectory
 scenarios evaluate measures listed in one table, each a function of the
 trajectory returning one row per sample, ``fig4`` reduces its concurrence
 series to peaks and ``transmission`` each point to ratios.  The pair and
-site series of ``fig2``, ``fig3``, ``fig4`` and ``transmission`` are read
-from the trajectory's reduced block in one pass, and so are the pair
-states of ``fig5`` and ``fig6``, whose discord searches then run one per
-sample; the other measures evaluate the samples as states.  ``custom``
-takes its measures from the register size.  Only the initial states that
-depend on theta are swept over it.  Times are reported dimensionless as
-lambda*t.
+site series of ``fig2``, ``fig3``, ``fig4``, ``custom`` and
+``transmission`` are read from the trajectory's reduced samples in one
+pass, and so are the pair states of ``fig5`` and ``fig6``, whose discord
+searches then run one per sample; ``custom`` takes its purity from the
+samples on their support, and its pairs and sites from the register
+size.  Only ``fig7``, ``fig8`` and ``fig9`` evaluate the samples as
+states.  Only the initial states that depend on theta are swept over
+it.  Times are reported dimensionless as lambda*t.
 """
 
 from __future__ import annotations
@@ -165,10 +166,6 @@ def _pair(label: str) -> corr.PairSelector:
     return corr.PairSelector.from_label(label)
 
 
-def _concurrence(state, sel: corr.PairSelector) -> float:
-    return corr.concurrence(corr.pair_state(state, sel))
-
-
 def _concurrence_series(traj: Trajectory, pairs) -> list[list[float]]:
     """The concurrence of each of ``pairs`` at every sample, one list per pair, from one reduced stack."""
     stack = traj.reduced((sel.first, sel.second) for sel in pairs)
@@ -251,7 +248,7 @@ def transmission_details(
 def _pair_rows(sel: corr.PairSelector, row):
     """Measure: ``row(pair state, entanglement of formation)`` of the pair ``sel`` at every sample.
 
-    Every sample's ``pair_state`` is read from the reduced block in one
+    Every sample's ``pair_state`` is read from the reduced samples in one
     checked stack, whose concurrences come from ``concurrence_series``.
     """
 
@@ -275,23 +272,24 @@ def _per_sample(measure):
 
 
 def _concurrences(*pairs):
-    """Measure: the concurrences of ``pairs``, read from the trajectory's reduced block."""
+    """Measure: the concurrences of ``pairs``, read from the trajectory's reduced samples."""
     return lambda traj: list(zip(*_concurrence_series(traj, pairs)))
 
 
-def _site_tangles(traj: Trajectory) -> list[tuple[float, ...]]:
-    """The one-tangles of sites 0-2, read from the trajectory's reduced block."""
-    return list(map(tuple, corr.one_tangle_series(traj.reduced(((0,), (1,), (2,)))).tolist()))
+def _one_tangles(*sites):
+    """Measure: the one-tangles of ``sites``, read from the trajectory's reduced samples."""
+    return lambda traj: list(map(tuple, corr.one_tangle_series(traj.reduced((site,) for site in sites)).tolist()))
 
 
 # Measures of the trajectory scenarios: the columns each fills and a
 # function of the trajectory returning one row of their values per sample.
-# fig2 to fig6 read the reduced block at once: fig5 and fig6 take their
-# pair states and concurrences from it, and run one discord optimization
-# per sample.  fig7, fig8 and fig9 take the samples as states.
+# fig2 to fig6 read the reduced samples at once: fig5 and fig6 take their
+# pair states and concurrences from them, and run one discord optimization
+# per sample.  fig7, fig8 and fig9 take the samples as states, whose
+# per-state functions the benchmark times.
 _MEASURES = {
     "fig2": (("conc_33p",), _concurrences(_P33)),
-    "fig3": (("det_1", "det_2", "det_3"), _site_tangles),
+    "fig3": (("det_1", "det_2", "det_3"), _one_tangles(0, 1, 2)),
     "fig4": (_PEAK_PAIRS, _concurrences(*_PEAK_SELECTORS)),
     "fig5": (("eof_33p", "discord_33p"), _pair_rows(_P33, lambda sub, eof: (eof, corr.quantum_discord(sub)))),
     "fig6": (
@@ -314,19 +312,16 @@ _REDUCED_COLUMNS = {
 
 
 def _register_measures(pair_labels: tuple[str, ...], site_labels: tuple[str, ...]):
-    """Columns and measure of purity, pair concurrences and one-tangles."""
-    pairs = tuple(_pair(label) for label in pair_labels)
-    sites = tuple(cavity_label_to_qubit(label) for label in site_labels)
+    """Columns and measure of purity, pair concurrences and one-tangles, read from the samples on their support."""
+    concurrences = _concurrences(*(_pair(label) for label in pair_labels))
+    tangles = _one_tangles(*(cavity_label_to_qubit(label) for label in site_labels))
     columns = ("purity",) + tuple(f"conc_{p}" for p in pair_labels) + tuple(f"det_{s}" for s in site_labels)
 
-    def measure(state):
-        return (
-            qla.purity(state),
-            *(_concurrence(state, sel) for sel in pairs),
-            *(corr.one_tangle(state, site) for site in sites),
-        )
+    def measure(traj: Trajectory) -> list[tuple[float, ...]]:
+        purities = [float(np.vdot(m, m).real) for m in traj.samples]
+        return [(p, *c, *d) for p, c, d in zip(purities, concurrences(traj), tangles(traj))]
 
-    return tuple(c.replace("'", "p") for c in columns), _per_sample(measure)
+    return tuple(c.replace("'", "p") for c in columns), measure
 
 
 # ``custom``'s measures by register size: the six-qubit network keeps the

@@ -462,7 +462,9 @@ class TestChunks:
         # in its vacuum (index 0) or one excitation (1, 2, 4).
         assert sum(len(m) for m in checked) == samples
         support = [8 * i + j for i in (0, 1, 2, 4) for j in (0, 1, 2, 4)]
-        assert np.array_equal(np.concatenate(checked), np.stack([a.matrix[np.ix_(support, support)] for a in got.states]))
+        assert got.support.tolist() == support
+        assert np.array_equal(got.samples, np.stack([a.matrix[np.ix_(support, support)] for a in got.states]))
+        assert np.array_equal(np.concatenate(checked), got.samples)
 
     @pytest.mark.parametrize("path, kind", [("evolve", "psi2_chain"), ("evolve_factorized", "psi_a")])
     def test_samples_are_read_only(self, default_cfg, path, kind):
@@ -560,13 +562,13 @@ class TestReducedBlock:
 
     def test_an_invalid_reduction_names_its_sample(self, default_cfg):
         traj = runner.network_trajectory(default_cfg, model.InitialStateSpec("psi_a", 0.3), 2.0, 6)
-        block = traj.block.copy()
-        block[3] *= 1.5
-        block.setflags(write=False)
-        broken = dataclasses.replace(traj, block=block)
+        samples = traj.samples.copy()
+        samples[3] *= 1.5
+        samples.setflags(write=False)
+        broken = dataclasses.replace(traj, samples=samples)
         # The same matrix wrapped unchecked, as the reference for partial_trace's message.
         sample = np.zeros((1, 64, 64), dtype=complex)
-        sample[0].reshape(-1)[traj.at_rc] = block[3]
+        sample[0][np.ix_(traj.support, traj.support)] = samples[3]
         with pytest.raises(ValueError) as reference:
             qla.partial_trace(qla._wrap_checked(sample, traj.dims)[0], (0, 3))
         assert str(reference.value).startswith("trace deviates from one")
@@ -678,14 +680,24 @@ class TestGeneratorSymmetry:
     uniform chain is symmetric under the mirror 1 <-> 3.
     """
 
-    @pytest.mark.parametrize("gamma", [0.0, 0.01, 0.5])
+    @pytest.mark.parametrize("gamma", [0.0, 0.01, 0.05, 0.5])
     def test_keeps_the_excitation_difference(self, gamma):
-        liouvillian = dynamics._liouvillian(davies.chain_generator(model.NetworkConfig(gamma=gamma)))
+        cfg = model.NetworkConfig(gamma=gamma)
+        liouvillian = dynamics._liouvillian(davies.chain_generator(cfg))
         n = np.array([bin(i).count("1") for i in range(8)])
         difference = (n[:, None] - n[None, :]).reshape(-1)
         across = difference[:, None] != difference[None, :]
         assert np.count_nonzero(liouvillian[~across]) > 0
         assert np.count_nonzero(liouvillian[across]) == 0
+        # So does each figure's propagator S = exp(L dt), exactly: the
+        # trajectory's support, and the zeros outside it, rest on these zeros.
+        steps = [(t_max, samples) for g, t_max, samples in _FIGURE_STEPS if g == gamma]
+        assert steps
+        for t_max_lambda, samples in steps:
+            _, step = dynamics._validate_sample_times(dynamics.sample_grid(t_max_lambda, samples, model.effective_coupling(cfg)))
+            s = dynamics._expm(liouvillian * step)
+            assert np.count_nonzero(s[~across]) > 0
+            assert np.count_nonzero(s[across]) == 0, (t_max_lambda, samples)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.01, 0.5])
     def test_commutes_with_the_mirror(self, gamma):

@@ -165,19 +165,50 @@ class TestBlockPairStates:
     @pytest.mark.parametrize("name", ["fig5", "fig6"])
     def test_an_invalid_pair_state_names_its_sample(self, default_cfg, name):
         traj = runner.network_trajectory(default_cfg, model.InitialStateSpec("psi_b", math.pi / 4), 2.0, 6)
-        block = traj.block.copy()
-        block[3] *= 1.5
-        block.setflags(write=False)
-        broken = dataclasses.replace(traj, block=block)
+        samples = traj.samples.copy()
+        samples[3] *= 1.5
+        samples.setflags(write=False)
+        broken = dataclasses.replace(traj, samples=samples)
         where = re.escape(f"sample 3 at lambda*t = {traj.times_lambda[3]:.6g}")
         with pytest.raises(ValueError, match=f"^{where}: trace deviates from one"):
             runner._MEASURES[name][1](broken)
 
 
-class TestSeriesWork:
-    """What fig2, fig3, fig4 and transmission compute per sweep point, counted where host speed cannot move it."""
+class TestCustomSamples:
+    """``custom`` reads its purity, concurrences and one-tangles from the samples, as the per-state route gives them."""
 
-    @pytest.mark.parametrize("name, builds_states", [("fig2", False), ("fig3", False), ("fig4", False), ("fig8", True)])
+    _REGISTERS = {6: (("11'", "22'", "33'"), ("1", "1'", "2", "2'", "3", "3'")), 3: (("12", "13", "23"), ("1", "2", "3"))}
+
+    @pytest.mark.parametrize("kind, gamma", [("psi_a", 0.0), ("psi_a", 0.05), ("psi1_chain", 0.01)])
+    def test_rows_equal_the_per_state_route(self, kind, gamma):
+        traj = runner.network_trajectory(model.NetworkConfig(gamma=gamma), model.InitialStateSpec(kind, math.pi / 3), 12.0, 60)
+        pairs, sites = self._REGISTERS[len(traj.dims)]
+        columns, measure = runner._REGISTER_MEASURES[len(traj.dims)]
+        assert columns == ("purity",) + tuple(f"conc_{p}".replace("'", "p") for p in pairs) + tuple(
+            f"det_{s}".replace("'", "p") for s in sites
+        )
+        selectors = [corr.PairSelector.from_label(label) for label in pairs]
+        want = [
+            (
+                qla.purity(state),
+                *(corr.concurrence(corr.pair_state(state, sel)) for sel in selectors),
+                *(corr.one_tangle(state, model.cavity_label_to_qubit(site)) for site in sites),
+            )
+            for state in traj.states
+        ]
+        got = measure(traj)
+        assert len(got) == len(want) == 60
+        # Purity sums Tr rho^2 in another order on the support than over the full matrix.
+        assert max(abs(g[0] - w[0]) for g, w in zip(got, want)) <= 1e-15
+        assert [g[1:] for g in got] == [w[1:] for w in want]
+
+
+class TestSeriesWork:
+    """What fig2, fig3, fig4, custom and transmission compute per sweep point, counted where host speed cannot move it."""
+
+    @pytest.mark.parametrize(
+        "name, builds_states", [("fig2", False), ("fig3", False), ("fig4", False), ("custom", False), ("fig8", True)]
+    )
     def test_block_scenarios_build_no_states(self, default_cfg, monkeypatch, name, builds_states):
         wrap, wrapped = dynamics._wrap_checked, []
         reduced, reductions = dynamics.Trajectory.reduced, []
@@ -193,7 +224,8 @@ class TestSeriesWork:
             # The control: states are built, in chunks of _CHUNK, and reduced one by one.
             assert len(wrapped) == 2 * points and traces and not reductions
         else:
-            assert wrapped == [] and traces == [] and len(reductions) == points
+            # custom reduces once onto its pairs and once onto its sites.
+            assert wrapped == [] and traces == [] and len(reductions) == (2 if name == "custom" else 1) * points
 
     def test_transmission_reduces_one_pair_state_per_point(self, default_cfg, monkeypatch):
         pair_state, calls = corr.pair_state, []
@@ -430,6 +462,43 @@ class TestClosedForm:
         assert np.max(np.abs(np.array(table.column("eof_33p")) - eof)) < 1e-12
         discord = [oracles.dense_discord(qla.density(x, (2, 2))) for x in m]
         assert np.max(np.abs(np.array(table.column("discord_33p")) - discord)) < 1e-12
+
+    def test_fig6_correlations_closed_form(self):
+        # rho_eq20 has psi_b's amplitudes at theta = pi/4, so its 21' pair
+        # (site 2 of chain 1, site 1 of chain 2) over |GG>, |GE>, |EG>, |EE>
+        # is the X state with populations c^2 (1 - p_2) p_1', c^2 p_2 (1 - p_1')
+        # and c^2 p_2 p_1', the vacuum taking the rest, and
+        # rho_{GG,EE} = s c conj(u_2 u_1'), with p = |u|^2 of each site.
+        table = runner.run_scenario(runner.ScenarioSpec.named("fig6", samples=10), model.NetworkConfig())
+        assert len(table.rows) == 10 and set(table.column("gamma")) == {0.01}
+        cfg = model.NetworkConfig(gamma=0.01)
+        u = oracles.one_excitation_amplitudes(cfg, np.array(table.column("lambda_t")) / model.effective_coupling(cfg))
+        u_a, u_b = u[:, 1], u[:, 0]
+        p_a, p_b = np.abs(u_a) ** 2, np.abs(u_b) ** 2
+        s = c = math.sqrt(0.5)
+        m = np.zeros((len(p_a), 4, 4), dtype=complex)
+        m[:, 1, 1] = c**2 * (1.0 - p_a) * p_b
+        m[:, 2, 2] = c**2 * p_a * (1.0 - p_b)
+        m[:, 3, 3] = c**2 * p_a * p_b
+        m[:, 0, 0] = 1.0 - m[:, 1, 1] - m[:, 2, 2] - m[:, 3, 3]
+        m[:, 0, 3] = s * c * np.conj(u_a * u_b)
+        m[:, 3, 0] = np.conj(m[:, 0, 3])
+        # Wootters' concurrence of an X state (Yu & Eberly 2007), and its entanglement of formation.
+        d = m[:, range(4), range(4)].real
+        arms = np.abs(m[:, 0, 3]) - np.sqrt(d[:, 1] * d[:, 2]), np.abs(m[:, 1, 2]) - np.sqrt(d[:, 0] * d[:, 3])
+        conc = 2.0 * np.maximum(0.0, np.maximum(*arms))
+        q = (1.0 + np.sqrt(1.0 - conc**2)) / 2.0
+        eof = sum(-x * np.log2(x, out=np.zeros_like(x), where=x > 0.0) for x in (q, 1.0 - q))
+
+        def entropy(w):
+            return -(w * np.log2(w, out=np.zeros_like(w), where=w > 1e-12)).sum(axis=-1)
+
+        # I = S(A) + S(B) - S(AB), from eigenvalues; the marginals of an X state are diagonal.
+        info = entropy(d[:, :2] + d[:, 2:]) + entropy(d[:, ::2] + d[:, 1::2]) - entropy(np.linalg.eigvalsh(m))
+        discord = np.array([oracles.dense_discord(qla.density(x, (2, 2))) for x in m])
+        assert np.max(np.abs(np.array(table.column("eof_21p")) - eof)) < 1e-12
+        assert np.max(np.abs(np.array(table.column("discord_21p")) - discord)) < 1e-12
+        assert np.max(np.abs(np.array(table.column("cc_21p")) - (info - discord))) < 1e-12
 
 
 class TestTables:
@@ -878,6 +947,30 @@ def test_bench_pairs_measures_csv_differences():
     assert d["cells"] == 2 and d["max_rel"] == pytest.approx(1e-7)
     for change in (b"kind,t,value\npsi_a,0.5,0.25\npsi_b,1,-300\n", parent + b"psi_b,2,1\n", parent.replace(b"0.25", b"nan")):
         assert csv_difference(parent, change)["max_rel"] == math.inf
+
+
+def test_bench_pairs_figures_run_compares_simulate_tables(monkeypatch):
+    # A figures run keeps the CSV bytes of every figure and of ``cavnet
+    # simulate`` on each register, so a pair byte-compares all of them.
+    bench_pairs, commands = _bench_pairs(), []
+
+    def run(cmd, cwd, env):
+        commands.append(cmd[1:])
+        if "--outdir" not in cmd:
+            return f"table of {cmd[-1]}\n"
+        path = Path(cmd[-1]) / "fig3.csv"
+        path.write_bytes(b"fig3 table\n")
+        return f"fig3: 1 rows -> {path} (0.100s)\n"
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    got = bench_pairs.figures_run(Path("/checkout"), None)
+    assert got["csv"] == {
+        "fig3": b"fig3 table\n",
+        "simulate psi_a": b"table of psi_a\n",
+        "simulate psi1_chain": b"table of psi1_chain\n",
+    }
+    assert got["result"]["metrics"] == {"fig3_s": {"value": 0.1, "unit": "s"}}
+    assert commands[1:] == [["-m", "cavnet", "simulate", "--initial", kind] for kind in ("psi_a", "psi1_chain")]
 
 
 def test_reproduce_figures_lines_parse_for_bench_pairs(tmp_path):
