@@ -9,10 +9,12 @@ Run from anywhere, with two checkouts of the repository::
 Each pair runs ``DIR/perfbench/run.py`` once in each checkout, from that
 checkout's root; odd pairs run the parent first, even pairs the change.
 ``--workload figures`` instead times ``DIR/scripts/reproduce_figures.py``
-per scenario and also runs ``python -m cavnet simulate --initial psi_a``
-and ``--initial psi1_chain`` from ``DIR/src``, untimed, one on each
-register; it prints whether each pair wrote the same CSV bytes on both
-sides, for the nine figures and the two ``simulate`` tables, and exits 1
+per scenario and also runs, untimed, with ``DIR/src`` on the path,
+``python -m cavnet simulate --initial psi_a`` and ``--initial psi1_chain``,
+one on each register, and ``python -m cavnet transmission --initial
+rho_eq20``, whose ratios divide by the concurrence of the initial state
+itself; it prints whether each pair wrote the same CSV bytes on both
+sides, for the nine figures and the three command tables, and exits 1
 after the summary if any pair did not.  For a table
 whose bytes differ it prints and records how many cells differ and the
 largest |change - parent| / max(1, |parent|) among them.  A figures run
@@ -56,8 +58,9 @@ THREAD_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", 
 # One scenario line of reproduce_figures.py: "fig2: 2400 rows -> out/fig2.csv (0.412s)".
 FIGURE_LINE = re.compile(r"^(\w+): \d+ rows -> (.+) \(([\d.]+)s\)$")
 TIMEOUT_S = 900
-# The initial states whose ``cavnet simulate`` tables a figures run also compares, one per register.
-SIMULATE_KINDS = ("psi_a", "psi1_chain")
+# The ``cavnet`` commands and initial states whose tables a figures run also compares:
+# ``simulate`` on each register, and ``transmission`` from the initial state that no figure transmits.
+CLI_TABLES = (("simulate", "psi_a"), ("simulate", "psi1_chain"), ("transmission", "rho_eq20"))
 
 
 def _run(cmd: list[str], cwd: Path, env: dict) -> str:
@@ -76,7 +79,7 @@ def perfbench_run(root: Path, args) -> dict:
 
 
 def figures_run(root: Path, args) -> dict:
-    """Per-scenario seconds of one reproduce_figures.py run, and its CSV bytes and those of ``SIMULATE_KINDS``."""
+    """Per-scenario seconds of one reproduce_figures.py run, and its CSV bytes and those of ``CLI_TABLES``."""
     env = {**THREAD_ENV, "PYTHONPATH": str(root / "src")}
     with tempfile.TemporaryDirectory() as out:
         cmd = [sys.executable, "scripts/reproduce_figures.py", "--outdir", out]
@@ -86,8 +89,8 @@ def figures_run(root: Path, args) -> dict:
             raise SystemExit(f"{' '.join(cmd)} in {root} printed no scenario line or one that does not parse:\n" + "\n".join(lines))
         metrics = {f"{m[1]}_s": {"value": float(m[3]), "unit": "s"} for m in matches}
         csv = {m[1]: Path(m[2]).read_bytes() for m in matches}
-    for kind in SIMULATE_KINDS:
-        csv[f"simulate {kind}"] = _run([sys.executable, "-m", "cavnet", "simulate", "--initial", kind], root, env).encode()
+    for command, kind in CLI_TABLES:
+        csv[f"{command} {kind}"] = _run([sys.executable, "-m", "cavnet", command, "--initial", kind], root, env).encode()
     return {"result": {"correct": True, "failed": 0, "metrics": metrics}, "csv": csv}
 
 

@@ -24,9 +24,11 @@ state takes the general route through the singular values of
 sqrt(rho) (sy x sy) conj(sqrt(rho)).  Every pair reduction of the cavity
 network is X-form.  The concurrence and the discord dispatch on the same
 exact-zero test, ``_is_x_form``.  ``concurrence_series`` takes the same
-route for each matrix of a stack of pair reductions, and
-``one_tangle_series`` is the one 4 det kernel of ``one_tangle``, applied to
-a stack of site reductions at once.
+route for each matrix of a stack of pair reductions, the closed form on
+arrays over every X-form matrix at once, and ``one_tangle_series`` is the
+one 4 det kernel of ``one_tangle``, applied to a stack of site reductions
+at once.  The tangle bracket takes the concurrences of the reference
+site's partner pairs as one series.
 
 The discord minimizes S(A | n) over projective measurements of B, and
 every search evaluates the formula above.  X-form states, whose entries
@@ -101,6 +103,11 @@ _SEARCH_FLOOR = 1 / 64
 _X_GRID = 9
 # Mask of the entries of a 4x4 two-qubit matrix off the diagonal and anti-diagonal.
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+# Indices, in a 4x4 complex matrix viewed as 32 floats, of Re rho_11, Re rho_00, Re rho_22,
+# Re rho_33, then of Re and Im of the coherences rho_03 and rho_12, then of both parts of
+# every entry in ``_OFF_X``: [d1, d0] * [d2, d3] are the products under the square roots of
+# ``_x_concurrence``.
+_X_PARTS = np.concatenate(([10, 0, 20, 30, 6, 12, 7, 13], np.flatnonzero(np.repeat(_OFF_X.ravel(), 2))))
 # Row (mu, nu) dotted with a flattened 4x4 matrix m is Tr[m sigma_mu (x) sigma_nu],
 # for sigma_0 = identity, sigma_x, sigma_y, sigma_z.
 _PAULIS = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), qla.SIGMA_Y, np.diag([1.0, -1.0]))
@@ -259,13 +266,23 @@ def concurrence(rho_ab: DensityMatrix) -> float:
 def concurrence_series(stack: np.ndarray) -> list[float]:
     """``concurrence`` of each matrix of a validated (N, 4, 4) stack of two-qubit states.
 
-    The exact-zero test of ``_is_x_form`` runs once over the whole stack;
-    each matrix then takes the kernel that ``concurrence`` gives it.
+    The exact-zero test of ``_is_x_form`` runs once over the whole stack.
+    The X-form matrices take ``_x_concurrence``'s formula on arrays, bit for
+    bit: the coherence moduli are ``np.hypot`` of their parts, which rounds
+    as the scalar ``abs`` does where ``np.abs`` of a complex array may not,
+    and ``np.maximum`` takes its arguments in the order of the scalar
+    ``max``.  The others take ``_general_concurrence`` one at a time.
     """
     if stack.shape[1:] != (4, 4):
         raise ValueError(f"expected a stack of 4x4 two-qubit matrices, got shape {stack.shape}")
-    off_x = stack[:, _OFF_X].any(axis=1).tolist()
-    return [_general_concurrence(m) if off else _x_concurrence(m) for m, off in zip(stack, off_x)]
+    parts = stack.reshape(-1, 16).view(float)[:, _X_PARTS]
+    d = np.maximum(parts[:, :4], 0.0)
+    gaps = np.hypot(parts[:, 4:6], parts[:, 6:8]) - np.sqrt(d[:, :2] * d[:, 2:])
+    out = 2.0 * np.maximum(np.maximum(0.0, gaps[:, 0]), gaps[:, 1])
+    # The formula is taken on every row; the rows that are not X-form are replaced.
+    for k in np.flatnonzero(parts[:, 8:].any(axis=1)):
+        out[k] = _general_concurrence(stack[k])
+    return out.tolist()
 
 
 def _x_concurrence(m: np.ndarray) -> float:
@@ -562,12 +579,15 @@ def tangle_bounds(rho: DensityMatrix, ref_site: int) -> TangleBounds:
     2*(Tr[rho^2] - Tr[rho_i^2]), that is the upper term less
     2*(1 - Tr[rho^2]).  Both subtract the same sum of squared pairwise
     concurrences of the pairs (ref_site, k), k ascending, reduced by
-    ``qla.reduced_states`` in one validated stack; the first invalid pair
-    raises the message ``pair_state`` raises for it.  Raw values are kept
+    ``qla.reduced_states`` in one validated stack and measured by one
+    ``concurrence_series``; the first invalid pair raises the message
+    ``pair_state`` raises for it.  Raw values are kept
     alongside clamped-at-zero variants, followed by the purity Tr[rho^2].
     """
-    pairs = _partner_keeps(len(rho.dims), ref_site)
-    upper_raw = one_tangle(rho, ref_site) - sum(c * c for c in map(concurrence, qla.reduced_states(rho, pairs)))
+    tangle, pairs = one_tangle(rho, ref_site), _partner_keeps(len(rho.dims), ref_site)
+    # A one-qubit register has no pairs to reduce.
+    squares = sum(c * c for c in concurrence_series(qla.reduced_states(rho, pairs))) if pairs else 0.0
+    upper_raw = tangle - squares
     # Round-off can push Tr[rho^2] a hair past one; the lower bound must
     # never exceed the upper.
     purity = qla.purity(rho)

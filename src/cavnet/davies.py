@@ -35,8 +35,8 @@ ZERO_JUMP_ATOL = 1e-12
 # Eigenvalue gaps closer than this fraction of the spectral span share a
 # Bohr frequency.
 DEGENERACY_RTOL = 1e-9
-# Generators ``chain_generator`` keeps, least recently used dropped first;
-# the figure set uses four decay rates.
+# Generators ``chain_generator`` keeps, and Liouvillians ``dynamics`` keeps,
+# least recently used dropped first; the figure set uses four decay rates.
 GENERATOR_CACHE_SIZE = 8
 
 

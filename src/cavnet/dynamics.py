@@ -6,7 +6,9 @@ row-major vectorized density matrices.  Samples lie on one uniform grid,
 so a single propagator S = exp(L dt), a dense [13/13] Pade
 scaling-and-squaring exponential (Higham, SIAM J. Matrix Anal. Appl. 26,
 1179 (2005)), carries every trajectory from one sample to the next; no
-integrator or step control is involved.
+integrator or step control is involved.  L depends on the generator
+alone, so it is built once per generator, as the generators themselves
+are, and shared read-only by every trajectory.
 
 One block stepper serves both evolvers.  It lays the flattened state out
 as a matrix M and steps M <- S_row M S_col^T with one map per slot:
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .davies import GeneratorSpec
+from .davies import GENERATOR_CACHE_SIZE, GeneratorSpec
 from .qla import DensityMatrix, _first_invalid, _reduce, _wrap_checked
 
 __all__ = [
@@ -122,11 +124,14 @@ class Trajectory:
         return ValueError(f"sample {k} at lambda*t = {self.times_lambda[k]:.6g}: {why}")
 
 
+@functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _liouvillian(spec: GeneratorSpec) -> np.ndarray:
-    """Generator matrix on row-major vectorized states.
+    """Read-only generator matrix on row-major vectorized states.
 
     With vec(A X B) = (A (x) B^T) vec(X) and G = -iH - 1/2 sum_c A_c^dag A_c,
-    L = G (x) I + I (x) conj(G) + sum_c A_c (x) conj(A_c).
+    L = G (x) I + I (x) conj(G) + sum_c A_c (x) conj(A_c).  Built once per
+    generator: ``davies.chain_generator`` shares one frozen, hashable spec
+    per configuration, so every trajectory of it reads the same matrix.
     """
     eye = np.eye(spec.dim)
     jumps = [np.sqrt(ch.rate) * ch.jump.matrix for ch in spec.channels]
@@ -136,6 +141,7 @@ def _liouvillian(spec: GeneratorSpec) -> np.ndarray:
     out = np.kron(g, eye) + np.kron(eye, g.conj())
     for a in jumps:
         out += np.kron(a, a.conj())
+    out.setflags(write=False)
     return out
 
 

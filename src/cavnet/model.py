@@ -193,9 +193,9 @@ def build_initial_state(spec: InitialStateSpec, cfg: NetworkConfig) -> DensityMa
         "psi_a": ({(0,): math.cos(spec.theta), (n,): math.sin(spec.theta)}, cfg.num_chains),
         "psi_b": ({vacuum: math.sin(spec.theta), pair: math.cos(spec.theta)}, cfg.num_chains),
         # The Bell projector of the 1,1' pair: weights 1/2 on |EE><EE|,
-        # |GG><GG| and both cross terms.
-        "rho_eq20": ({vacuum: math.sqrt(0.5), pair: math.sqrt(0.5)}, cfg.num_chains),
-        # 1/sqrt(2), one ulp below sqrt(0.5), as the figures were made with.
+        # |GG><GG| and both cross terms.  Its amplitudes are 1/sqrt(2), one
+        # ulp below sqrt(0.5), whose square would put the trace two ulp above one.
+        "rho_eq20": ({vacuum: 1.0 / math.sqrt(2.0), pair: 1.0 / math.sqrt(2.0)}, cfg.num_chains),
         "psi1_chain": ({(0,): 1.0 / math.sqrt(2.0), (n - 1,): 1.0 / math.sqrt(2.0)}, 1),
         "psi2_chain": ({(0,): 1.0}, 1),
     }[spec.kind]

@@ -13,8 +13,9 @@ Every other ``DensityMatrix``, whether built by hand, reduced or
 propagated, is validated against the same ``HERMITICITY_ATOL``,
 ``TRACE_ATOL`` and ``PSD_ATOL`` thresholds by ``_first_invalid``, as a
 stack of one or as one stack: the supports of a trajectory's samples, or
-the reductions of one ``reduced_states`` call, whose matrices
-``_wrap_checked`` makes into states uncopied.
+the reductions of one ``reduced_states`` call, which returns them as one
+read-only array; ``_wrap_checked`` makes the matrices of a checked stack
+into states uncopied.
 Positivity is tested by a Cholesky factorization; the spectrum is computed
 only to report a rejection.  Every reduction is one step, ``_reduce``: one
 gather at an index stack cached per (dims, keeps), then one sum over the
@@ -285,19 +286,20 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(Operator(reduced, tuple(rho.dims[k] for k in keep)))
 
 
-def reduced_states(rho: DensityMatrix, keeps) -> list[DensityMatrix]:
-    """``partial_trace`` of ``rho`` onto each of ``keeps`` in turn, checked as one stack.
+def reduced_states(rho: DensityMatrix, keeps) -> np.ndarray:
+    """Read-only (keep, row, column) stack of the ``partial_trace`` matrices of ``rho`` onto each of ``keeps``.
 
-    The keeps must keep subsystems of the same dims.  The first invalid
+    The keeps, at least one, must keep subsystems of the same dims.  The
+    stack is checked as one by ``_first_invalid``, and the first invalid
     reduction raises the message ``partial_trace`` raises for it.
     """
     keeps = tuple(map(tuple, keeps))
     if not keeps:
-        return []
+        raise ValueError("need at least one keep")
     stack = _reduce(rho.matrix.reshape(-1), rho.dims, keeps)
     if failure := _first_invalid(stack):
         raise ValueError(failure[1])
-    return _wrap_checked(stack, tuple(rho.dims[k] for k in keeps[0]))
+    return stack
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

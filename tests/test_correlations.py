@@ -189,6 +189,67 @@ class TestXConcurrence:
         assert calls == [1]
 
 
+class TestConcurrenceSeries:
+    """``concurrence_series`` takes Yu-Eberly on arrays, and equals ``concurrence`` on each matrix bit for bit."""
+
+    @staticmethod
+    def x_stack(rng, n):
+        """n X matrices: a tenth of the diagonal entries a hair below zero, which the formula clamps,
+        a tenth of the rows without coherences, and the others' coherences at up to 1.5 times
+        their bound, with random phases, so that about a third of the rows have C = 0."""
+        m = np.zeros((n, 4, 4), dtype=complex)
+        d = rng.dirichlet(np.ones(4), size=n)
+        d[rng.random((n, 4)) < 0.1] = -1e-13
+        m[:, range(4), range(4)] = d
+        bound = np.sqrt(np.maximum(d[:, (0, 1)], 0.0) * np.maximum(d[:, (3, 2)], 0.0))
+        coherences = bound * rng.uniform(0.0, 1.5, (n, 2)) * np.exp(2j * math.pi * rng.random((n, 2)))
+        coherences[rng.random(n) < 0.1] = 0.0
+        m[:, 0, 3], m[:, 1, 2] = coherences.T
+        m[:, 3, 0], m[:, 2, 1] = coherences.conj().T
+        return m
+
+    @staticmethod
+    def assert_bitwise(stack):
+        stack.setflags(write=False)
+        got = corr.concurrence_series(stack)
+        assert got == [corr.concurrence(rho) for rho in qla._wrap_checked(stack, (2, 2))]
+        return got
+
+    def test_x_stacks(self):
+        rng = np.random.default_rng(30)
+        got = self.assert_bitwise(self.x_stack(rng, 4000))
+        zeros = got.count(0.0)
+        assert 0.2 * len(got) < zeros < 0.5 * len(got)
+
+    def test_zero_at_the_boundary(self):
+        # |rho_03| = sqrt(rho_11 rho_22), or |rho_12| = sqrt(rho_00 rho_33), exactly: C = 0.
+        m = np.zeros((3, 4, 4), dtype=complex)
+        m[:, range(4), range(4)] = [0.25, 0.25, 0.25, 0.25]
+        m[0, 0, 3] = m[0, 3, 0] = 0.25
+        m[1, 1, 2], m[1, 2, 1] = -0.25j, 0.25j
+        d = np.array([0.4, 0.25, 0.16, 0.19])
+        m[2, range(4), range(4)] = d
+        m[2, 0, 3], m[2, 1, 2] = math.sqrt(d[1] * d[2]) * np.exp(0.7j), 0.1j
+        m[2, 3, 0], m[2, 2, 1] = np.conj(m[2, 0, 3]), np.conj(m[2, 1, 2])
+        assert self.assert_bitwise(m)[:2] == [0.0, 0.0]
+
+    def test_mixed_stacks_and_strided_views(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        stack = self.x_stack(rng, 300)
+        general = rng.random(300) < 0.2
+        stack[general] = [random_density(rng, (2, 2)).matrix for _ in range(general.sum())]
+        calls, kernel = [], corr._general_concurrence
+        monkeypatch.setattr(corr, "_general_concurrence", lambda m: calls.append(1) or kernel(m))
+        self.assert_bitwise(stack)
+        # Only the rows that are not X-form take the general route, once in the series and once in concurrence.
+        assert len(calls) == 2 * general.sum()
+        # A pair of ``Trajectory.reduced``'s stack is a strided view.
+        self.assert_bitwise(np.stack([stack[::-1], stack], axis=1)[:, 1])
+
+    def test_empty_stack(self):
+        assert corr.concurrence_series(np.zeros((0, 4, 4), dtype=complex)) == []
+
+
 class TestEof:
     def test_endpoints(self):
         assert corr.eof_from_concurrence(0.0) == 0.0
@@ -757,7 +818,7 @@ class TestTangleBracketStack:
             partners = cls.partners(rho, ref)
             pairs = [corr.pair_state(rho, corr.PairSelector(*pair)) for pair in partners]
             stacked = qla.reduced_states(rho, partners)
-            assert all(np.array_equal(a.matrix, b.matrix) and a.dims == b.dims for a, b in zip(stacked, pairs, strict=True))
+            assert all(np.array_equal(a, b.matrix) for a, b in zip(stacked, pairs, strict=True))
             upper = corr.one_tangle(rho, ref) - sum(c * c for c in map(corr.concurrence, pairs))
             assert corr.tangle_bounds(rho, ref).upper_raw == upper
 
@@ -766,13 +827,13 @@ class TestTangleBracketStack:
         rng = np.random.default_rng(23 + qubits)
         for _ in range(4):
             rho = random_density(rng, (2,) * qubits)
-            assert not any(corr._is_x_form(p.matrix) for p in qla.reduced_states(rho, self.partners(rho)))
+            assert not any(map(corr._is_x_form, qla.reduced_states(rho, self.partners(rho))))
             self.assert_upper_is_pairwise(rho)
 
     def test_psi_b_trajectory_x_path(self, default_cfg):
         traj = runner.network_trajectory(default_cfg, model.InitialStateSpec("psi_b", math.pi / 3), 12.0, 24)
         for rho in traj.states:
-            assert all(corr._is_x_form(p.matrix) for p in qla.reduced_states(rho, self.partners(rho)))
+            assert all(map(corr._is_x_form, qla.reduced_states(rho, self.partners(rho))))
             self.assert_upper_is_pairwise(rho)
 
     @staticmethod

@@ -489,7 +489,7 @@ class TestChunks:
         liouvillian = dynamics._liouvillian
 
         def leaky(spec):
-            out = liouvillian(spec)
+            out = liouvillian(spec).copy()  # the cached matrix is read-only and shared
             out[a, a * spec.dim + a] += 1e-3
             return out
 
@@ -583,7 +583,7 @@ class TestReducedBlock:
         liouvillian, a = dynamics._liouvillian, 4
 
         def leaky(spec):
-            out = liouvillian(spec)
+            out = liouvillian(spec).copy()  # the cached matrix is read-only and shared
             out[a, a * spec.dim + a] += 1e-3
             return out
 

@@ -226,6 +226,12 @@ class TestInitialStates:
         pair = corr.pair_state(rho, corr.PairSelector(0, 3))
         assert corr.concurrence(pair) == pytest.approx(1.0, abs=1e-12)
 
+    def test_bell_projector_stays_within_one(self, default_cfg):
+        # Amplitudes sqrt(0.5) would put the trace and the 11' concurrence at 1 + 2 ulp.
+        rho = model.build_initial_state(model.InitialStateSpec("rho_eq20"), default_cfg)
+        assert np.trace(rho.matrix).real <= 1.0
+        assert corr.concurrence(corr.pair_state(rho, corr.PairSelector(0, 3))) <= 1.0
+
     def test_theta_range_enforced(self):
         with pytest.raises(ValueError):
             model.InitialStateSpec("psi_a", -0.1)

@@ -180,15 +180,15 @@ class TestPartialTrace:
         n = len(rho.dims)
         for keeps in ([(k,) for k in range(n)], list(itertools.permutations(range(n), 2))):
             stacked = qla.reduced_states(rho, keeps)
-            assert len(stacked) == len(keeps)
+            assert len(stacked) == len(keeps) and not stacked.flags.writeable
             for got, keep in zip(stacked, keeps):
-                want = qla.partial_trace(rho, keep)
-                assert got.dims == want.dims and np.array_equal(got.matrix, want.matrix), keep
+                assert np.array_equal(got, qla.partial_trace(rho, keep).matrix), keep
 
     def test_reduced_states_keep_one_dims(self):
         rho = random_density(np.random.default_rng(252), (2, 3, 2))
-        assert qla.reduced_states(rho, []) == []
-        assert [r.dims for r in qla.reduced_states(rho, [(0, 1), (2, 1)])] == [(2, 3), (2, 3)]
+        with pytest.raises(ValueError, match=r"^need at least one keep$"):
+            qla.reduced_states(rho, [])
+        assert qla.reduced_states(rho, [(0, 1), (2, 1)]).shape == (2, 6, 6)
         with pytest.raises(ValueError, match=r"keep subsystems of different dims"):
             qla.reduced_states(rho, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match=r"^subsystem index out of range: keep=\[3\], n=3$"):
@@ -394,7 +394,7 @@ def _initial_amplitudes(kind, theta):
     return {
         "psi_a": cos * qla.ket("EGGGGG") + sin * qla.ket("GGGEGG"),
         "psi_b": sin * vacuum + cos * pair,
-        "rho_eq20": math.sqrt(0.5) * (vacuum + pair),
+        "rho_eq20": (vacuum + pair) / math.sqrt(2.0),
         "psi1_chain": (qla.ket("EGG") + qla.ket("GGE")) / math.sqrt(2.0),
         "psi2_chain": qla.ket("EGG"),
     }[kind]

@@ -125,7 +125,7 @@ class TestDiscordWork:
 
     @pytest.mark.parametrize(
         "name, searches, evaluations, pair_states",
-        [("fig5", 10, 113, 0), ("fig6", 5, 54, 0), ("fig9", 20, 244, 20)],
+        [("fig5", 10, 113, 0), ("fig6", 5, 70, 0), ("fig9", 20, 244, 20)],
     )
     def test_searches_and_pair_states(self, default_cfg, monkeypatch, name, searches, evaluations, pair_states):
         minimize, results = corr.minimize, []
@@ -237,6 +237,26 @@ class TestSeriesWork:
         assert len(calls) == len(table.rows) and wrapped == []
         # Each is the source pair of the point's initial state.
         assert all(sel == SRC and rho.dims == (2,) * 6 for rho, sel in calls)
+
+
+class TestPropagateWork:
+    """Work of the propagate scenarios that no sample changes, counted where host speed cannot move it."""
+
+    def test_one_liouvillian_per_generator(self, default_cfg):
+        # fig2 and transmission run at gamma = 0.01, fig7 at 0: two generators for 12 trajectories.
+        dynamics._liouvillian.cache_clear()
+        for name in ("fig2", "fig7", "transmission"):
+            runner.run_scenario(small(name, samples=11), default_cfg)
+        info = dynamics._liouvillian.cache_info()
+        assert (info.misses, info.hits) == (2, 10)
+
+    @pytest.mark.parametrize("name", ["fig7", "fig8"])
+    def test_tangle_bracket_takes_one_series_per_sample(self, default_cfg, monkeypatch, name):
+        concurrence, series = [], corr.concurrence_series
+        monkeypatch.setattr(corr, "concurrence", lambda *a: concurrence.append(a))
+        monkeypatch.setattr(corr, "concurrence_series", lambda stack: concurrence.append(stack.shape) or series(stack))
+        table = runner.run_scenario(small(name, samples=11), default_cfg)
+        assert concurrence == [(5, 4, 4)] * len(table.rows)
 
 
 class TestThetaFreeStates:
@@ -430,6 +450,44 @@ class TestClosedForm:
         p = np.cos(np.array(table.column("theta")))[:, None] ** 2 * np.abs(oracles.one_excitation_amplitudes(cfg, t)) ** 2
         measured = np.array([table.column(f"det_{k}") for k in (1, 2, 3)]).T
         assert np.max(np.abs(measured - 4.0 * p * (1.0 - p))) < 1e-12
+
+    def test_fig4_peaks_closed_form(self):
+        # Lossless psi_a gives pair kk' fig2's form at every site k,
+        # C_kk' = 2 |cos(theta) sin(theta)| |u_k|^2; the table holds that series' peaks.
+        thetas = (math.pi / 8, math.pi / 4, math.pi / 3)
+        spec = runner.ScenarioSpec.named("fig4", theta_list=thetas, samples=201)
+        table = runner.run_scenario(spec, model.NetworkConfig())
+        cfg = model.NetworkConfig(gamma=0.0)
+        lam = model.effective_coupling(cfg)
+        t = dynamics.sample_grid(spec.t_max_lambda, spec.samples, lam)
+        p = np.abs(oracles.one_excitation_amplitudes(cfg, t)) ** 2
+        for theta in thetas:
+            expected = 2.0 * abs(math.cos(theta) * math.sin(theta)) * p
+            events = runner.peak_sequence(dict(zip(("11'", "22'", "33'"), expected.T)), t * lam)
+            rows = [row[3:] for row in table.rows if row[1] == theta]
+            assert len(rows) == len(events) == 15
+            for (pair, time, value, group), event in zip(rows, events):
+                assert (pair, group) == (event.pair, event.simultaneous_group)
+                assert abs(time - event.time_lambda) < 1e-12 and abs(value - event.value) < 1e-12
+
+    def test_psi_b_transmission_closed_form(self):
+        # The 33' pair of psi_b is fig5's X state, with |rho_03| = |s c| p,
+        # rho_11 = rho_22 = c^2 p (1 - p) and rho_12 = 0 (p = |u_3|^2), so
+        # C_33' = 2 max(0, |s c| p - c^2 p (1 - p)); at t = 0, C_11' = 2 |s c|.
+        spec = runner.ScenarioSpec.named("transmission", initial=("psi_b",))
+        table = runner.run_scenario(spec, model.NetworkConfig())
+        assert len(table.rows) == 3 and set(table.column("gamma")) == {0.01}
+        cfg = model.NetworkConfig(gamma=0.01)
+        lam = model.effective_coupling(cfg)
+        t = dynamics.sample_grid(spec.t_max_lambda, spec.samples, lam)
+        p = np.abs(oracles.one_excitation_amplitudes(cfg, t)[:, 2]) ** 2
+        for theta, ratio, peak_time, at_transfer in zip(*map(table.column, ("theta", "ratio_max", "peak_lambda_t", "ratio_at_transfer"))):
+            s, c = math.sin(theta), math.cos(theta)
+            series = 2.0 * np.maximum(0.0, abs(s * c) * p - c**2 * p * (1.0 - p))
+            c0 = 2.0 * abs(s * c)
+            want_time, want_peak = runner._quadratic_peak(t * lam, series, int(np.argmax(series)))
+            assert abs(ratio - want_peak / c0) < 1e-12 and abs(peak_time - want_time) < 1e-12
+            assert abs(at_transfer - np.interp(runner.TRANSFER_TIME_LAMBDA, t * lam, series) / c0) < 1e-12
 
     def test_fig5_eof_and_discord_closed_form(self):
         # psi_b is s|vac> + c|E at 1, E at 1'>, and each chain's excitation
@@ -950,8 +1008,9 @@ def test_bench_pairs_measures_csv_differences():
 
 
 def test_bench_pairs_figures_run_compares_simulate_tables(monkeypatch):
-    # A figures run keeps the CSV bytes of every figure and of ``cavnet
-    # simulate`` on each register, so a pair byte-compares all of them.
+    # A figures run keeps the CSV bytes of every figure, of ``cavnet
+    # simulate`` on each register and of ``cavnet transmission`` from
+    # rho_eq20, so a pair byte-compares all of them.
     bench_pairs, commands = _bench_pairs(), []
 
     def run(cmd, cwd, env):
@@ -968,9 +1027,11 @@ def test_bench_pairs_figures_run_compares_simulate_tables(monkeypatch):
         "fig3": b"fig3 table\n",
         "simulate psi_a": b"table of psi_a\n",
         "simulate psi1_chain": b"table of psi1_chain\n",
+        "transmission rho_eq20": b"table of rho_eq20\n",
     }
     assert got["result"]["metrics"] == {"fig3_s": {"value": 0.1, "unit": "s"}}
-    assert commands[1:] == [["-m", "cavnet", "simulate", "--initial", kind] for kind in ("psi_a", "psi1_chain")]
+    tables = (("simulate", "psi_a"), ("simulate", "psi1_chain"), ("transmission", "rho_eq20"))
+    assert commands[1:] == [["-m", "cavnet", command, "--initial", kind] for command, kind in tables]
 
 
 def test_reproduce_figures_lines_parse_for_bench_pairs(tmp_path):
