@@ -8,7 +8,8 @@ scaling-and-squaring exponential (Higham, SIAM J. Matrix Anal. Appl. 26,
 1179 (2005)), carries every trajectory from one sample to the next; no
 integrator or step control is involved.  L depends on the generator
 alone, so it is built once per generator, as the generators themselves
-are, and shared read-only by every trajectory.
+are, and shared read-only by every trajectory, and so is its nonzero
+pattern.
 
 One block stepper serves both evolvers.  It lays the flattened state out
 as a matrix M and steps M <- S_row M S_col^T with one map per slot:
@@ -92,11 +93,11 @@ class Trajectory:
     @functools.cached_property
     def states(self) -> tuple[DensityMatrix, ...]:
         d, n = self.initial.dim, len(self)
-        rows, cols = np.ix_(self.support, self.support)
+        at = self._flat_support()
         states = []
         for k in range(0, n, _CHUNK):
             chunk = np.zeros((min(_CHUNK, n - k), d, d), dtype=complex)
-            chunk[:, rows, cols] = self.samples[k : k + _CHUNK]
+            chunk.reshape(len(chunk), d * d)[:, at] = self.samples[k : k + _CHUNK].reshape(len(chunk), -1)
             chunk.setflags(write=False)
             states += _wrap_checked(chunk, self.dims)
         return tuple(states)
@@ -114,11 +115,15 @@ class Trajectory:
         flat = np.zeros((n, size + 1), dtype=complex)
         flat[:, :size] = self.samples.reshape(n, size)
         positions = np.full(self.initial.dim**2, size)
-        positions[(self.support[:, None] * self.initial.dim + self.support).reshape(-1)] = np.arange(size)
+        positions[self._flat_support()] = np.arange(size)
         stack = _reduce(flat, self.dims, keeps, positions)
         if failure := _first_invalid(stack.reshape(-1, *stack.shape[2:])):
             raise self._rejection(failure[0] // len(keeps), failure[1])
         return stack
+
+    def _flat_support(self) -> np.ndarray:
+        """Flat index, in a row-major flattened sample, of each entry of ``samples[k]``, in its row-major order."""
+        return (self.support[:, None] * self.initial.dim + self.support).reshape(-1)
 
     def _rejection(self, k: int, why: str) -> ValueError:
         return ValueError(f"sample {k} at lambda*t = {self.times_lambda[k]:.6g}: {why}")
@@ -143,6 +148,21 @@ def _liouvillian(spec: GeneratorSpec) -> np.ndarray:
         out += np.kron(a, a.conj())
     out.setflags(write=False)
     return out
+
+
+@functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def _links(spec: GeneratorSpec) -> np.ndarray:
+    """Read-only nonzero pattern of ``_liouvillian(spec)``, which ``_reachable`` closes a block under.
+
+    Built once per generator, as the Liouvillian is, instead of once per slot.
+    """
+    out = _liouvillian(spec) != 0
+    out.setflags(write=False)
+    return out
+
+
+# The slot of a one-column block: generator 0, so its propagator is [[1]].
+_UNIT_SLOT = (np.zeros((1, 1)), np.zeros((1, 1), dtype=bool))
 
 
 # Pade coefficients b_0..b_13 of the [13/13] approximant of exp, and the
@@ -205,9 +225,11 @@ def sample_grid(t_max_lambda: float, samples: int, lambda_scale: float) -> np.nd
     return np.linspace(0.0, t_max_lambda / lambda_scale, samples)
 
 
-def _reachable(l: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Ascending indices of the closure J <- J | {i : L[i, J] != 0} of the mask ``live``."""
-    linked = l != 0
+def _reachable(linked: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Ascending indices of the closure J <- J | {i : linked[i, J] != 0} of the mask ``live``.
+
+    ``linked`` is a generator, a propagator or the nonzero pattern of one.
+    """
     while True:
         grown = live | linked[:, live].any(axis=1)
         if np.array_equal(grown, live):
@@ -215,24 +237,28 @@ def _reachable(l: np.ndarray, live: np.ndarray) -> np.ndarray:
         live = grown
 
 
-def _block_trajectory(rho0: DensityMatrix, t, step: float, lambda_scale: float, l_row, l_col, at) -> Trajectory:
+def _block_trajectory(rho0: DensityMatrix, t, step: float, lambda_scale: float, row, col, at) -> Trajectory:
     """Sample rho0 at t[0], then after each step M_RC <- S_RR M_RC S_CC^T.
 
-    M[a, b] is entry ``at[a, b]`` of the flattened rho0.  R and C are the
-    closures of M's nonzero rows and columns under the nonzero patterns of
-    the generators ``l_row`` and ``l_col``.  Each is invariant under its
-    generator, so S_RR = exp(L_row[R, R] step), and likewise S_CC, is the
-    propagator's block exactly, and every entry outside M_RC stays zero.
-    When both slots share the generator and R = C, S_RR serves as S_CC.
+    M[a, b] is entry ``at[a, b]`` of the flattened rho0.  ``row`` and
+    ``col`` are the slots' (generator, nonzero pattern) pairs, and R and C
+    the closures of M's nonzero rows and columns under the patterns.  Each
+    is invariant under its generator, so S_RR = exp(L_row[R, R] step), and
+    likewise S_CC, is the propagator's block exactly, and every entry
+    outside M_RC stays zero.  When both slots share the generator and
+    R = C, S_RR serves as S_CC.  Each step runs in place, through one
+    scratch block.
     """
+    (l_row, linked_row), (l_col, linked_col) = row, col
     m = rho0.matrix.reshape(-1)[at]
-    r, c = _reachable(l_row, m.any(axis=1)), _reachable(l_col, m.any(axis=0))
+    r, c = _reachable(linked_row, m.any(axis=1)), _reachable(linked_col, m.any(axis=0))
     s_rr = _expm(l_row[np.ix_(r, r)] * step)
     s_cc = s_rr if l_col is l_row and np.array_equal(r, c) else _expm(l_col[np.ix_(c, c)] * step)
     blocks = np.empty((t.size, r.size, c.size), dtype=complex)
     blocks[0] = m[np.ix_(r, c)]
+    half, s_cc_t = np.empty((r.size, c.size), dtype=complex), s_cc.T
     for k in range(1, t.size):
-        blocks[k] = s_rr @ blocks[k - 1] @ s_cc.T
+        np.matmul(np.matmul(s_rr, blocks[k - 1], out=half), s_cc_t, out=blocks[k])
     rows, cols = np.divmod(at[np.ix_(r, c)], rho0.dim)
     tr = blocks[:, rows == cols].sum(axis=1).real
     if (drift := np.abs(tr - 1.0) > TRACE_GUARD).any():
@@ -261,7 +287,7 @@ def evolve(rho0: DensityMatrix, spec: GeneratorSpec, sample_times) -> Trajectory
     if rho0.dim != spec.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match generator {spec.dim}")
     at = np.arange(rho0.dim**2)[:, None]
-    return _block_trajectory(rho0, t, step, spec.lambda_scale, _liouvillian(spec), np.zeros((1, 1)), at)
+    return _block_trajectory(rho0, t, step, spec.lambda_scale, (_liouvillian(spec), _links(spec)), _UNIT_SLOT, at)
 
 
 def evolve_factorized(rho0: DensityMatrix, chain_spec: GeneratorSpec, sample_times) -> Trajectory:
@@ -275,7 +301,7 @@ def evolve_factorized(rho0: DensityMatrix, chain_spec: GeneratorSpec, sample_tim
     d = chain_spec.dim
     if d * d != rho0.dim:
         raise ValueError(f"generator dimension {d} does not match state dimension {rho0.dim}")
-    l_chain = _liouvillian(chain_spec)
+    chain = _liouvillian(chain_spec), _links(chain_spec)
     # M[a, b] is entry at[a, b] of the flattened rho; the regroup only permutes.
     at = np.arange(d**4).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return _block_trajectory(rho0, t, step, chain_spec.lambda_scale, l_chain, l_chain, at)
+    return _block_trajectory(rho0, t, step, chain_spec.lambda_scale, chain, chain, at)

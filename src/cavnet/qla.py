@@ -137,13 +137,16 @@ def _first_invalid(m: np.ndarray) -> tuple[int, str] | None:
     """
     n, k = m.shape[:2]
     m_dag = m.conj().swapaxes(1, 2)
-    herm = np.abs(m - m_dag).reshape(n, k * k).max(axis=1, initial=0.0)
+    diff = m - m_dag
+    herm = np.abs(diff).reshape(n, k * k).max(axis=1, initial=0.0)
     tr = m.trace(axis1=1, axis2=2)
     # Written so that a NaN, which a Cholesky factorization passes, fails here.
     hermitian = herm <= HERMITICITY_ATOL
     passed = hermitian & (np.abs(tr - 1.0) <= TRACE_ATOL)
     first = n if passed.all() else int(passed.argmin())
-    shifted = (m[:first] + m_dag[:first]) / 2.0
+    # The m - m^dag buffer takes the shifted Hermitian part: two fewer stack-sized arrays.
+    shifted = np.add(m[:first], m_dag[:first], out=diff[:first])
+    shifted /= 2.0
     shifted.reshape(first, k * k)[:, :: k + 1] += PSD_ATOL
     try:
         np.linalg.cholesky(shifted)

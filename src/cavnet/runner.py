@@ -11,9 +11,11 @@ site series of ``fig2``, ``fig3``, ``fig4``, ``custom`` and
 pass, and so are the pair states of ``fig5`` and ``fig6``, whose discord
 searches then run one per sample; ``custom`` takes its purity from the
 samples on their support, and its pairs and sites from the register
-size.  Only ``fig7``, ``fig8`` and ``fig9`` evaluate the samples as
-states.  Only the initial states that depend on theta are swept over
-it.  Times are reported dimensionless as lambda*t.
+size.  ``fig8`` reads its tangle bracket from the reduced samples, and
+its purity from the samples on their support.  Only ``fig7`` and
+``fig9`` evaluate the samples as states.  Only the initial states that
+depend on theta are swept over it.  Times are reported dimensionless as
+lambda*t.
 """
 
 from __future__ import annotations
@@ -281,12 +283,39 @@ def _one_tangles(*sites):
     return lambda traj: list(map(tuple, corr.one_tangle_series(traj.reduced((site,) for site in sites)).tolist()))
 
 
+def _purities(traj: Trajectory) -> np.ndarray:
+    """Tr[rho^2] of every sample, as ||samples[k]||_F^2 on the support."""
+    return np.array([np.vdot(m, m).real for m in traj.samples])
+
+
+def _tangle_brackets(traj: Trajectory, ref_site: int) -> list[tuple[float, ...]]:
+    """``corr.tangle_bounds(state, ref_site)`` of every sample, read from the samples on their support.
+
+    The one-tangles of ``ref_site`` come from one reduced stack, and the
+    concurrences of its partner pairs from another, measured by one
+    ``concurrence_series``.  Their squares are summed pair by pair in
+    ``tangle_bounds``'s order, so the upper terms are its own bit for bit;
+    the purity is ``_purities``', which may differ from ``qla.purity`` of
+    the whole 64x64 state in its last bits, and so may the lower terms.
+    """
+    pairs = corr._partner_keeps(len(traj.dims), ref_site)
+    tangles = corr.one_tangle_series(traj.reduced([(ref_site,)])[:, 0])
+    stack = traj.reduced(pairs)
+    concurrences = np.reshape(corr.concurrence_series(stack.reshape(-1, 4, 4)), (len(traj), len(pairs)))
+    upper = tangles - sum(c * c for c in concurrences.T)
+    purity = _purities(traj)
+    # As in tangle_bounds: the lower bound must never exceed the upper.
+    lower = upper - 2.0 * (1.0 - np.minimum(purity, 1.0))
+    return list(zip(*(a.tolist() for a in (lower, upper, np.maximum(lower, 0.0), np.maximum(upper, 0.0), purity))))
+
+
 # Measures of the trajectory scenarios: the columns each fills and a
 # function of the trajectory returning one row of their values per sample.
-# fig2 to fig6 read the reduced samples at once: fig5 and fig6 take their
-# pair states and concurrences from them, and run one discord optimization
-# per sample.  fig7, fig8 and fig9 take the samples as states, whose
-# per-state functions the benchmark times.
+# fig2 to fig6 and fig8 read the reduced samples at once: fig5 and fig6
+# take their pair states and concurrences from them, and run one discord
+# optimization per sample, and fig8 its tangle bracket, with the purity
+# of the samples on their support.  fig7 and fig9 take the samples as
+# states, whose per-state functions the benchmark times.
 _MEASURES = {
     "fig2": (("conc_33p",), _concurrences(_P33)),
     "fig3": (("det_1", "det_2", "det_3"), _one_tangles(0, 1, 2)),
@@ -299,7 +328,7 @@ _MEASURES = {
     "fig7": (("tangle",), _per_sample(lambda s: (corr.tangle_pure(s, 0),))),
     "fig8": (
         ("tangle_lower_raw", "tangle_upper_raw", "tangle_lower", "tangle_upper", "purity"),
-        _per_sample(lambda s: tuple(corr.tangle_bounds(s, 0))),
+        lambda traj: _tangle_brackets(traj, 0),
     ),
     "fig9": (("delta", "ssa_slack"), _per_sample(lambda s: tuple(corr.delta_fanchini(s)))),
 }
@@ -318,8 +347,7 @@ def _register_measures(pair_labels: tuple[str, ...], site_labels: tuple[str, ...
     columns = ("purity",) + tuple(f"conc_{p}" for p in pair_labels) + tuple(f"det_{s}" for s in site_labels)
 
     def measure(traj: Trajectory) -> list[tuple[float, ...]]:
-        purities = [float(np.vdot(m, m).real) for m in traj.samples]
-        return [(p, *c, *d) for p, c, d in zip(purities, concurrences(traj), tangles(traj))]
+        return [(p, *c, *d) for p, c, d in zip(_purities(traj).tolist(), concurrences(traj), tangles(traj))]
 
     return tuple(c.replace("'", "p") for c in columns), measure
 

@@ -254,10 +254,10 @@ class TestSharedExponential:
         shared = dynamics.evolve_factorized(rho0, gen, times)
         assert len(calls) == exponentials
         # Exponentiating each slot's block on its own gives the same bits.
-        l_chain = dynamics._liouvillian(gen)
+        l_chain, links = dynamics._liouvillian(gen), dynamics._links(gen)
         d = gen.dim
         at = np.arange(d**4).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        apart = dynamics._block_trajectory(rho0, times, times[1], gen.lambda_scale, l_chain, l_chain.copy(), at)
+        apart = dynamics._block_trajectory(rho0, times, times[1], gen.lambda_scale, (l_chain, links), (l_chain.copy(), links), at)
         assert len(calls) == exponentials + 2
         assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(shared.states, apart.states))
 
@@ -494,6 +494,7 @@ class TestChunks:
             return out
 
         monkeypatch.setattr(dynamics, "_liouvillian", leaky)
+        monkeypatch.setattr(dynamics, "_links", lambda spec: leaky(spec) != 0)
         times = chain_times(lossless_cfg, 1.0, 20)
         lam = model.effective_coupling(lossless_cfg)
         with pytest.raises(ValueError, match=rf"^sample 1 at lambda\*t = {times[1] * lam:.6g}: not Hermitian"):
@@ -589,6 +590,7 @@ class TestReducedBlock:
 
         reduced, series = [], corr.concurrence_series
         monkeypatch.setattr(dynamics, "_liouvillian", leaky)
+        monkeypatch.setattr(dynamics, "_links", lambda spec: leaky(spec) != 0)
         monkeypatch.setattr(dynamics.Trajectory, "reduced", lambda self, keeps: reduced.append(keeps))
         monkeypatch.setattr(corr, "concurrence_series", lambda stack: reduced.append(stack) or series(stack))
         spec = runner.ScenarioSpec.named("fig2", theta_list=(0.3,), gamma=(0.0,), samples=6)

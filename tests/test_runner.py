@@ -203,11 +203,41 @@ class TestCustomSamples:
         assert [g[1:] for g in got] == [w[1:] for w in want]
 
 
+class TestTangleBrackets:
+    """fig8 reads its tangle bracket from the samples, as ``tangle_bounds`` gives it per state."""
+
+    @pytest.mark.parametrize("kind", ["psi_a", "psi_b"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.01, 0.5])
+    def test_rows_equal_tangle_bounds(self, kind, gamma):
+        spec = runner.ScenarioSpec.named("fig8")
+        init = model.InitialStateSpec(kind, math.pi / 4)
+        traj = runner.network_trajectory(model.NetworkConfig(gamma=gamma), init, spec.t_max_lambda, spec.samples)
+        got = np.array(runner._tangle_brackets(traj, 0))
+        want = np.array([tuple(corr.tangle_bounds(state, 0)) for state in traj.states])
+        assert got.shape == want.shape == (800, 5)
+        # The upper terms are bit for bit; purity sums Tr rho^2 in another
+        # order on the support than over the full matrix, and the lower
+        # terms take it in.
+        assert (got[:, [1, 3]] == want[:, [1, 3]]).all()
+        assert np.abs(got[:, [0, 2, 4]] - want[:, [0, 2, 4]]).max() <= 1e-15
+
+    def test_an_invalid_reduction_names_its_sample(self, default_cfg):
+        traj = runner.network_trajectory(default_cfg, model.InitialStateSpec("psi_b", math.pi / 4), 2.0, 6)
+        samples = traj.samples.copy()
+        samples[3] *= 1.5
+        samples.setflags(write=False)
+        broken = dataclasses.replace(traj, samples=samples)
+        where = re.escape(f"sample 3 at lambda*t = {traj.times_lambda[3]:.6g}")
+        with pytest.raises(ValueError, match=f"^{where}: trace deviates from one"):
+            runner._MEASURES["fig8"][1](broken)
+
+
 class TestSeriesWork:
-    """What fig2, fig3, fig4, custom and transmission compute per sweep point, counted where host speed cannot move it."""
+    """What fig2, fig3, fig4, fig8, custom and transmission compute per sweep point, counted where host speed cannot move it."""
 
     @pytest.mark.parametrize(
-        "name, builds_states", [("fig2", False), ("fig3", False), ("fig4", False), ("custom", False), ("fig8", True)]
+        "name, builds_states",
+        [("fig2", False), ("fig3", False), ("fig4", False), ("custom", False), ("fig8", False), ("fig7", True)],
     )
     def test_block_scenarios_build_no_states(self, default_cfg, monkeypatch, name, builds_states):
         wrap, wrapped = dynamics._wrap_checked, []
@@ -224,8 +254,8 @@ class TestSeriesWork:
             # The control: states are built, in chunks of _CHUNK, and reduced one by one.
             assert len(wrapped) == 2 * points and traces and not reductions
         else:
-            # custom reduces once onto its pairs and once onto its sites.
-            assert wrapped == [] and traces == [] and len(reductions) == (2 if name == "custom" else 1) * points
+            # custom and fig8 reduce once onto their pairs and once onto their sites.
+            assert wrapped == [] and traces == [] and len(reductions) == (2 if name in ("custom", "fig8") else 1) * points
 
     def test_transmission_reduces_one_pair_state_per_point(self, default_cfg, monkeypatch):
         pair_state, calls = corr.pair_state, []
@@ -244,11 +274,14 @@ class TestPropagateWork:
 
     def test_one_liouvillian_per_generator(self, default_cfg):
         # fig2 and transmission run at gamma = 0.01, fig7 at 0: two generators for 12 trajectories.
+        # Each generator's nonzero pattern is built once too, from its Liouvillian.
         dynamics._liouvillian.cache_clear()
+        dynamics._links.cache_clear()
         for name in ("fig2", "fig7", "transmission"):
             runner.run_scenario(small(name, samples=11), default_cfg)
-        info = dynamics._liouvillian.cache_info()
-        assert (info.misses, info.hits) == (2, 10)
+        info, links = dynamics._liouvillian.cache_info(), dynamics._links.cache_info()
+        assert (info.misses, info.hits) == (2, 12)
+        assert (links.misses, links.hits) == (2, 10)
 
     @pytest.mark.parametrize("name", ["fig7", "fig8"])
     def test_tangle_bracket_takes_one_series_per_sample(self, default_cfg, monkeypatch, name):
@@ -256,7 +289,11 @@ class TestPropagateWork:
         monkeypatch.setattr(corr, "concurrence", lambda *a: concurrence.append(a))
         monkeypatch.setattr(corr, "concurrence_series", lambda stack: concurrence.append(stack.shape) or series(stack))
         table = runner.run_scenario(small(name, samples=11), default_cfg)
-        assert concurrence == [(5, 4, 4)] * len(table.rows)
+        if name == "fig8":
+            # One series per point measures the five partner pairs of all 11 samples.
+            assert concurrence == [(11 * 5, 4, 4)] * (len(table.rows) // 11)
+        else:
+            assert concurrence == [(5, 4, 4)] * len(table.rows)
 
 
 class TestThetaFreeStates:
