@@ -32,6 +32,13 @@ processes (``getrusage(RUSAGE_CHILDREN)`` before and after).  A fresh
 process's heap layout can move run_s by about 20 % through them, so check
 them before putting a regression down to code.
 
+A figures run also records ``peak_rss_mb``, the peak resident set of the
+``reproduce_figures.py`` process, which runs every scenario, read from
+``os.wait4``'s rusage of that one child.  ``RUSAGE_CHILDREN`` keeps the
+maximum over all children ever waited for, so it cannot tell the two sides
+apart.  Linux counts in a child's peak the resident set of this process
+when it spawned the child, about 15 MB, well below a figures run's.
+
 Both checkouts must have absolute paths of the same length: the path length
 alone has moved run_s by about 20 % through the heap layout it implies.
 Standard library only.
@@ -52,6 +59,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 THREAD_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
@@ -63,34 +71,48 @@ TIMEOUT_S = 900
 CLI_TABLES = (("simulate", "psi_a"), ("simulate", "psi1_chain"), ("transmission", "rho_eq20"))
 
 
-def _run(cmd: list[str], cwd: Path, env: dict) -> str:
-    proc = subprocess.run(cmd, cwd=cwd, env={**os.environ, **env}, capture_output=True, text=True, timeout=TIMEOUT_S)
-    if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(cmd)} in {cwd} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return proc.stdout
+def _run(cmd: list[str], cwd: Path, env: dict) -> tuple[str, float]:
+    """The standard output of ``cmd``, and the peak resident set in MB of its process alone."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=cwd, env={**os.environ, **env}, stdout=out, stderr=err)
+        timer = threading.Timer(TIMEOUT_S, proc.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+        # wait4 reaped the child; Popen must not wait for it again.
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            raise SystemExit(f"{' '.join(cmd)} in {cwd} exited {proc.returncode}:\n{err.read().decode()[-2000:]}")
+        out.seek(0)
+        return out.read().decode(), usage.ru_maxrss / 1024.0
 
 
 def perfbench_run(root: Path, args) -> dict:
     """The record and result lines of one perfbench run, as dicts."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    *_, record, result = _run(cmd, root, {}).splitlines()
+    *_, record, result = _run(cmd, root, {})[0].splitlines()
     return {"record": json.loads(record), "result": json.loads(result)}
 
 
 def figures_run(root: Path, args) -> dict:
-    """Per-scenario seconds of one reproduce_figures.py run, and its CSV bytes and those of ``CLI_TABLES``."""
+    """Per-scenario seconds and peak RSS of one reproduce_figures.py run, and its CSV bytes and those of ``CLI_TABLES``."""
     env = {**THREAD_ENV, "PYTHONPATH": str(root / "src")}
     with tempfile.TemporaryDirectory() as out:
         cmd = [sys.executable, "scripts/reproduce_figures.py", "--outdir", out]
-        lines = _run(cmd, root, env).splitlines()
+        stdout, peak_mb = _run(cmd, root, env)
+        lines = stdout.splitlines()
         matches = [FIGURE_LINE.match(line) for line in lines]
         if not matches or not all(matches):
             raise SystemExit(f"{' '.join(cmd)} in {root} printed no scenario line or one that does not parse:\n" + "\n".join(lines))
         metrics = {f"{m[1]}_s": {"value": float(m[3]), "unit": "s"} for m in matches}
+        metrics["peak_rss_mb"] = {"value": peak_mb, "unit": "MB"}
         csv = {m[1]: Path(m[2]).read_bytes() for m in matches}
     for command, kind in CLI_TABLES:
-        csv[f"{command} {kind}"] = _run([sys.executable, "-m", "cavnet", command, "--initial", kind], root, env).encode()
+        csv[f"{command} {kind}"] = _run([sys.executable, "-m", "cavnet", command, "--initial", kind], root, env)[0].encode()
     return {"result": {"correct": True, "failed": 0, "metrics": metrics}, "csv": csv}
 
 

@@ -10,7 +10,6 @@ from .qla import (
     DensityMatrix,
     Operator,
     density,
-    ket,
     partial_trace,
     pure,
     purity,

@@ -154,11 +154,6 @@ class MeasurementBasis:
         if not 0.0 <= self.azimuth < 2.0 * math.pi:
             raise ValueError("azimuth must lie in [0, 2*pi)")
 
-    def ket(self) -> np.ndarray:
-        return np.array(
-            [math.cos(self.polar / 2.0), np.exp(1j * self.azimuth) * math.sin(self.polar / 2.0)]
-        )
-
 
 class TangleBounds(NamedTuple):
     lower_raw: float

@@ -8,8 +8,7 @@ scaling-and-squaring exponential (Higham, SIAM J. Matrix Anal. Appl. 26,
 1179 (2005)), carries every trajectory from one sample to the next; no
 integrator or step control is involved.  L depends on the generator
 alone, so it is built once per generator, as the generators themselves
-are, and shared read-only by every trajectory, and so is its nonzero
-pattern.
+are, and shared read-only by every trajectory.
 
 One block stepper serves both evolvers.  It lays the flattened state out
 as a matrix M and steps M <- S_row M S_col^T with one map per slot:
@@ -150,21 +149,6 @@ def _liouvillian(spec: GeneratorSpec) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def _links(spec: GeneratorSpec) -> np.ndarray:
-    """Read-only nonzero pattern of ``_liouvillian(spec)``, which ``_reachable`` closes a block under.
-
-    Built once per generator, as the Liouvillian is, instead of once per slot.
-    """
-    out = _liouvillian(spec) != 0
-    out.setflags(write=False)
-    return out
-
-
-# The slot of a one-column block: generator 0, so its propagator is [[1]].
-_UNIT_SLOT = (np.zeros((1, 1)), np.zeros((1, 1), dtype=bool))
-
-
 # Pade coefficients b_0..b_13 of the [13/13] approximant of exp, and the
 # largest 1-norm theta_13 for which it meets double precision (Higham 2005,
 # Table 2.3).
@@ -237,20 +221,21 @@ def _reachable(linked: np.ndarray, live: np.ndarray) -> np.ndarray:
         live = grown
 
 
-def _block_trajectory(rho0: DensityMatrix, t, step: float, lambda_scale: float, row, col, at) -> Trajectory:
+def _block_trajectory(rho0: DensityMatrix, t, step: float, lambda_scale: float, l_row, l_col, at) -> Trajectory:
     """Sample rho0 at t[0], then after each step M_RC <- S_RR M_RC S_CC^T.
 
-    M[a, b] is entry ``at[a, b]`` of the flattened rho0.  ``row`` and
-    ``col`` are the slots' (generator, nonzero pattern) pairs, and R and C
-    the closures of M's nonzero rows and columns under the patterns.  Each
-    is invariant under its generator, so S_RR = exp(L_row[R, R] step), and
-    likewise S_CC, is the propagator's block exactly, and every entry
-    outside M_RC stays zero.  When both slots share the generator and
-    R = C, S_RR serves as S_CC.  Each step runs in place, through one
-    scratch block.
+    M[a, b] is entry ``at[a, b]`` of the flattened rho0.  ``l_row`` and
+    ``l_col`` are the slots' generators, and R and C the closures of M's
+    nonzero rows and columns under the exact zeros of the same generators,
+    one pattern per distinct generator.  Each is invariant under its
+    generator, so S_RR = exp(L_row[R, R] step), and likewise S_CC, is the
+    propagator's block exactly, and every entry outside M_RC stays zero.
+    When both slots share the generator and R = C, S_RR serves as S_CC.
+    Each step runs in place, through one scratch block.
     """
-    (l_row, linked_row), (l_col, linked_col) = row, col
     m = rho0.matrix.reshape(-1)[at]
+    linked_row = l_row != 0
+    linked_col = linked_row if l_col is l_row else l_col != 0
     r, c = _reachable(linked_row, m.any(axis=1)), _reachable(linked_col, m.any(axis=0))
     s_rr = _expm(l_row[np.ix_(r, r)] * step)
     s_cc = s_rr if l_col is l_row and np.array_equal(r, c) else _expm(l_col[np.ix_(c, c)] * step)
@@ -287,7 +272,7 @@ def evolve(rho0: DensityMatrix, spec: GeneratorSpec, sample_times) -> Trajectory
     if rho0.dim != spec.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match generator {spec.dim}")
     at = np.arange(rho0.dim**2)[:, None]
-    return _block_trajectory(rho0, t, step, spec.lambda_scale, (_liouvillian(spec), _links(spec)), _UNIT_SLOT, at)
+    return _block_trajectory(rho0, t, step, spec.lambda_scale, _liouvillian(spec), np.zeros((1, 1)), at)
 
 
 def evolve_factorized(rho0: DensityMatrix, chain_spec: GeneratorSpec, sample_times) -> Trajectory:
@@ -301,7 +286,7 @@ def evolve_factorized(rho0: DensityMatrix, chain_spec: GeneratorSpec, sample_tim
     d = chain_spec.dim
     if d * d != rho0.dim:
         raise ValueError(f"generator dimension {d} does not match state dimension {rho0.dim}")
-    chain = _liouvillian(chain_spec), _links(chain_spec)
+    chain = _liouvillian(chain_spec)
     # M[a, b] is entry at[a, b] of the flattened rho; the regroup only permutes.
     at = np.arange(d**4).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return _block_trajectory(rho0, t, step, chain_spec.lambda_scale, chain, chain, at)

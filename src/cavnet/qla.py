@@ -50,7 +50,6 @@ __all__ = [
     "LOWERING",
     "RAISING",
     "embed",
-    "ket",
     "pure",
     "density",
     "partial_trace",
@@ -189,17 +188,6 @@ def embed(local, site: int, dims) -> Operator:
     return Operator(out, dims)
 
 
-def ket(label: str) -> np.ndarray:
-    """Read-only computational basis vector of a qubit register from a G/E label."""
-    if not label or any(c not in "GE" for c in label):
-        raise ValueError(f"malformed basis label {label!r}")
-    vec = np.array([1.0 + 0.0j])
-    for c in label:
-        vec = np.kron(vec, KET_E if c == "E" else KET_G)
-    vec.setflags(write=False)
-    return vec
-
-
 def pure(amplitudes, dims) -> DensityMatrix:
     """The state |a><a| of a unit vector ``a`` over the register ``dims``.
 
@@ -237,6 +225,8 @@ def _trace_gather(dims: tuple[int, ...], keeps: tuple[tuple[int, ...], ...]) -> 
     summing over r traces out the complement of that keep.  Kept digits
     follow the keep's order, and every keep must keep the same dims.
     """
+    if not keeps:
+        raise ValueError("need at least one keep")
     dims = [int(d) for d in dims]
     n = len(dims)
     size = math.prod(dims)
@@ -297,8 +287,6 @@ def reduced_states(rho: DensityMatrix, keeps) -> np.ndarray:
     reduction raises the message ``partial_trace`` raises for it.
     """
     keeps = tuple(map(tuple, keeps))
-    if not keeps:
-        raise ValueError("need at least one keep")
     stack = _reduce(rho.matrix.reshape(-1), rho.dims, keeps)
     if failure := _first_invalid(stack):
         raise ValueError(failure[1])

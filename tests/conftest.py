@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import oracles
 from cavnet import davies, model, qla
 
 settings.register_profile(
@@ -26,7 +27,7 @@ def random_pure(rng, dims):
 
 
 def basis_state(label):
-    return qla.pure(qla.ket(label), (2,) * len(label))
+    return qla.pure(oracles.ket(label), (2,) * len(label))
 
 
 def random_density(rng, dims, rank=None):

@@ -25,8 +25,8 @@ compass search's step by parabolic fits: the full-matrix two-chain
 stepper, a transpose and ``einsum`` partial trace, the
 strong-subadditivity slack of ``delta_fanchini`` from four partial
 traces, and the compass search that halves its step.
-The Werner family and the entanglement sum are fixtures that only tests
-use.
+The basis kets, the Werner family and the entanglement sum are fixtures
+that only tests use.
 
 Last come the models that only validate the production one: the truncated
 pre-elimination chain with explicit fiber modes, against which the
@@ -327,6 +327,22 @@ def compass_search(fun, x0: tuple[float, ...], step: float) -> correlations.Mini
         else:
             step *= 0.5
     return correlations.MinimizeResult(x, best, nfev)
+
+
+def ket(label: str) -> np.ndarray:
+    """Read-only computational basis vector of a qubit register from a G/E label."""
+    if not label or any(c not in "GE" for c in label):
+        raise ValueError(f"malformed basis label {label!r}")
+    vec = np.array([1.0 + 0.0j])
+    for c in label:
+        vec = np.kron(vec, qla.KET_E if c == "E" else qla.KET_G)
+    vec.setflags(write=False)
+    return vec
+
+
+def basis_ket(basis: correlations.MeasurementBasis) -> np.ndarray:
+    """The ket of ``basis``'s first projector, at its polar and azimuthal angles on the Bloch sphere."""
+    return np.array([math.cos(basis.polar / 2.0), np.exp(1j * basis.azimuth) * math.sin(basis.polar / 2.0)])
 
 
 def werner_state(p: float) -> qla.DensityMatrix:

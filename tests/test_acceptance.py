@@ -262,7 +262,7 @@ class TestCriterion6DaviesStructure:
 class TestCriterion7Oracles:
     def test_lossless_against_matrix_exponential(self, cfg_lossless):
         gen = davies.chain_generator(cfg_lossless)
-        psi = (qla.ket("EGG") + 1j * qla.ket("GEG")) / math.sqrt(2)
+        psi = (oracles.ket("EGG") + 1j * oracles.ket("GEG")) / math.sqrt(2)
         rho0 = qla.pure(psi, (2, 2, 2))
         t_star = TRANSFER / LAMBDA
         traj = dynamics.evolve(rho0, gen, [0.0, t_star / 2, t_star])

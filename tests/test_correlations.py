@@ -15,12 +15,12 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def bell_phi_plus():
-    v = (qla.ket("GG") + qla.ket("EE")) / math.sqrt(2)
+    v = (oracles.ket("GG") + oracles.ket("EE")) / math.sqrt(2)
     return qla.pure(v, (2, 2))
 
 
 def two_qubit_state(theta):
-    v = math.sin(theta) * qla.ket("GE") + math.cos(theta) * qla.ket("EG")
+    v = math.sin(theta) * oracles.ket("GE") + math.cos(theta) * oracles.ket("EG")
     return qla.pure(v, (2, 2))
 
 
@@ -75,7 +75,7 @@ def reference_conditional_entropy(rho, basis):
     Projects with I x |v><v| and I x |v_perp><v_perp|, reduces each outcome
     to A with ``qla.partial_trace`` and weights its von Neumann entropy.
     """
-    v = basis.ket()
+    v = oracles.basis_ket(basis)
     total = 0.0
     for ket in (v, np.array([-np.conj(v[1]), np.conj(v[0])])):
         proj = np.kron(np.eye(2), np.outer(ket, ket.conj()))
@@ -87,13 +87,13 @@ def reference_conditional_entropy(rho, basis):
 
 
 def ghz_state():
-    v = (qla.ket("GGG") + qla.ket("EEE")) / math.sqrt(2)
+    v = (oracles.ket("GGG") + oracles.ket("EEE")) / math.sqrt(2)
     return qla.pure(v, (2, 2, 2))
 
 
 def w_state():
     v = (
-        qla.ket("EGG") + qla.ket("GEG") + qla.ket("GGE")
+        oracles.ket("EGG") + oracles.ket("GEG") + oracles.ket("GGE")
     ) / math.sqrt(3)
     return qla.pure(v, (2, 2, 2))
 
@@ -489,10 +489,10 @@ class TestConditionalEntropyKernel:
 
     def test_product_state_in_its_own_basis(self):
         basis = corr.MeasurementBasis(1.1, 4.0)
-        b_state = qla.pure(basis.ket(), (2,))
+        b_state = qla.pure(oracles.basis_ket(basis), (2,))
         rho_a = random_density(np.random.default_rng(5), (2,))
         rho = qla.density(np.kron(rho_a.matrix, b_state.matrix), (2, 2))
-        orth = corr.MeasurementBasis(math.pi - basis.polar, basis.azimuth - math.pi).ket()
+        orth = oracles.basis_ket(corr.MeasurementBasis(math.pi - basis.polar, basis.azimuth - math.pi))
         assert abs(np.vdot(orth, b_state.matrix @ orth)) < 1e-15
         self.assert_matches_reference(rho, [basis])
         assert reference_conditional_entropy(rho, basis) == pytest.approx(

@@ -60,13 +60,13 @@ class TestBohrFrequencies:
 class TestSiteLowering:
     def test_lowers_single_excitation(self, default_cfg):
         op = davies.site_lowering_operator(default_cfg, 0)
-        out = op.matrix @ qla.ket("EGG")
-        want = default_cfg.kappa * qla.ket("GGG")
+        out = op.matrix @ oracles.ket("EGG")
+        want = default_cfg.kappa * oracles.ket("GGG")
         assert np.max(np.abs(out - want)) < 1e-14
 
     def test_annihilates_ground(self, default_cfg):
         op = davies.site_lowering_operator(default_cfg, 1)
-        assert np.max(np.abs(op.matrix @ qla.ket("GGG"))) == 0.0
+        assert np.max(np.abs(op.matrix @ oracles.ket("GGG"))) == 0.0
 
     def test_nilpotent(self, default_cfg):
         op = davies.site_lowering_operator(default_cfg, 2).matrix

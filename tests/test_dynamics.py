@@ -39,7 +39,7 @@ class TestEvolveBasics:
         cfg = lossless_cfg
         gen = davies.chain_generator(cfg)
         lam = model.effective_coupling(cfg)
-        psi = (qla.ket("EGG") + 1j * qla.ket("GEG")) / math.sqrt(2)
+        psi = (oracles.ket("EGG") + 1j * oracles.ket("GEG")) / math.sqrt(2)
         rho0 = qla.pure(psi, (2, 2, 2))
         t_star = (2 * math.pi / 3) / lam
         traj = dynamics.evolve(rho0, gen, [0.0, t_star / 2, t_star])
@@ -254,10 +254,9 @@ class TestSharedExponential:
         shared = dynamics.evolve_factorized(rho0, gen, times)
         assert len(calls) == exponentials
         # Exponentiating each slot's block on its own gives the same bits.
-        l_chain, links = dynamics._liouvillian(gen), dynamics._links(gen)
-        d = gen.dim
+        l_chain, d = dynamics._liouvillian(gen), gen.dim
         at = np.arange(d**4).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        apart = dynamics._block_trajectory(rho0, times, times[1], gen.lambda_scale, (l_chain, links), (l_chain.copy(), links), at)
+        apart = dynamics._block_trajectory(rho0, times, times[1], gen.lambda_scale, l_chain, l_chain.copy(), at)
         assert len(calls) == exponentials + 2
         assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(shared.states, apart.states))
 
@@ -494,7 +493,6 @@ class TestChunks:
             return out
 
         monkeypatch.setattr(dynamics, "_liouvillian", leaky)
-        monkeypatch.setattr(dynamics, "_links", lambda spec: leaky(spec) != 0)
         times = chain_times(lossless_cfg, 1.0, 20)
         lam = model.effective_coupling(lossless_cfg)
         with pytest.raises(ValueError, match=rf"^sample 1 at lambda\*t = {times[1] * lam:.6g}: not Hermitian"):
@@ -590,7 +588,6 @@ class TestReducedBlock:
 
         reduced, series = [], corr.concurrence_series
         monkeypatch.setattr(dynamics, "_liouvillian", leaky)
-        monkeypatch.setattr(dynamics, "_links", lambda spec: leaky(spec) != 0)
         monkeypatch.setattr(dynamics.Trajectory, "reduced", lambda self, keeps: reduced.append(keeps))
         monkeypatch.setattr(corr, "concurrence_series", lambda stack: reduced.append(stack) or series(stack))
         spec = runner.ScenarioSpec.named("fig2", theta_list=(0.3,), gamma=(0.0,), samples=6)
@@ -726,7 +723,7 @@ class TestPhaseCovariance:
         cfg = model.NetworkConfig(gamma=0.05)
         chain = davies.chain_generator(cfg)
         times = dynamics.sample_grid(20.0, 400, model.effective_coupling(cfg))
-        a = sum(amp * qla.ket(label) for label, amp in amplitudes.items())
+        a = sum(amp * oracles.ket(label) for label, amp in amplitudes.items())
         # Chain 2 is the last three qubits, the low bits of the chain-blocked index.
         v = np.exp(0.9j * np.array([bin(i & 7).count("1") for i in range(64)]))
         plain = dynamics.evolve_factorized(qla.pure(a, (2,) * 6), chain, times)

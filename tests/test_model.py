@@ -83,7 +83,7 @@ class TestChainHamiltonian:
     def test_fully_excited_is_eigenstate(self, default_cfg):
         lam = model.effective_coupling(default_cfg)
         h = model.build_effective_chain_hamiltonian(default_cfg)
-        eee = qla.ket("EEE")
+        eee = oracles.ket("EEE")
         assert np.max(np.abs(h.matrix @ eee - 4 * lam * eee)) < 1e-10 * lam
 
     def test_commutes_with_excitation_number(self, default_cfg):
@@ -101,7 +101,7 @@ class TestChainHamiltonian:
         # Singly excited basis states pick up the diagonal weights 1,2,2,1.
         for site, weight in enumerate((1.0, 2.0, 2.0, 1.0)):
             label = "".join("E" if k == site else "G" for k in range(4))
-            amp = qla.ket(label)
+            amp = oracles.ket(label)
             assert np.vdot(amp, h.matrix @ amp).real == pytest.approx(weight * lam)
 
 
@@ -116,7 +116,7 @@ class TestNetworkHamiltonian:
 
     def test_ground_energy_zero(self, default_cfg):
         hn = oracles.build_network_hamiltonian(default_cfg)
-        vac = qla.ket("G" * 6)
+        vac = oracles.ket("G" * 6)
         assert abs(np.vdot(vac, hn.matrix @ vac)) < 1e-12
 
     def test_chain_swap_symmetry(self, default_cfg):

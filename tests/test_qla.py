@@ -59,8 +59,8 @@ class TestTensor:
         sysy = np.kron(qla.SIGMA_Y, qla.SIGMA_Y)
         direct = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
         assert np.max(np.abs(sysy - direct)) == 0.0
-        gg = qla.ket("GG")
-        ee = qla.ket("EE")
+        gg = oracles.ket("GG")
+        ee = oracles.ket("EE")
         assert np.max(np.abs(sysy @ gg - (-ee))) < 1e-14
 
     def test_dims_mismatch_rejected(self):
@@ -78,7 +78,7 @@ class TestPartialTrace:
         assert np.max(np.abs(reduced.matrix - a.matrix)) < 1e-12
 
     def test_bell_reduction_is_maximally_mixed(self):
-        bell = (qla.ket("GG") + qla.ket("EE")) / math.sqrt(2)
+        bell = (oracles.ket("GG") + oracles.ket("EE")) / math.sqrt(2)
         rho = qla.pure(bell, (2, 2))
         for keep in ([0], [1]):
             reduced = qla.partial_trace(rho, keep)
@@ -184,10 +184,17 @@ class TestPartialTrace:
             for got, keep in zip(stacked, keeps):
                 assert np.array_equal(got, qla.partial_trace(rho, keep).matrix), keep
 
+    @pytest.mark.parametrize("entry", ["reduced_states", "Trajectory.reduced"])
+    def test_an_empty_keep_list_is_rejected(self, entry):
+        reduce = {
+            "reduced_states": lambda keeps: qla.reduced_states(_trajectory_sample(), keeps),
+            "Trajectory.reduced": lambda keeps: _trajectory().reduced(keeps),
+        }[entry]
+        with pytest.raises(ValueError, match=r"^need at least one keep$"):
+            reduce([])
+
     def test_reduced_states_keep_one_dims(self):
         rho = random_density(np.random.default_rng(252), (2, 3, 2))
-        with pytest.raises(ValueError, match=r"^need at least one keep$"):
-            qla.reduced_states(rho, [])
         assert qla.reduced_states(rho, [(0, 1), (2, 1)]).shape == (2, 6, 6)
         with pytest.raises(ValueError, match=r"keep subsystems of different dims"):
             qla.reduced_states(rho, [(0, 1), (1, 2)])
@@ -383,20 +390,20 @@ class TestValidation:
 
     def test_ket_label_validation(self):
         with pytest.raises(ValueError):
-            qla.ket("GX")
+            oracles.ket("GX")
 
 
 # Each initial kind's amplitudes on the chain-blocked register (1, 2, 3 | 1', 2', 3'),
 # built from literal basis kets rather than from the excited-qubit indices that the model uses.
 def _initial_amplitudes(kind, theta):
     cos, sin = math.cos(theta), math.sin(theta)
-    vacuum, pair = qla.ket("GGGGGG"), qla.ket("EGGEGG")
+    vacuum, pair = oracles.ket("GGGGGG"), oracles.ket("EGGEGG")
     return {
-        "psi_a": cos * qla.ket("EGGGGG") + sin * qla.ket("GGGEGG"),
+        "psi_a": cos * oracles.ket("EGGGGG") + sin * oracles.ket("GGGEGG"),
         "psi_b": sin * vacuum + cos * pair,
         "rho_eq20": (vacuum + pair) / math.sqrt(2.0),
-        "psi1_chain": (qla.ket("EGG") + qla.ket("GGE")) / math.sqrt(2.0),
-        "psi2_chain": qla.ket("EGG"),
+        "psi1_chain": (oracles.ket("EGG") + oracles.ket("GGE")) / math.sqrt(2.0),
+        "psi2_chain": oracles.ket("EGG"),
     }[kind]
 
 
@@ -433,20 +440,24 @@ class TestPure:
 
     def test_dims_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"^dims \(2, 2, 2\) do not multiply to vector size 4$"):
-            qla.pure(qla.ket("GE"), (2, 2, 2))
+            qla.pure(oracles.ket("GE"), (2, 2, 2))
         with pytest.raises(ValueError, match=r"^invalid subsystem dimensions \(-2, -2\)$"):
-            qla.pure(qla.ket("GE"), (-2, -2))
+            qla.pure(oracles.ket("GE"), (-2, -2))
 
     def test_ket_is_read_only(self):
         with pytest.raises(ValueError):
-            qla.ket("EG")[0] = 1.0
+            oracles.ket("EG")[0] = 1.0
 
 
-def _trajectory_sample():
+def _trajectory():
     cfg = model.NetworkConfig()
     rho0 = model.build_initial_state(model.InitialStateSpec("psi_a", 0.3), cfg)
     chain = davies.chain_generator(cfg)
-    return dynamics.evolve_factorized(rho0, chain, dynamics.sample_grid(1.0, 5, chain.lambda_scale)).states[2]
+    return dynamics.evolve_factorized(rho0, chain, dynamics.sample_grid(1.0, 5, chain.lambda_scale))
+
+
+def _trajectory_sample():
+    return _trajectory().states[2]
 
 
 class TestFrozenStates:
@@ -454,7 +465,7 @@ class TestFrozenStates:
 
     MAKERS = {
         "density": lambda: qla.density(np.eye(4) / 4.0, (2, 2)),
-        "pure": lambda: qla.pure(qla.ket("EG"), (2, 2)),
+        "pure": lambda: qla.pure(oracles.ket("EG"), (2, 2)),
         "trajectory sample": _trajectory_sample,
     }
 

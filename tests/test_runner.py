@@ -274,14 +274,11 @@ class TestPropagateWork:
 
     def test_one_liouvillian_per_generator(self, default_cfg):
         # fig2 and transmission run at gamma = 0.01, fig7 at 0: two generators for 12 trajectories.
-        # Each generator's nonzero pattern is built once too, from its Liouvillian.
         dynamics._liouvillian.cache_clear()
-        dynamics._links.cache_clear()
         for name in ("fig2", "fig7", "transmission"):
             runner.run_scenario(small(name, samples=11), default_cfg)
-        info, links = dynamics._liouvillian.cache_info(), dynamics._links.cache_info()
-        assert (info.misses, info.hits) == (2, 12)
-        assert (links.misses, links.hits) == (2, 10)
+        info = dynamics._liouvillian.cache_info()
+        assert (info.misses, info.hits) == (2, 10)
 
     @pytest.mark.parametrize("name", ["fig7", "fig8"])
     def test_tangle_bracket_takes_one_series_per_sample(self, default_cfg, monkeypatch, name):
@@ -1053,10 +1050,10 @@ def test_bench_pairs_figures_run_compares_simulate_tables(monkeypatch):
     def run(cmd, cwd, env):
         commands.append(cmd[1:])
         if "--outdir" not in cmd:
-            return f"table of {cmd[-1]}\n"
+            return f"table of {cmd[-1]}\n", 99.0
         path = Path(cmd[-1]) / "fig3.csv"
         path.write_bytes(b"fig3 table\n")
-        return f"fig3: 1 rows -> {path} (0.100s)\n"
+        return f"fig3: 1 rows -> {path} (0.100s)\n", 42.0
 
     monkeypatch.setattr(bench_pairs, "_run", run)
     got = bench_pairs.figures_run(Path("/checkout"), None)
@@ -1066,9 +1063,33 @@ def test_bench_pairs_figures_run_compares_simulate_tables(monkeypatch):
         "simulate psi1_chain": b"table of psi1_chain\n",
         "transmission rho_eq20": b"table of rho_eq20\n",
     }
-    assert got["result"]["metrics"] == {"fig3_s": {"value": 0.1, "unit": "s"}}
+    # The peak RSS is the figure script's own, not the command tables'.
+    assert got["result"]["metrics"] == {"fig3_s": {"value": 0.1, "unit": "s"}, "peak_rss_mb": {"value": 42.0, "unit": "MB"}}
     tables = (("simulate", "psi_a"), ("simulate", "psi1_chain"), ("transmission", "rho_eq20"))
     assert commands[1:] == [["-m", "cavnet", command, "--initial", kind] for command, kind in tables]
+
+
+_PEAK_RSS_PROBE = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+out, big = bench_pairs._run([sys.executable, "-c", "print(len(b'x' * (64 << 20)))"], ".", {})
+print(out.strip(), big, bench_pairs._run([sys.executable, "-c", "pass"], ".", {})[1])
+bench_pairs._run([sys.executable, "-c", "import sys; sys.stderr.write('boom'); sys.exit(3)"], ".", {})
+"""
+
+
+def test_bench_pairs_reads_each_childs_own_peak_rss(tmp_path):
+    # A 64 MB child, then a small one: the maximum over all children would read 64 MB for both.
+    # A child's reading includes the resident set of the process that spawned it, so that
+    # process is a fresh interpreter that loads only the script, as a benchmark run does.
+    script = str(Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_PROBE, script], cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    size, big, small = proc.stdout.split()
+    assert int(size) == 64 << 20
+    assert float(big) > 64 and float(small) < float(big) - 48
+    assert proc.returncode == 1 and proc.stderr.endswith("exited 3:\nboom\n")
 
 
 def test_reproduce_figures_lines_parse_for_bench_pairs(tmp_path):
